@@ -1,11 +1,13 @@
 #include "core/bellflower.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
-#include <functional>
+#include <optional>
 
 #include "core/match_observer.h"
+#include "generate/top_n_floor.h"
 #include "obs/trace.h"
 #include "util/timer.h"
 
@@ -13,6 +15,46 @@ namespace xsm::core {
 
 using generate::SchemaMapping;
 using schema::NodeRef;
+
+generate::ClusterCandidates BuildClusterCandidates(
+    const match::ElementMatchingResult& matching,
+    const std::vector<cluster::ClusterPoint>& points,
+    const cluster::Cluster& cluster) {
+  generate::ClusterCandidates cands;
+  cands.tree = cluster.tree;
+  cands.candidates.resize(matching.sets.size());
+  // Members in NodeRef order (already point order for states built here)
+  // make every list come out sorted, exactly as ME_n orders it.
+  std::vector<int32_t> members = cluster.members;
+  auto node_of = [&points](int32_t m) {
+    return points[static_cast<size_t>(m)].node;
+  };
+  std::sort(members.begin(), members.end(), [&](int32_t a, int32_t b) {
+    return node_of(a) < node_of(b);
+  });
+  // Per personal node, the ME_n position after the last hit: later members
+  // have larger NodeRefs, so each search resumes there.
+  std::array<size_t, match::kMaxPersonalNodes> resume{};
+  for (int32_t m : members) {
+    const cluster::ClusterPoint& point = points[static_cast<size_t>(m)];
+    for (uint32_t bits = point.personal_mask; bits != 0; bits &= bits - 1) {
+      const size_t n = static_cast<size_t>(std::countr_zero(bits));
+      const std::vector<match::MappingElement>& me =
+          matching.sets[n].elements;
+      auto it = std::lower_bound(
+          me.begin() + static_cast<std::ptrdiff_t>(resume[n]), me.end(),
+          point.node, [](const match::MappingElement& e, const NodeRef& node) {
+            return e.node < node;
+          });
+      // Bit n of a point's mask is set exactly when its node is in ME_n, so
+      // the search always hits.
+      assert(it != me.end() && it->node == point.node);
+      cands.candidates[n].push_back(*it);
+      resume[n] = static_cast<size_t>(it - me.begin()) + 1;
+    }
+  }
+  return cands;
+}
 
 Bellflower::Bellflower(const schema::SchemaForest* repository)
     : repository_(repository) {
@@ -316,35 +358,8 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
           std::popcount(points[static_cast<size_t>(m)].personal_mask));
     }
 
-    // Candidate lists: ME_n ∩ cluster. Both sides are sorted by NodeRef,
-    // so intersect with a linear merge.
-    std::vector<NodeRef> member_nodes;
-    member_nodes.reserve(c.members.size());
-    for (int32_t m : c.members) {
-      member_nodes.push_back(points[static_cast<size_t>(m)].node);
-    }
-    std::sort(member_nodes.begin(), member_nodes.end());
-
     generate::ClusterCandidates& cands = all_candidates[ci];
-    cands.tree = c.tree;
-    cands.candidates.resize(personal.size());
-    for (size_t n = 0; n < personal.size(); ++n) {
-      const auto& me = matching->sets[n].elements;
-      auto& dst = cands.candidates[n];
-      size_t i = 0;
-      size_t j = 0;
-      while (i < me.size() && j < member_nodes.size()) {
-        if (me[i].node < member_nodes[j]) {
-          ++i;
-        } else if (member_nodes[j] < me[i].node) {
-          ++j;
-        } else {
-          dst.push_back(me[i]);
-          ++i;
-          ++j;
-        }
-      }
-    }
+    cands = BuildClusterCandidates(*matching, points, c);
 
     if (options.structural_matcher != nullptr &&
         options.structural_within_clusters_only && summary.useful &&
@@ -431,6 +446,8 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   const bool adaptive =
       options.adaptive_top_n && options.top_n > 0 &&
       gen_options.algorithm == generate::Algorithm::kBranchAndBound;
+  std::optional<generate::TopNFloor> top_n_floor;
+  if (adaptive) top_n_floor.emplace(options.top_n);
   bool first_seen = false;
   const size_t total_useful = useful_order.size();
   size_t sequence = 0;
@@ -441,22 +458,20 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
                                stats.cluster_summaries[summary_index[ci]]);
     }
     generate::GeneratorOptions cluster_options = gen_options;
-    if (adaptive && result.mappings.size() >= options.top_n) {
-      std::vector<double> deltas;
-      deltas.reserve(result.mappings.size());
-      for (const auto& m : result.mappings) deltas.push_back(m.delta);
-      std::nth_element(deltas.begin(),
-                       deltas.begin() + static_cast<long>(options.top_n) - 1,
-                       deltas.end(), std::greater<double>());
-      cluster_options.delta = std::max(
-          cluster_options.delta,
-          deltas[options.top_n - 1]);
+    if (top_n_floor) {
+      cluster_options.delta = top_n_floor->Floor(cluster_options.delta);
     }
+    const size_t mappings_before = result.mappings.size();
     generate::MappingGenerator generator(personal, objective,
                                          cluster_options);
     XSM_RETURN_NOT_OK(generator.Generate(
         all_candidates[ci], index_.tree(all_candidates[ci].tree),
         &result.mappings, &stats.generator, &monitor));
+    if (top_n_floor) {
+      for (size_t i = mappings_before; i < result.mappings.size(); ++i) {
+        top_n_floor->Add(result.mappings[i].delta);
+      }
+    }
     if (!first_seen) {
       ++stats.clusters_until_first_mapping;
       if (!result.mappings.empty()) {

@@ -199,6 +199,18 @@ struct ClusterState {
   double time_clustering_seconds = 0;
 };
 
+/// Stage ④ set-up for one cluster: candidates[n] = ME_n ∩ cluster, each
+/// list in NodeRef order with its ME_n score — what a merge of ME_n with the
+/// sorted members would produce. Relies on the element-matching invariant
+/// that bit n of a point's personal_mask is set exactly when the point's
+/// node is in ME_n (`points` and `matching` must come from one state), so
+/// it costs O(Σ_members popcount(mask) · log |ME_n|): proportional to the
+/// cluster's own mapping elements, not to Σ_n |ME_n|.
+generate::ClusterCandidates BuildClusterCandidates(
+    const match::ElementMatchingResult& matching,
+    const std::vector<cluster::ClusterPoint>& points,
+    const cluster::Cluster& cluster);
+
 class MatchObserver;  // core/match_observer.h
 
 /// The matching system. Owns the structural index over the repository; the
@@ -271,6 +283,13 @@ class Bellflower {
   /// personal schema (and this repository); it is not mutated, so many
   /// MatchWithState calls may run concurrently against one state.
   /// `options`' state-determining fields are ignored — the state wins.
+  ///
+  /// Stage ④ set-up costs O(M · log max_n |ME_n|) for M = Σ_n |ME_n| (each
+  /// mapping element is looked up once, in the one cluster holding its
+  /// node) plus O(log N) per mapping for the adaptive top-N floor — not
+  /// O(#clusters · M). This relies on the ClusterState invariant that
+  /// points[i].personal_mask bit n is set ⇔ points[i].node ∈ ME_n (see
+  /// ElementMatchingResult::masks and BuildClusterCandidates).
   Result<MatchResult> MatchWithState(const schema::SchemaTree& personal,
                                      const ClusterState& state,
                                      const MatchOptions& options) const;

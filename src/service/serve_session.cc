@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -271,6 +272,13 @@ Result<core::MatchResult> ServeSession::RunQuery(
 size_t ServeSession::RunBatch(const std::vector<MatchQuery>& queries,
                               const EventSink& sink,
                               core::ExecutionControl control) {
+  // Batch members run concurrently on pool threads, but a sink is never
+  // called concurrently: every event of the batch goes through this lock.
+  std::mutex sink_mu;
+  const EventSink serialized = [&sink, &sink_mu](const std::string& line) {
+    std::lock_guard<std::mutex> lock(sink_mu);
+    sink(line);
+  };
   std::vector<std::unique_ptr<NdjsonEventObserver>> observers;
   std::vector<MatchHandle> handles;
   observers.reserve(queries.size());
@@ -286,7 +294,7 @@ size_t ServeSession::RunBatch(const std::vector<MatchQuery>& queries,
     }
     RepositoryPinPtr pin = service_->Pin();
     observers.push_back(std::make_unique<NdjsonEventObserver>(
-        query.id, &query.personal, pin, sink, options_.cluster_events));
+        query.id, &query.personal, pin, serialized, options_.cluster_events));
     handles.push_back(service_->Submit(std::move(pin), query,
                                        std::move(query_control),
                                        observers.back().get()));
@@ -295,7 +303,7 @@ size_t ServeSession::RunBatch(const std::vector<MatchQuery>& queries,
   size_t failed = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     Result<core::MatchResult> result = handles[i].Get();
-    EmitDoneEvent(queries[i].id, result, observers[i]->DoneMs(), sink);
+    EmitDoneEvent(queries[i].id, result, observers[i]->DoneMs(), serialized);
     if (!result.ok()) ++failed;
   }
   return failed;

@@ -38,7 +38,9 @@ namespace xsm::service {
 
 /// Receives one complete NDJSON event line (no trailing newline) per call.
 /// Called from the thread executing the query or command — for submitted
-/// queries that is a service pool thread.
+/// queries that is a service pool thread. ServeSession never calls one sink
+/// concurrently (RunBatch serializes its members' events), so a sink needs
+/// no locking of its own for the duration of the call it was passed to.
 using EventSink = std::function<void(const std::string& line)>;
 
 /// JSON string escaping for event payloads (quotes, backslashes, control
@@ -163,6 +165,8 @@ class ServeSession {
   /// events, then emits the done events in input order (the batch-mode
   /// contract). Returns the number of queries that failed with an error
   /// Status (interrupted runs — cancelled / deadline — are not errors).
+  /// Members run concurrently, but their events reach `sink` one call at a
+  /// time: RunBatch holds one mutex around every sink call it makes.
   size_t RunBatch(const std::vector<MatchQuery>& queries,
                   const EventSink& sink,
                   core::ExecutionControl control = core::ExecutionControl());

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
+#include "generate/top_n_floor.h"
 #include "label/tree_index.h"
 #include "match/element_matching.h"
 #include "obs/trace.h"
@@ -799,26 +801,17 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
                              effective.top_n > 0 &&
                              !effective.include_partial_mappings;
     std::mutex floor_mu;
-    double floor = effective.delta;
-    std::vector<double> top_deltas;
+    std::optional<generate::TopNFloor> floor;
+    if (share_floor) floor.emplace(effective.top_n);
     auto read_floor = [&]() {
-      if (!share_floor) return effective.delta;
+      if (!floor) return effective.delta;
       std::lock_guard<std::mutex> lock(floor_mu);
-      return floor;
+      return floor->Floor(effective.delta);
     };
     auto publish_deltas = [&](const std::vector<generate::SchemaMapping>& ms) {
-      if (!share_floor) return;
+      if (!floor) return;
       std::lock_guard<std::mutex> lock(floor_mu);
-      for (const generate::SchemaMapping& m : ms) {
-        top_deltas.insert(std::upper_bound(top_deltas.begin(),
-                                           top_deltas.end(), m.delta,
-                                           std::greater<double>()),
-                          m.delta);
-        if (top_deltas.size() > effective.top_n) top_deltas.pop_back();
-      }
-      if (top_deltas.size() == effective.top_n) {
-        floor = std::max(floor, top_deltas.back());
-      }
+      for (const generate::SchemaMapping& m : ms) floor->Add(m.delta);
     };
 
     std::vector<std::future<Result<core::MatchResult>>> futures;
@@ -828,7 +821,7 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
       futures.push_back(fanout_pool_->Submit(
           [&, s]() -> Result<core::MatchResult> {
             core::MatchOptions task_options = effective;
-            task_options.delta = std::max(task_options.delta, read_floor());
+            task_options.delta = read_floor();
             core::ExecutionControl task_control = resolved;
             // Spans stay on the scattering thread; TraceContext is not
             // shared across concurrent writers.

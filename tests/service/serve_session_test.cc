@@ -121,6 +121,32 @@ TEST_F(ServeSessionTest, RunQueryStreamsMappingsThenDone) {
   EXPECT_GE(events.size() - 1, result->mappings.size());
 }
 
+TEST_F(ServeSessionTest, HugeTopCompletesLikeNoLimit) {
+  // top=-1 parses to SIZE_MAX; neither it nor a merely large N may
+  // allocate in proportion to N.
+  auto session = MakeSession();
+  auto unlimited = session->ParseQuery("person(name,phone) delta=0.8 top=0",
+                                       0);
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  std::vector<std::string> events;
+  auto expected = session->RunQuery(*unlimited, Collect(&events));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_FALSE(expected->mappings.empty());
+  for (const char* top : {"-1", "1000000000000"}) {
+    SCOPED_TRACE(top);
+    auto query = session->ParseQuery(
+        std::string("person(name,phone) delta=0.8 top=") + top, 0);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    events.clear();
+    auto result = session->RunQuery(*query, Collect(&events));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(events.empty());
+    EXPECT_NE(events.back().find("\"status\":\"completed\""),
+              std::string::npos);
+    EXPECT_EQ(result->mappings.size(), expected->mappings.size());
+  }
+}
+
 TEST_F(ServeSessionTest, FirstNStopsEarlyWithTypedStatus) {
   // The streaming test above observes >10 mappings for this query shape,
   // so a budget of one must stop the run early.

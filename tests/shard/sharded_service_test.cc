@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -164,6 +165,25 @@ TEST(ShardedServiceTest, MoreShardsThanTreesMergesCleanly) {
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->result.mappings.empty());
   ExpectSameMappings(got->result, want->result);
+}
+
+TEST(ShardedServiceTest, HugeTopNMatchesUnlimited) {
+  // The scatter path's shared δ floor must not allocate in proportion to
+  // top-N: SIZE_MAX is what a request's `top=-1` parses to.
+  schema::SchemaForest forest = MakeCorpus(800, 3);
+  auto sharded = MakeSharded(forest, 4);
+  MatchQuery query = MakeQuery("q0", "person(name,email,phone)");
+  query.options.top_n = 0;
+  auto want = sharded->Run(query);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_FALSE(want->result.mappings.empty());
+  for (size_t top_n : {SIZE_MAX, static_cast<size_t>(1e12)}) {
+    SCOPED_TRACE(top_n);
+    query.options.top_n = top_n;
+    auto got = sharded->Run(query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameMappings(got->result, want->result);
+  }
 }
 
 // --- deltas + rebalance ----------------------------------------------------
