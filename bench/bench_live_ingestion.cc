@@ -259,9 +259,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
       return 1;
     }
-    std::vector<service::MatchQuery> queries;
+    std::vector<service::MatchRequest> queries;
     for (size_t s = 0; s < kNumSpecs; ++s) {
-      service::MatchQuery query;
+      service::MatchRequest query;
       query.id = "warm-" + std::to_string(s);
       query.personal = *schema::ParseTreeSpec(kSpecs[s]);
       query.options.delta = 0.7;
@@ -270,8 +270,8 @@ int main(int argc, char** argv) {
     }
     auto run_pass = [&]() {
       Timer timer;
-      for (const service::MatchQuery& query : queries) {
-        auto result = (*service)->Match(query);
+      for (const service::MatchRequest& query : queries) {
+        auto result = (*service)->Run(query);
         if (!result.ok()) {
           std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
           std::exit(1);

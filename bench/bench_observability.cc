@@ -47,11 +47,11 @@ const char* kSpecs[] = {
 constexpr size_t kNumSpecs = sizeof(kSpecs) / sizeof(kSpecs[0]);
 constexpr size_t kCopies = 3;
 
-std::vector<service::MatchQuery> MakeQueries() {
-  std::vector<service::MatchQuery> queries;
+std::vector<service::MatchRequest> MakeQueries() {
+  std::vector<service::MatchRequest> queries;
   for (size_t copy = 0; copy < kCopies; ++copy) {
     for (size_t s = 0; s < kNumSpecs; ++s) {
-      service::MatchQuery query;
+      service::MatchRequest query;
       query.id = "q" + std::to_string(copy) + "-" + std::to_string(s);
       query.personal = *schema::ParseTreeSpec(kSpecs[s]);
       query.options.delta = 0.7;
@@ -66,9 +66,9 @@ std::vector<service::MatchQuery> MakeQueries() {
 /// the instrumented-vs-baseline identity gate.
 std::vector<std::pair<schema::TreeId, double>> BatchDigest(
     service::MatchService* service,
-    const std::vector<service::MatchQuery>& queries) {
+    const std::vector<service::MatchRequest>& queries) {
   std::vector<std::pair<schema::TreeId, double>> digest;
-  auto batch = service->MatchBatch(queries);
+  auto batch = service->RunBatch(queries);
   for (const auto& result : batch.results) {
     if (!result.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
@@ -84,11 +84,11 @@ std::vector<std::pair<schema::TreeId, double>> BatchDigest(
 
 /// Queries/sec over `repeat` batches.
 double MeasureBatches(service::MatchService* service,
-                      const std::vector<service::MatchQuery>& queries,
+                      const std::vector<service::MatchRequest>& queries,
                       int repeat) {
   Timer timer;
   for (int r = 0; r < repeat; ++r) {
-    auto results = service->MatchBatch(queries).results;
+    auto results = service->RunBatch(queries).results;
     for (const auto& result : results) {
       if (!result.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
     return 1;
   }
-  std::vector<service::MatchQuery> queries = MakeQueries();
+  std::vector<service::MatchRequest> queries = MakeQueries();
 
   // Baseline: instrumentation off (no per-query Timer/Observe/slow check).
   service::MatchServiceOptions baseline_options;

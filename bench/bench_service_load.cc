@@ -67,7 +67,7 @@ struct PhaseResult {
   QuantileAccumulator accepted_latency_ms; ///< 200s only
 };
 
-std::string MatchQueryLine(size_t conn, size_t round) {
+std::string QueryLine(size_t conn, size_t round) {
   const char* spec = kSpecs[(conn + round) % kNumSpecs];
   return std::string(spec) + " id=c" + std::to_string(conn) + "r" +
          std::to_string(round) + " delta=0.75 top=5";
@@ -123,7 +123,7 @@ PhaseResult RunSustained(uint16_t port, size_t num_connections,
     drivers.emplace_back([&, d] {
       for (size_t round = 0; round < rounds; ++round) {
         for (size_t i = d; i < num_connections; i += num_drivers) {
-          const std::string query = MatchQueryLine(i, round);
+          const std::string query = QueryLine(i, round);
           Timer request_timer;
           auto response = clients[i].Fetch(
               "POST", std::string("/v1/tenants/") + kTenant + "/match",

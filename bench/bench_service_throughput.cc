@@ -35,11 +35,11 @@ const char* kSpecs[] = {
 constexpr size_t kNumSpecs = sizeof(kSpecs) / sizeof(kSpecs[0]);
 constexpr size_t kCopies = 3;  // each spec appears this many times per batch
 
-std::vector<service::MatchQuery> MakeQueries() {
-  std::vector<service::MatchQuery> queries;
+std::vector<service::MatchRequest> MakeQueries() {
+  std::vector<service::MatchRequest> queries;
   for (size_t copy = 0; copy < kCopies; ++copy) {
     for (size_t s = 0; s < kNumSpecs; ++s) {
-      service::MatchQuery query;
+      service::MatchRequest query;
       query.id = "q" + std::to_string(copy) + "-" + std::to_string(s);
       query.personal = *schema::ParseTreeSpec(kSpecs[s]);
       query.options.delta = 0.7;
@@ -52,11 +52,11 @@ std::vector<service::MatchQuery> MakeQueries() {
 
 /// Runs `repeat` batches and returns queries/sec over all of them.
 double MeasureBatches(service::MatchService* service,
-                      const std::vector<service::MatchQuery>& queries,
+                      const std::vector<service::MatchRequest>& queries,
                       int repeat) {
   Timer timer;
   for (int r = 0; r < repeat; ++r) {
-    auto results = service->MatchBatch(queries).results;
+    auto results = service->RunBatch(queries).results;
     for (const auto& result : results) {
       if (!result.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<service::MatchQuery> queries = MakeQueries();
+  std::vector<service::MatchRequest> queries = MakeQueries();
   std::printf(
       "service throughput: %zu elements / %zu trees, %zu queries per batch "
       "(%zu distinct personal schemas), repeat=%d\n\n",

@@ -57,10 +57,10 @@ const char* kSpecs[] = {
 constexpr size_t kNumSpecs = sizeof(kSpecs) / sizeof(kSpecs[0]);
 constexpr size_t kShardCounts[] = {2, 4, 8};
 
-std::vector<service::MatchQuery> MakeQueries() {
-  std::vector<service::MatchQuery> queries;
+std::vector<service::MatchRequest> MakeQueries() {
+  std::vector<service::MatchRequest> queries;
   for (size_t s = 0; s < kNumSpecs; ++s) {
-    service::MatchQuery query;
+    service::MatchRequest query;
     query.id = "q" + std::to_string(s);
     query.personal = *schema::ParseTreeSpec(kSpecs[s]);
     query.options.delta = 0.7;
@@ -82,9 +82,9 @@ struct Digest {
 };
 
 Digest DigestOf(service::Matcher* matcher,
-                const std::vector<service::MatchQuery>& queries) {
+                const std::vector<service::MatchRequest>& queries) {
   Digest digest;
-  for (const service::MatchQuery& query : queries) {
+  for (const service::MatchRequest& query : queries) {
     auto outcome = matcher->Run(query);
     if (!outcome.ok()) {
       std::fprintf(stderr, "query %s failed: %s\n", query.id.c_str(),
@@ -103,11 +103,11 @@ Digest DigestOf(service::Matcher* matcher,
 
 /// Warm-path queries/sec: sequential single-query runs over the set.
 double MeasureQueries(service::Matcher* matcher,
-                      const std::vector<service::MatchQuery>& queries,
+                      const std::vector<service::MatchRequest>& queries,
                       int repeat) {
   Timer timer;
   for (int r = 0; r < repeat; ++r) {
-    for (const service::MatchQuery& query : queries) {
+    for (const service::MatchRequest& query : queries) {
       auto outcome = matcher->Run(query);
       if (!outcome.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   }
 
   // Identity gate + cluster-state warm-up in one pass.
-  std::vector<service::MatchQuery> queries = MakeQueries();
+  std::vector<service::MatchRequest> queries = MakeQueries();
   const Digest want = DigestOf(&unsharded, queries);
   bool sharded_identical = true;
   for (size_t i = 0; i < backends.size(); ++i) {

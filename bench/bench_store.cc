@@ -174,18 +174,18 @@ std::vector<std::pair<schema::TreeId, double>> QueryDigest(
     const std::shared_ptr<const service::RepositorySnapshot>& snapshot,
     const char* spec) {
   service::MatchService service(snapshot);
-  service::MatchQuery query;
+  service::MatchRequest query;
   query.id = std::string("store-") + spec;
   query.personal = *schema::ParseTreeSpec(spec);
   query.options.delta = 0.6;
   query.options.top_n = 10;
-  auto result = service.Match(query);
+  auto result = service.Run(query);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     std::exit(1);
   }
   std::vector<std::pair<schema::TreeId, double>> digest;
-  for (const auto& mapping : result->mappings) {
+  for (const auto& mapping : result->result.mappings) {
     digest.emplace_back(mapping.tree, mapping.delta);
   }
   return digest;

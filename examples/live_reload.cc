@@ -21,17 +21,18 @@ using namespace xsm;
 namespace {
 
 void PrintTop(service::MatchService* service, const std::string& id) {
-  // Hold the snapshot while formatting: a concurrent delta may retire the
-  // generation the result's node refs point into.
+  // Run against one held snapshot and keep it while formatting: a
+  // concurrent delta may retire the generation the result's node refs
+  // point into.
   auto snapshot = service->CurrentSnapshot();
-  service::MatchQuery query;
+  service::MatchRequest query;
   query.id = id;
   query.personal = *schema::ParseTreeSpec("name(address,email)");
   query.options.delta = 0.3;
   query.options.top_n = 3;
   query.options.clustering = core::ClusteringMode::kTreeClusters;
 
-  auto result = service->Match(query);
+  auto result = service->RunOn(snapshot, query, core::ExecutionControl());
   if (!result.ok()) {
     std::fprintf(stderr, "match failed: %s\n",
                  result.status().ToString().c_str());

@@ -26,12 +26,12 @@ namespace {
 
 int Run(service::MatchService* service, const char* label) {
   auto snapshot = service->CurrentSnapshot();
-  service::MatchQuery query;
+  service::MatchRequest query;
   query.id = "boot-probe";
   query.personal = *schema::ParseTreeSpec("name(address,email)");
   query.options.delta = 0.5;
   query.options.top_n = 3;
-  auto result = service->Match(query);
+  auto result = service->RunOn(snapshot, query, core::ExecutionControl());
   if (!result.ok()) {
     std::fprintf(stderr, "match failed: %s\n",
                  result.status().ToString().c_str());

@@ -157,7 +157,7 @@ Result<IntegrationResult> IntegrationEngine::IntegrateOn(
             // cache never sees a control-influenced entry.
             return StatusForStop(monitor.status());
           }
-          service::MatchQuery query;
+          service::MatchRequest query;
           query.id = "integrate:" + std::to_string(slice.tree) + ":" +
                      std::to_string(slice.index);
           query.personal = MakeSliceTree(snapshot->forest().tree(slice.tree),

@@ -8,7 +8,7 @@
 //      element matching scores each personal node independently of tree
 //      structure, so slicing changes nothing — and lifts the 32-node
 //      personal-schema limit for arbitrarily large sources). Each slice is
-//      one MatchQuery whose cluster state is built through
+//      one MatchRequest whose cluster state is built through
 //      Matcher::ClusterStateFor — i.e. through the backend's
 //      fingerprint-namespaced ClusterIndexCache and matching pool — so a
 //      second integration of the same content is cache-warm, and slices
@@ -43,7 +43,7 @@
 // service's cluster cache (the same contract interactive queries have).
 //
 // Call Integrate from outside the service pool (it blocks on its own pool
-// tasks, like MatchBatch). Note cache sizing: an integration creates one
+// tasks, like RunBatch). Note cache sizing: an integration creates one
 // cache entry per slice (~total_nodes / 32); services dedicated to offline
 // integration want cluster_cache_capacity sized accordingly, otherwise the
 // run still completes but evicts instead of warming.

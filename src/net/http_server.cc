@@ -905,7 +905,7 @@ void HttpServer::HandleMatch(const std::shared_ptr<Connection>& conn,
                     ".../batch for more")), keep_alive);
     return;
   }
-  std::vector<service::MatchQuery> queries;
+  std::vector<service::MatchRequest> queries;
   queries.reserve(lines.size());
   for (size_t i = 0; i < lines.size(); ++i) {
     auto query = tenant.session->ParseQuery(lines[i], i);

@@ -92,4 +92,65 @@ void ClusterIndexCache::Clear() {
   lru_.clear();
 }
 
+std::shared_ptr<ClusterIndexCache> ClusterCacheSet::Lookup(uint64_t fingerprint,
+                                                           bool publish) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<ClusterIndexCache> cache;
+  for (size_t i = 0; i < namespaces_.size(); ++i) {
+    if (namespaces_[i].fingerprint != fingerprint) continue;
+    cache = namespaces_[i].cache;
+    if (publish && i + 1 != namespaces_.size()) {
+      // Re-published (e.g. a delta restored this content): move to back.
+      Namespace ns = std::move(namespaces_[i]);
+      namespaces_.erase(namespaces_.begin() + static_cast<ptrdiff_t>(i));
+      namespaces_.push_back(std::move(ns));
+    }
+    break;
+  }
+  if (cache == nullptr) {
+    cache = std::make_shared<ClusterIndexCache>(capacity_);
+    // Query-path creation (a query pinned to an already-retired
+    // generation) goes to the least-retained position, first to be trimmed.
+    namespaces_.insert(publish ? namespaces_.end() : namespaces_.begin(),
+                       {fingerprint, cache});
+  }
+  if (publish) {
+    while (namespaces_.size() > 1 + retained_) {
+      // The namespace just published sits at the back, so it is never the
+      // one retired.
+      ClusterIndexCache::Stats dropped = namespaces_.front().cache->stats();
+      retired_.hits += dropped.hits;
+      retired_.shared += dropped.shared;
+      retired_.misses += dropped.misses;
+      retired_.evictions += dropped.evictions + dropped.entries;
+      namespaces_.erase(namespaces_.begin());
+    }
+  }
+  return cache;
+}
+
+void ClusterCacheSet::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Namespace& ns : namespaces_) ns.cache->Clear();
+}
+
+ClusterIndexCache::Stats ClusterCacheSet::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  ClusterIndexCache::Stats total = retired_;
+  for (const Namespace& ns : namespaces_) {
+    ClusterIndexCache::Stats live = ns.cache->stats();
+    total.hits += live.hits;
+    total.shared += live.shared;
+    total.misses += live.misses;
+    total.evictions += live.evictions;
+    total.entries += live.entries;
+  }
+  return total;
+}
+
+size_t ClusterCacheSet::namespaces() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return namespaces_.size();
+}
+
 }  // namespace xsm::service

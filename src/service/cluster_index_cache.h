@@ -17,6 +17,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/bellflower.h"
 #include "util/status.h"
@@ -85,6 +86,62 @@ class ClusterIndexCache {
   /// Ready keys, most recently used first.
   std::list<std::string> lru_;
   Stats stats_;
+};
+
+/// Cluster caches namespaced by repository content fingerprint, so a state
+/// built for one content can only ever serve that content, whatever
+/// generations come and go while a query runs. Namespaces are kept in
+/// publication order (most recently published last); besides the current
+/// one, `retained` non-current namespaces survive, so queries pinned to a
+/// recent generation stay warm across small deltas and a delta restoring
+/// earlier content (equal fingerprint) gets its warm cache back.
+/// Thread-safe.
+class ClusterCacheSet {
+ public:
+  /// `capacity`: entries per namespace (0 disables caching).
+  ClusterCacheSet(size_t capacity, size_t retained)
+      : capacity_(capacity), retained_(retained) {}
+
+  /// The query path's namespace for `fingerprint`, created if absent. Never
+  /// reorders: a long-queued query pinned to an already-retired generation
+  /// can neither evict a recent generation's warm cache nor promote its own
+  /// stray namespace above one — strays sit at the least-retained position
+  /// and are swept up by the next publication.
+  std::shared_ptr<ClusterIndexCache> Get(uint64_t fingerprint) {
+    return Lookup(fingerprint, /*publish=*/false);
+  }
+
+  /// Publication site (construction, a delta): moves the namespace for
+  /// `fingerprint` (created if absent) to the most-recently-published
+  /// position and retires the oldest beyond the retention limit.
+  void Publish(uint64_t fingerprint) { Lookup(fingerprint, /*publish=*/true); }
+
+  /// Drops every cached state in every retained namespace.
+  void Clear();
+
+  /// Counters over every namespace this set ever held: retired namespaces'
+  /// counters are folded in, and their resident entries at retirement
+  /// count as evictions. `entries` counts resident states only.
+  ClusterIndexCache::Stats stats() const;
+
+  /// Retained namespaces (the current one included).
+  size_t namespaces() const;
+
+ private:
+  struct Namespace {
+    uint64_t fingerprint = 0;
+    std::shared_ptr<ClusterIndexCache> cache;
+  };
+
+  std::shared_ptr<ClusterIndexCache> Lookup(uint64_t fingerprint,
+                                            bool publish);
+
+  const size_t capacity_;
+  const size_t retained_;
+  mutable std::mutex mu_;
+  /// Most recently *published* last (query touches never reorder).
+  std::vector<Namespace> namespaces_;
+  ClusterIndexCache::Stats retired_;
 };
 
 }  // namespace xsm::service

@@ -1,93 +1,10 @@
 #include "service/match_service.h"
 
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 
-#include "obs/trace.h"
 #include "store/snapshot_store.h"
-#include "util/random.h"
-#include "util/timer.h"
 
 namespace xsm::service {
-
-namespace {
-
-void AppendFormat(std::string* out, const char* fmt, ...) {
-  char buf[128];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf);
-}
-
-/// Appends a string length-prefixed, so names containing the fingerprint's
-/// own delimiters (':' is legal in XML names) cannot make two different
-/// schemas serialize to one key.
-void AppendString(std::string* out, const std::string& s) {
-  AppendFormat(out, "%zu=", s.size());
-  out->append(s);
-}
-
-/// Canonical serialization of the personal schema: every structural and
-/// property bit that can influence element matching.
-void AppendTreeFingerprint(const schema::SchemaTree& tree, std::string* out) {
-  for (schema::NodeId n = 0; n < static_cast<schema::NodeId>(tree.size());
-       ++n) {
-    const schema::NodeProperties& props = tree.props(n);
-    AppendFormat(out, "%d:", tree.parent(n));
-    AppendString(out, props.name);
-    AppendFormat(out, ":%d:", static_cast<int>(props.kind));
-    AppendString(out, props.datatype);
-    AppendFormat(out, ":%d%d;", props.repeatable ? 1 : 0,
-                 props.optional ? 1 : 0);
-  }
-}
-
-void AppendStateOptionsFingerprint(const core::ClusterStateOptions& options,
-                                   std::string* out) {
-  // Element matching stage. A custom matcher is identified by address: two
-  // queries share a cache entry only when they pass the same instance. The
-  // execution-plumbing fields (dictionary, pool, shards, control) are
-  // deliberately absent: they never change the result.
-  AppendFormat(out, "|el:%.17g:%d:%p", options.element.threshold,
-               options.element.match_attributes ? 1 : 0,
-               static_cast<const void*>(options.element.matcher));
-
-  if (options.clustering == core::ClusteringMode::kTreeClusters) {
-    out->append("|tree");  // the baseline ignores every k-means knob
-    return;
-  }
-  const cluster::KMeansOptions& km = options.kmeans;
-  AppendFormat(out, "|km:%d:%zu", static_cast<int>(km.init),
-               km.num_centroids);
-  AppendFormat(out, ":%d:%d", km.join_reclustering ? km.join_distance : -1,
-               km.remove_reclustering
-                   ? static_cast<int>(km.min_cluster_size)
-                   : -1);
-  AppendFormat(out, ":%zu:%d:%.17g", km.max_cluster_size,
-               static_cast<int>(km.distance), km.name_weight);
-  AppendFormat(out, ":%.17g:%d", km.convergence_fraction, km.max_iterations);
-  // The seed only feeds the randomized initializations; normalizing it to 0
-  // for kMinSet lets per-query derived seeds share one cache entry in the
-  // common deterministic case.
-  uint64_t effective_seed =
-      km.init == cluster::CentroidInit::kMinSet ? 0 : km.seed;
-  AppendFormat(out, ":%" PRIu64, effective_seed);
-}
-
-}  // namespace
-
-std::string BuildClusterStateKey(const schema::SchemaTree& personal,
-                                 const core::ClusterStateOptions& options) {
-  std::string key;
-  key.reserve(256);
-  AppendTreeFingerprint(personal, &key);
-  AppendStateOptionsFingerprint(options, &key);
-  return key;
-}
 
 Result<std::unique_ptr<MatchService>> MatchService::Create(
     schema::SchemaForest repository, const MatchServiceOptions& options) {
@@ -121,377 +38,45 @@ MatchService::MatchService(std::shared_ptr<const RepositorySnapshot> snapshot,
 
 MatchService::MatchService(std::unique_ptr<live::RepositoryManager> manager,
                            const MatchServiceOptions& options)
-    : manager_(std::move(manager)),
-      options_(options),
-      pool_(options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                     : options.num_threads) {
-  if (options.matching_threads > 0) {
-    matching_pool_ = std::make_unique<ThreadPool>(options.matching_threads);
-  }
-
-  // Metric series: registered once, incremented lock-free ever after.
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  obs::LabelSet labels;
-  if (!options_.metrics_tenant.empty()) {
-    labels.push_back({"tenant", options_.metrics_tenant});
-  }
-  queries_ = metrics_->RegisterCounter(
-      "xsm_queries_total", "Match() calls (batch members included)", labels);
-  batches_ = metrics_->RegisterCounter("xsm_batches_total",
-                                       "MatchBatch() calls", labels);
-  cancelled_ = metrics_->RegisterCounter(
-      "xsm_queries_cancelled_total", "queries stopped by cancellation",
-      labels);
-  deadline_exceeded_ = metrics_->RegisterCounter(
-      "xsm_queries_deadline_exceeded_total",
-      "queries stopped by their wall-clock deadline", labels);
-  early_stopped_ = metrics_->RegisterCounter(
-      "xsm_queries_early_stopped_total",
-      "queries stopped by their mapping budget", labels);
-  deltas_applied_ = metrics_->RegisterCounter(
-      "xsm_deltas_applied_total", "successful ApplyDelta publications",
-      labels);
-  slow_queries_ = metrics_->RegisterCounter(
-      "xsm_slow_queries_total",
-      "queries slower than the configured slow-query threshold", labels);
-  query_latency_ms_ = metrics_->RegisterHistogram(
-      "xsm_query_duration_ms", "wall-clock query latency in milliseconds",
-      obs::DefaultLatencyBoundsMs(), labels);
-
-  // Cache and generation tallies live in their own structures (per-
-  // namespace counters, the manager's chain); this hook mirrors them into
-  // registry series at scrape time, so `/metrics` and stats() read the
-  // same numbers by construction.
-  obs::Counter* cache_hits = metrics_->RegisterCounter(
-      "xsm_cluster_cache_hits_total", "cluster-state cache hits", labels);
-  obs::Counter* cache_shared = metrics_->RegisterCounter(
-      "xsm_cluster_cache_shared_total",
-      "cluster-state builds shared with a concurrent query", labels);
-  obs::Counter* cache_misses = metrics_->RegisterCounter(
-      "xsm_cluster_cache_misses_total", "cluster-state cache misses",
-      labels);
-  obs::Counter* cache_evictions = metrics_->RegisterCounter(
-      "xsm_cluster_cache_evictions_total",
-      "cluster states dropped by the LRU policy", labels);
-  obs::Gauge* cache_entries = metrics_->RegisterGauge(
-      "xsm_cluster_cache_entries", "resident cluster states", labels);
-  obs::Gauge* cache_namespaces = metrics_->RegisterGauge(
-      "xsm_cluster_cache_namespaces",
-      "retained per-fingerprint cache namespaces", labels);
-  obs::Gauge* generation = metrics_->RegisterGauge(
-      "xsm_repository_generation", "current repository generation", labels);
-  // Durability events (WAL appends, checkpoint compactions, snapshot
-  // saves) are counted by the manager itself via these handles.
-  live::ManagerMetrics manager_metrics;
-  manager_metrics.wal_appends = metrics_->RegisterCounter(
-      "xsm_wal_appends_total", "deltas journaled and fsynced before publish",
-      labels);
-  manager_metrics.wal_compactions = metrics_->RegisterCounter(
-      "xsm_wal_compactions_total",
-      "journal compactions after a durable checkpoint", labels);
-  manager_metrics.snapshot_saves = metrics_->RegisterCounter(
-      "xsm_snapshot_saves_total", "snapshots persisted to disk", labels);
-  manager_->SetMetrics(manager_metrics);
-
-  scrape_hook_id_ = metrics_->AddScrapeHook([this, cache_hits, cache_shared,
-                                             cache_misses, cache_evictions,
-                                             cache_entries, cache_namespaces,
-                                             generation]() {
-    ServiceStats s = stats();
-    cache_hits->Set(s.cache.hits);
-    cache_shared->Set(s.cache.shared);
-    cache_misses->Set(s.cache.misses);
-    cache_evictions->Set(s.cache.evictions);
-    cache_entries->Set(static_cast<double>(s.cache.entries));
-    cache_namespaces->Set(static_cast<double>(s.cache_namespaces));
-    generation->Set(static_cast<double>(s.generation));
-  });
-
+    : Matcher(options, /*num_cache_sets=*/1), manager_(std::move(manager)) {
+  manager_->SetMetrics(manager_metrics());
   // Materialize the initial generation's cache namespace so the first
   // queries don't race to create it.
-  CacheFor(manager_->Current()->fingerprint(), /*enforce_retention=*/true);
+  cache_set(0).Publish(manager_->Current()->fingerprint());
+  StartServing();
 }
 
-MatchService::~MatchService() {
-  // The scrape hook captures `this`; detach it before members go away.
-  metrics_->RemoveScrapeHook(scrape_hook_id_);
+MatchService::~MatchService() { StopServing(); }
+
+bool MatchService::OwnsPin(const RepositoryPin& pin) const {
+  return dynamic_cast<const RepositorySnapshot*>(&pin) != nullptr;
 }
 
-core::MatchOptions MatchService::EffectiveOptions(
-    const MatchQuery& query) const {
-  return EffectiveOptionsFor(query, *manager_->Current());
-}
-
-core::MatchOptions MatchService::EffectiveOptionsFor(
-    const MatchQuery& query, const RepositorySnapshot& snapshot) const {
-  // The pure, backend-independent part (seed derivation + control strip)
-  // lives in EffectiveRequestOptions so every surface reporting effective
-  // options computes them the same way.
-  core::MatchOptions effective = EffectiveRequestOptions(
-      query, {options_.base_seed, options_.derive_seeds});
-  // Element-matching execution plumbing. Results never depend on these (the
-  // engine is bit-identical with or without them), so the cluster-state key
-  // ignores them and cached states stay shareable across configurations.
-  if (effective.element.dictionary == nullptr) {
-    effective.element.dictionary = &snapshot.name_dictionary();
+void MatchService::AddPlumbing(const RepositoryPin& pin,
+                               core::MatchOptions* effective) const {
+  if (effective->element.dictionary == nullptr) {
+    effective->element.dictionary =
+        &static_cast<const RepositorySnapshot&>(pin).name_dictionary();
   }
-  if (effective.element.pool == nullptr && matching_pool_ != nullptr) {
-    effective.element.pool = matching_pool_.get();
-  }
-  return effective;
 }
 
-std::string MatchService::ClusterStateKey(const MatchQuery& query) const {
-  return BuildClusterStateKey(
-      query.personal, core::ClusterStateOptions::From(EffectiveOptions(query)));
-}
-
-core::ExecutionControl MatchService::ResolveControl(
-    core::ExecutionControl control) const {
-  if (!control.deadline.has_value() && options_.default_deadline_seconds > 0) {
-    control.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options_.default_deadline_seconds));
-  }
-  return control;
-}
-
-namespace {
-
-/// Pins handed to this backend must be its own snapshots; a pin from a
-/// different backend (or a null one) is a caller bug surfaced as
-/// InvalidArgument instead of undefined behaviour.
-Result<std::shared_ptr<const RepositorySnapshot>> AsSnapshot(
-    const RepositoryPinPtr& pin) {
-  auto snapshot = std::dynamic_pointer_cast<const RepositorySnapshot>(pin);
-  if (snapshot == nullptr) {
-    return Status::InvalidArgument(
-        "pin does not come from this backend's chain");
-  }
-  return snapshot;
-}
-
-}  // namespace
-
-Result<core::MatchResult> MatchService::RunOn(
-    const RepositoryPinPtr& pin, const MatchRequest& request,
-    const core::ExecutionControl& control, core::MatchObserver* observer) {
-  XSM_ASSIGN_OR_RETURN(std::shared_ptr<const RepositorySnapshot> snapshot,
-                       AsSnapshot(pin));
-  return MatchOnSnapshot(snapshot, request, control, observer);
-}
-
-MatchHandle MatchService::Submit(RepositoryPinPtr pin, MatchRequest request,
-                                 core::ExecutionControl control,
-                                 core::MatchObserver* observer) {
-  Result<std::shared_ptr<const RepositorySnapshot>> snapshot =
-      AsSnapshot(pin);
-  if (!snapshot.ok()) {
-    std::promise<Result<core::MatchResult>> failed;
-    failed.set_value(snapshot.status());
-    return MatchHandle(core::CancelToken(), failed.get_future());
-  }
-  return SubmitMatchOn(std::move(snapshot.value()), std::move(request),
-                       std::move(control), observer);
-}
-
-Result<ClusterStatePtr> MatchService::ClusterStateFor(
-    const RepositoryPinPtr& pin, const MatchRequest& request) {
-  XSM_ASSIGN_OR_RETURN(std::shared_ptr<const RepositorySnapshot> snapshot,
-                       AsSnapshot(pin));
-  return ClusterStateOn(snapshot, request);
-}
-
-Result<core::MatchResult> MatchService::Match(const MatchQuery& query) {
-  return Match(query, core::ExecutionControl(), nullptr);
-}
-
-Result<core::MatchResult> MatchService::Match(
-    const MatchQuery& query, const core::ExecutionControl& control,
-    core::MatchObserver* observer) {
-  return MatchOnSnapshot(manager_->Current(), query, control, observer);
-}
-
-Result<core::MatchResult> MatchService::MatchOnSnapshot(
-    const std::shared_ptr<const RepositorySnapshot>& snapshot,
-    const MatchQuery& query, const core::ExecutionControl& control,
-    core::MatchObserver* observer) {
-  queries_->Increment();
-  // Latency instrumentation (histogram + slow-query accounting) is the
-  // per-query work enable_metrics == false strips, giving benchmarks an
-  // uninstrumented baseline.
-  const bool instrument = options_.enable_metrics;
-  Timer latency_timer;
-  auto record_latency = [&]() {
-    if (!instrument) return;
-    const double elapsed_ms = latency_timer.ElapsedSeconds() * 1e3;
-    query_latency_ms_->Observe(elapsed_ms);
-    if (options_.slow_query_ms > 0 && elapsed_ms >= options_.slow_query_ms) {
-      slow_queries_->Increment();
-    }
-  };
-  core::MatchOptions effective = EffectiveOptionsFor(query, *snapshot);
-  // Reject invalid generation options up front (mirroring Bellflower::Match)
-  // so a bad query cannot pay for — or cache — a cluster-state build.
-  XSM_RETURN_NOT_OK(effective.objective.Validate());
-  if (effective.delta < 0.0 || effective.delta > 1.0) {
-    return Status::InvalidArgument("delta must be in [0,1]");
-  }
-  core::ExecutionControl resolved = ResolveControl(control);
-
-  // A query that is already cancelled / past its deadline pays for nothing.
-  core::ExecutionMonitor pre(resolved);
-  if (pre.ShouldStop()) {
-    core::MatchResult result;
-    result.stats.repository_nodes = snapshot->forest().total_nodes();
-    result.stats.repository_trees = snapshot->forest().num_trees();
-    result.execution = pre.status();
-    CountTerminal(result.execution);
-    if (observer != nullptr) observer->OnFinish(result);
-    record_latency();
-    return result;
-  }
-
-  // The cache namespace is the snapshot's fingerprint: a state built for
-  // one repository content can only ever serve that content, whatever
-  // generations come and go while this query runs.
-  std::shared_ptr<ClusterIndexCache> cache =
-      CacheFor(snapshot->fingerprint());
-
-  // The factory deliberately ignores `resolved`: a cluster-state build that
-  // starts always completes, so the cache only ever holds fully built
-  // entries and concurrent queries sharing the in-flight build are never
-  // failed by someone else's cancellation. The control is re-checked at the
-  // top of the generation phase, so an expired query still stops promptly.
-  core::ClusterStateOptions state_options =
-      core::ClusterStateOptions::From(effective);
-  const core::Bellflower& matcher = snapshot->matcher();
-  // Trace-only control for the build: cancellation/deadline stay stripped
-  // (a started build must complete — see EffectiveOptionsFor), but spans
-  // from a build this query runs itself land in its trace.
+Result<core::ClusterState> MatchService::BuildClusterState(
+    const RepositoryPin& pin, const schema::SchemaTree& personal,
+    const core::ClusterStateOptions& options, obs::TraceContext* trace) {
+  // Trace-only control: cancellation and deadlines stay stripped (see
+  // EffectiveRequestOptions).
   core::ExecutionControl build_control;
-  build_control.trace = resolved.trace;
-  ClusterStatePtr state;
-  {
-    obs::ScopedSpan cache_span(resolved.trace, "cluster_cache");
-    ClusterIndexCache::Fetch fetch = ClusterIndexCache::Fetch::kMiss;
-    XSM_ASSIGN_OR_RETURN(
-        state,
-        cache->GetOrCompute(
-            BuildClusterStateKey(query.personal, state_options),
-            [&]() {
-              return matcher.BuildClusterState(query.personal, state_options,
-                                               &build_control);
-            },
-            &fetch));
-    if (resolved.trace != nullptr) {
-      switch (fetch) {
-        case ClusterIndexCache::Fetch::kHit:
-          cache_span.set_note("hit");
-          break;
-        case ClusterIndexCache::Fetch::kShared:
-          cache_span.set_note("shared");
-          break;
-        case ClusterIndexCache::Fetch::kMiss:
-          cache_span.set_note("miss");
-          break;
-      }
-    }
-  }
-  Result<core::MatchResult> run = matcher.MatchWithState(
-      query.personal, *state, effective, resolved, observer);
-  if (run.ok()) CountTerminal(run->execution);
-  record_latency();
-  return run;
+  build_control.trace = trace;
+  return static_cast<const RepositorySnapshot&>(pin).matcher()
+      .BuildClusterState(personal, options, &build_control);
 }
 
-Result<core::MatchResult> MatchService::MatchStreaming(
-    const MatchQuery& query, core::MatchObserver* observer,
-    const core::ExecutionControl& control) {
-  return Match(query, control, observer);
-}
-
-MatchHandle MatchService::SubmitMatch(MatchQuery query,
-                                      core::ExecutionControl control,
-                                      core::MatchObserver* observer) {
-  // Pin the snapshot at submission, not execution: the caller reasoned
-  // about the repository that existed when it submitted, so a delta landing
-  // while the query waits in the pool queue must not retarget it.
-  return SubmitMatchOn(manager_->Current(), std::move(query),
-                       std::move(control), observer);
-}
-
-MatchHandle MatchService::SubmitMatchOn(
-    std::shared_ptr<const RepositorySnapshot> snapshot, MatchQuery query,
-    core::ExecutionControl control, core::MatchObserver* observer) {
-  // Resolve the default deadline now: time spent queued counts against it.
-  control = ResolveControl(std::move(control));
-  core::CancelToken token = control.cancel;
-  // Pool queue wait is the admission-side span: it starts now and ends
-  // when a worker picks the query up.
-  const double submitted_ms =
-      control.trace != nullptr ? control.trace->NowMs() : 0;
-  std::future<Result<core::MatchResult>> future =
-      pool_.Submit([this, snapshot = std::move(snapshot),
-                    query = std::move(query), control = std::move(control),
-                    submitted_ms, observer]() {
-        if (control.trace != nullptr) {
-          control.trace->AddSpan("queue_wait", "", submitted_ms,
-                                 control.trace->NowMs() - submitted_ms);
-        }
-        return MatchOnSnapshot(snapshot, query, control, observer);
-      });
-  return MatchHandle(std::move(token), std::move(future));
-}
-
-BatchMatchResult MatchService::MatchBatch(std::vector<MatchQuery> queries) {
-  return RunBatch(std::move(queries));
-}
-
-BatchMatchResult MatchService::RunBatch(std::vector<MatchRequest> queries) {
-  batches_->Increment();
-  // One pin for the whole batch: all members run against the same
-  // generation, so the result set is internally consistent even when
-  // deltas land mid-batch — and the result records which generation that
-  // was, so provenance never has to race CurrentGeneration().
-  std::shared_ptr<const RepositorySnapshot> snapshot = manager_->Current();
-  BatchMatchResult batch;
-  batch.generation = snapshot->generation();
-  batch.fingerprint = snapshot->fingerprint();
-  std::vector<std::future<Result<core::MatchResult>>> futures;
-  futures.reserve(queries.size());
-  for (MatchQuery& query : queries) {
-    futures.push_back(
-        pool_.Submit([this, snapshot, query = std::move(query)]() {
-          return MatchOnSnapshot(snapshot, query, core::ExecutionControl(),
-                                 nullptr);
-        }));
-  }
-  batch.results.reserve(futures.size());
-  for (auto& future : futures) {
-    batch.results.push_back(future.get());
-  }
-  return batch;
-}
-
-Result<ClusterStatePtr> MatchService::ClusterStateOn(
-    const std::shared_ptr<const RepositorySnapshot>& snapshot,
-    const MatchQuery& query) {
-  core::MatchOptions effective = EffectiveOptionsFor(query, *snapshot);
-  core::ClusterStateOptions state_options =
-      core::ClusterStateOptions::From(effective);
-  std::shared_ptr<ClusterIndexCache> cache = CacheFor(snapshot->fingerprint());
-  const core::Bellflower& matcher = snapshot->matcher();
-  return cache->GetOrCompute(
-      BuildClusterStateKey(query.personal, state_options), [&]() {
-        return matcher.BuildClusterState(query.personal, state_options);
-      });
+Result<core::MatchResult> MatchService::Generate(
+    const RepositoryPin& pin, const schema::SchemaTree& personal,
+    const core::ClusterState& state, const core::MatchOptions& effective,
+    const core::ExecutionControl& control, core::MatchObserver* observer) {
+  return static_cast<const RepositorySnapshot&>(pin).matcher().MatchWithState(
+      personal, state, effective, control, observer);
 }
 
 Result<live::ApplyReport> MatchService::ApplyDelta(
@@ -504,109 +89,11 @@ Result<live::ApplyReport> MatchService::ApplyDelta(
   std::lock_guard<std::mutex> lock(apply_mu_);
   XSM_ASSIGN_OR_RETURN(live::ApplyReport report,
                        manager_->Apply(delta, trace));
-  deltas_applied_->Increment();
+  CountDelta();
   // Materialize (or revive) the new generation's cache namespace and let
   // the retention policy retire the oldest ones.
-  CacheFor(report.fingerprint, /*enforce_retention=*/true);
+  cache_set(0).Publish(report.fingerprint);
   return report;
-}
-
-std::shared_ptr<ClusterIndexCache> MatchService::CacheFor(
-    uint64_t fingerprint, bool enforce_retention) {
-  std::lock_guard<std::mutex> lock(caches_mu_);
-  // `caches_` is ordered by publication recency (most recent last), and
-  // only publication sites reorder: a query touch must not let a stale
-  // straggler's namespace outrank — and later outlive — a recently
-  // published generation's warm cache.
-  std::shared_ptr<ClusterIndexCache> cache;
-  for (size_t i = 0; i < caches_.size(); ++i) {
-    if (caches_[i].fingerprint != fingerprint) continue;
-    cache = caches_[i].cache;
-    if (enforce_retention && i + 1 != caches_.size()) {
-      // Re-published (e.g. a delta restored this content): move to back.
-      CacheNamespace ns = std::move(caches_[i]);
-      caches_.erase(caches_.begin() + static_cast<ptrdiff_t>(i));
-      caches_.push_back(std::move(ns));
-    }
-    break;
-  }
-  if (cache == nullptr) {
-    CacheNamespace ns;
-    ns.fingerprint = fingerprint;
-    ns.cache =
-        std::make_shared<ClusterIndexCache>(options_.cluster_cache_capacity);
-    cache = ns.cache;
-    if (enforce_retention) {
-      caches_.push_back(std::move(ns));
-    } else {
-      // Query-path creation (a query pinned to an already-retired
-      // generation): least-retained position, first to be trimmed.
-      caches_.insert(caches_.begin(), std::move(ns));
-    }
-  }
-  if (enforce_retention) {
-    const size_t limit = 1 + options_.cache_retained_generations;
-    while (caches_.size() > limit) {
-      // Retire the least recently used namespace, keeping its counters
-      // (and counting its resident states as evictions) so stats() stays
-      // cumulative. The namespace just touched sits at the back, so the
-      // one being published is never the one retired.
-      ClusterIndexCache::Stats dropped = caches_.front().cache->stats();
-      retired_cache_stats_.hits += dropped.hits;
-      retired_cache_stats_.shared += dropped.shared;
-      retired_cache_stats_.misses += dropped.misses;
-      retired_cache_stats_.evictions += dropped.evictions + dropped.entries;
-      caches_.erase(caches_.begin());
-    }
-  }
-  return cache;
-}
-
-void MatchService::ClearCache() {
-  std::lock_guard<std::mutex> lock(caches_mu_);
-  for (CacheNamespace& ns : caches_) {
-    ns.cache->Clear();
-  }
-}
-
-void MatchService::CountTerminal(core::ExecutionStatus status) {
-  switch (status) {
-    case core::ExecutionStatus::kCompleted:
-      break;
-    case core::ExecutionStatus::kCancelled:
-      cancelled_->Increment();
-      break;
-    case core::ExecutionStatus::kDeadlineExceeded:
-      deadline_exceeded_->Increment();
-      break;
-    case core::ExecutionStatus::kEarlyStopped:
-      early_stopped_->Increment();
-      break;
-  }
-}
-
-ServiceStats MatchService::stats() const {
-  ServiceStats s;
-  s.queries = queries_->value();
-  s.batches = batches_->value();
-  s.cancelled = cancelled_->value();
-  s.deadline_exceeded = deadline_exceeded_->value();
-  s.early_stopped = early_stopped_->value();
-  s.generation = manager_->CurrentGeneration();
-  s.deltas_applied = deltas_applied_->value();
-  s.slow_queries = slow_queries_->value();
-  std::lock_guard<std::mutex> lock(caches_mu_);
-  s.cache_namespaces = caches_.size();
-  s.cache = retired_cache_stats_;
-  for (const CacheNamespace& ns : caches_) {
-    ClusterIndexCache::Stats live = ns.cache->stats();
-    s.cache.hits += live.hits;
-    s.cache.shared += live.shared;
-    s.cache.misses += live.misses;
-    s.cache.evictions += live.evictions;
-    s.cache.entries += live.entries;
-  }
-  return s;
 }
 
 }  // namespace xsm::service

@@ -1,78 +1,60 @@
-// MatchService: the long-lived serving front end over one repository
-// snapshot. Where core::Bellflower solves one matching problem, the service
-// executes *traffic*: single queries, batches, and async submissions run
-// concurrently on a fixed thread pool against the shared immutable
-// snapshot, and the expensive preprocessing (element matching + clustering)
-// is amortized across queries through a ClusterIndexCache — reclustering
-// with the same (personal schema, clustering parameters) key happens at
-// most once.
+// MatchService: the single-snapshot Matcher backend. Where core::Bellflower
+// solves one matching problem, the service executes *traffic*: single
+// queries, batches, and async submissions run concurrently on a fixed
+// thread pool against the shared immutable snapshot, and the expensive
+// preprocessing (element matching + clustering) is amortized across
+// queries through a ClusterIndexCache — reclustering with the same
+// (personal schema, clustering parameters) key happens at most once.
 //
 // Quickstart:
 //   auto service = service::MatchService::Create(std::move(forest));
-//   service::MatchQuery query;
-//   query.id = "q1";
-//   query.personal = *schema::ParseTreeSpec("name(address,email)");
-//   query.options.delta = 0.75;
-//   auto result = (*service)->Match(query);               // synchronous
-//   auto handle = (*service)->SubmitMatch(query);         // async, cancellable
+//   service::MatchRequest request;
+//   request.id = "q1";
+//   request.personal = *schema::ParseTreeSpec("name(address,email)");
+//   request.options.delta = 0.75;
+//   auto outcome = (*service)->Run(request);              // synchronous
+//   // outcome->result; outcome->generation / fingerprint name the pin.
+//   auto handle = (*service)->Submit((*service)->Pin(), request);  // async
 //   handle.Cancel();                                      // cooperative stop
 //   auto partial = handle.Get();                          // mappings so far
-//   auto batch = (*service)->MatchBatch(queries);         // parallel batch
+//   auto batch = (*service)->RunBatch(requests);          // parallel batch
 //   // batch.results in input order; batch.generation / batch.fingerprint
 //   // name the snapshot that served every member.
 //
 //   live::DeltaBuilder builder;                           // evolve the repo
 //   builder.AddTree(*schema::ParseTreeSpec("invoice(total,customer)"));
 //   auto report = (*service)->ApplyDelta(*builder.Build());
-//   // report->generation, report->trees_reused, ... ; queries submitted
+//   // report->generation, report->trees_reused, ... ; requests pinned
 //   // from now on run against the new generation.
 //
-// Streaming (anytime) execution: MatchStreaming runs a query under an
+// Streaming (anytime) execution: RunOn runs a request under an
 // ExecutionControl (cancellation, deadline, stop-after-N) and reports every
 // mapping to a MatchObserver the moment it is found; see
 // core/match_observer.h. MatchServiceOptions::default_deadline_seconds
-// bounds every query that doesn't bring its own deadline.
+// bounds every request that doesn't bring its own deadline.
 //
 // Evolving repositories: the service fronts a live::RepositoryManager, so
 // the repository can change while queries are being served. ApplyDelta
-// publishes the next generation atomically; every query is pinned to the
-// snapshot that was current when it entered (Match) or was submitted
-// (SubmitMatch / MatchBatch) and finishes against it — a swap mid-flight
-// never changes, tears, or aborts a running query. Cluster caches are
-// namespaced by snapshot fingerprint, so a stale cluster state can never
-// serve a different repository content; a bounded number of recent
-// fingerprints' caches is retained (cache_retained_generations) to keep
-// pinned in-flight queries warm across small deltas.
+// publishes the next generation atomically; every request runs against the
+// snapshot it was pinned to (Run pins at entry, Submit takes the caller's
+// pin, RunBatch pins once for the batch) — a swap mid-flight never changes,
+// tears, or aborts a running query. Cluster caches are namespaced by
+// snapshot fingerprint (ClusterCacheSet), so a stale cluster state can never
+// serve a different repository content.
 #ifndef XSM_SERVICE_MATCH_SERVICE_H_
 #define XSM_SERVICE_MATCH_SERVICE_H_
 
-#include <atomic>
-#include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "core/bellflower.h"
-#include "core/execution_control.h"
-#include "core/match_observer.h"
-#include "live/repository_delta.h"
 #include "live/repository_manager.h"
-#include "obs/metrics.h"
 #include "schema/schema_forest.h"
-#include "schema/schema_tree.h"
-#include "service/cluster_index_cache.h"
 #include "service/matcher.h"
 #include "service/repository_snapshot.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace xsm::service {
-
-// MatchQuery, MatchServiceOptions, BatchMatchResult, ServiceStats and
-// MatchHandle live in service/matcher.h (shared by every backend); this
-// header keeps only the single-snapshot implementation.
 
 /// Thread-safe; one instance serves arbitrarily many concurrent callers.
 /// The single-snapshot Matcher backend.
@@ -112,110 +94,11 @@ class MatchService : public Matcher {
   MatchService(std::unique_ptr<live::RepositoryManager> manager,
                const MatchServiceOptions& options = MatchServiceOptions());
 
-  MatchService(const MatchService&) = delete;
-  MatchService& operator=(const MatchService&) = delete;
-
   ~MatchService() override;
-
-  // --- Matcher surface. ---------------------------------------------------
 
   /// The current snapshot is the pin: no translation layer, the snapshot
   /// class implements RepositoryPin directly.
   RepositoryPinPtr Pin() const override { return manager_->Current(); }
-
-  /// Executes one request against an explicit pin on the calling thread
-  /// (consults / fills the cluster cache). `pin` must come from this
-  /// service's chain (Pin() / CurrentSnapshot()).
-  Result<core::MatchResult> RunOn(
-      const RepositoryPinPtr& pin, const MatchRequest& request,
-      const core::ExecutionControl& control,
-      core::MatchObserver* observer = nullptr) override;
-
-  MatchHandle Submit(RepositoryPinPtr pin, MatchRequest request,
-                     core::ExecutionControl control = core::ExecutionControl(),
-                     core::MatchObserver* observer = nullptr) override;
-
-  BatchMatchResult RunBatch(std::vector<MatchRequest> requests) override;
-
-  Result<ClusterStatePtr> ClusterStateFor(const RepositoryPinPtr& pin,
-                                          const MatchRequest& request) override;
-
-  // --- Historical entry points (thin deprecated wrappers over the Matcher
-  // surface; prefer Run/RunOn/Submit/RunBatch in new code). ----------------
-
-  /// Deprecated: use Run / RunOn. Executes one query on the calling thread
-  /// (consults / fills the cluster cache). Safe to call from any number of
-  /// threads.
-  Result<core::MatchResult> Match(const MatchQuery& query);
-
-  /// Deprecated: use RunOn with an explicit pin. Anytime variant: runs
-  /// under `control` (cancellation / deadline / stop-after-N; the service
-  /// default deadline fills in if `control` has none) and streams progress
-  /// to `observer` (may be null). A run no limit interrupts is
-  /// byte-identical to Match(query); an interrupted run resolves Status-OK
-  /// with the mappings found so far and the typed terminal status in
-  /// MatchResult::execution. Cancellation never poisons the cluster cache:
-  /// a cluster-state build that has started always completes (and is
-  /// cached fully built); control is re-checked before and after it.
-  Result<core::MatchResult> Match(const MatchQuery& query,
-                                  const core::ExecutionControl& control,
-                                  core::MatchObserver* observer = nullptr);
-
-  /// Deprecated: use RunOn. Sugar for streaming consumers: Match(query,
-  /// control, observer) with the argument order of "subscribe this
-  /// observer to that query".
-  Result<core::MatchResult> MatchStreaming(
-      const MatchQuery& query, core::MatchObserver* observer,
-      const core::ExecutionControl& control = core::ExecutionControl());
-
-  /// Deprecated: use Submit. Enqueues one query on the pool against the
-  /// current snapshot and returns a cancellable handle; the service
-  /// default deadline starts now (queue wait counts). `observer` (may be
-  /// null) must outlive the query; its callbacks run on the pool thread
-  /// executing it.
-  MatchHandle SubmitMatch(MatchQuery query,
-                          core::ExecutionControl control =
-                              core::ExecutionControl(),
-                          core::MatchObserver* observer = nullptr);
-
-  /// Deprecated: use Submit(pin, ...). SubmitMatch against an explicit
-  /// snapshot pin instead of the current one. Callers that format results
-  /// against a snapshot they already hold (ServeSession's NDJSON observers
-  /// name mapped trees through the forest) pass that snapshot here, so
-  /// query and formatter provably see the same generation even when deltas
-  /// land between the caller's pin and the submission. `pinned` must come
-  /// from this service's chain.
-  MatchHandle SubmitMatchOn(
-      std::shared_ptr<const RepositorySnapshot> pinned, MatchQuery query,
-      core::ExecutionControl control = core::ExecutionControl(),
-      core::MatchObserver* observer = nullptr);
-
-  /// Deprecated: use RunBatch.
-  BatchMatchResult MatchBatch(std::vector<MatchQuery> queries);
-
-  /// Deprecated: use ClusterStateFor. The cached cluster state (element
-  /// matching + clustering) for `query` against an explicit snapshot pin:
-  /// consults the snapshot fingerprint's cache namespace and computes-once
-  /// on miss, exactly like the query path. The build always runs to
-  /// completion (query-supplied element.control is stripped), so the cache
-  /// can never hold a partial state. This is the integration engine's
-  /// bulk-preprocessing hook: N schemas sliced into personal-schema
-  /// queries share every state with interactive traffic and with later
-  /// integration runs on the same content. `snapshot` must come from this
-  /// service's chain.
-  Result<ClusterStatePtr> ClusterStateOn(
-      const std::shared_ptr<const RepositorySnapshot>& snapshot,
-      const MatchQuery& query);
-
-  /// Applies a validated delta to the repository and atomically publishes
-  /// the successor generation. In-flight queries finish against their
-  /// pinned snapshot; queries entering after this returns see the new one.
-  /// Serialized with concurrent ApplyDelta calls; on error nothing
-  /// changes. `trace` (may be null) receives the per-stage spans
-  /// (delta_validate / snapshot_build / wal_fsync / publish).
-  Result<live::ApplyReport> ApplyDelta(
-      const live::RepositoryDelta& delta,
-      obs::TraceContext* trace = nullptr) override;
 
   /// Generation number of the current snapshot (0 until the first delta).
   uint64_t CurrentGeneration() const override {
@@ -229,19 +112,13 @@ class MatchService : public Matcher {
     return manager_->Current();
   }
 
-  const MatchServiceOptions& options() const override { return options_; }
-  ThreadPool& pool() override { return pool_; }
-  ServiceStats stats() const override;
-
-  /// The registry this service's series live in — the shared one from
-  /// MatchServiceOptions::metrics or the private fallback. Every stats
-  /// surface (`!stats`, `/v1/stats`, `/metrics`) reads values that
-  /// originate here, so they can never disagree.
-  obs::MetricsRegistry& metrics() const override { return *metrics_; }
-
-  /// Drops every cached cluster state in every retained namespace
-  /// (measurement / repository tuning).
-  void ClearCache();
+  /// Applies a validated delta to the repository and atomically publishes
+  /// the successor generation. `trace` (may be null) receives the
+  /// per-stage spans (delta_validate / snapshot_build / wal_fsync /
+  /// publish).
+  Result<live::ApplyReport> ApplyDelta(
+      const live::RepositoryDelta& delta,
+      obs::TraceContext* trace = nullptr) override;
 
   /// Persists the current snapshot for a later WarmStart (atomic write;
   /// see store::SaveSnapshotToFile). Safe alongside concurrent queries and
@@ -254,100 +131,35 @@ class MatchService : public Matcher {
   }
 
   /// Write-ahead journals every subsequent ApplyDelta into `wal_path`
-  /// (created fresh, based at the current generation): appended + fsync'd
-  /// before the new generation is published, so an acknowledged delta
-  /// survives a crash. SaveSnapshot then compacts the journal. See
-  /// live::RepositoryManager::AttachWal.
+  /// (created fresh, based at the current generation); SaveSnapshot then
+  /// compacts the journal. See live::RepositoryManager::AttachWal.
   Status AttachWal(util::io::Env* env, const std::string& wal_path) override {
     return manager_->AttachWal(env, wal_path);
   }
 
-  /// Whether deltas are currently being journaled.
   bool wal_attached() const override { return manager_->wal_attached(); }
 
-  /// The options Match() actually runs for `query` against the *current*
-  /// snapshot, after per-query seed derivation and element-matching
-  /// plumbing injection (the snapshot's name dictionary, plus the matching
-  /// pool when configured — unless the query brought its own). Exposed for
-  /// tests and tools. Lifetime: the injected dictionary points into the
-  /// snapshot current at this call — hold CurrentSnapshot() across any use
-  /// of the returned options, or a concurrent ApplyDelta may retire it.
-  core::MatchOptions EffectiveOptions(const MatchQuery& query) const override;
-
-  /// The cluster-cache key for `query`: a canonical fingerprint of its
-  /// personal schema and state-determining options. Stable across
-  /// generations — cross-generation isolation comes from the namespace,
-  /// not the key. Exposed for tests.
-  std::string ClusterStateKey(const MatchQuery& query) const override;
+ protected:
+  bool OwnsPin(const RepositoryPin& pin) const override;
+  /// Injects the pinned snapshot's name dictionary (unless the request
+  /// brought its own).
+  void AddPlumbing(const RepositoryPin& pin,
+                   core::MatchOptions* effective) const override;
+  Result<core::ClusterState> BuildClusterState(
+      const RepositoryPin& pin, const schema::SchemaTree& personal,
+      const core::ClusterStateOptions& options,
+      obs::TraceContext* trace) override;
+  Result<core::MatchResult> Generate(
+      const RepositoryPin& pin, const schema::SchemaTree& personal,
+      const core::ClusterState& state, const core::MatchOptions& effective,
+      const core::ExecutionControl& control,
+      core::MatchObserver* observer) override;
 
  private:
-  /// Per-fingerprint cluster-cache namespace, kept in LRU order.
-  struct CacheNamespace {
-    uint64_t fingerprint = 0;
-    std::shared_ptr<ClusterIndexCache> cache;
-  };
-
-  /// Fills in the service default deadline when `control` has none.
-  core::ExecutionControl ResolveControl(core::ExecutionControl control) const;
-
-  /// Bumps the terminal-status counter for one finished query.
-  void CountTerminal(core::ExecutionStatus status);
-
-  /// EffectiveOptions against an explicit snapshot (the query's pin).
-  core::MatchOptions EffectiveOptionsFor(
-      const MatchQuery& query, const RepositorySnapshot& snapshot) const;
-
-  /// The whole query path, against one pinned snapshot.
-  Result<core::MatchResult> MatchOnSnapshot(
-      const std::shared_ptr<const RepositorySnapshot>& snapshot,
-      const MatchQuery& query, const core::ExecutionControl& control,
-      core::MatchObserver* observer);
-
-  /// The cache namespace for `fingerprint` (created if absent). Never
-  /// returns null. Publication sites (constructor, ApplyDelta) pass
-  /// `enforce_retention`: they move the namespace to the
-  /// most-recently-published position and trim the oldest beyond the
-  /// retention limit. The query path does neither, so a long-queued query
-  /// pinned to an already-retired generation can neither evict a recent
-  /// generation's warm cache nor promote its own stray namespace above
-  /// one — strays sit at the least-retained position and are swept up by
-  /// the next delta.
-  std::shared_ptr<ClusterIndexCache> CacheFor(uint64_t fingerprint,
-                                              bool enforce_retention = false);
-
   std::unique_ptr<live::RepositoryManager> manager_;
-  MatchServiceOptions options_;
   /// Serializes ApplyDelta end to end (publication + cache registration),
-  /// so `caches_` publication order always matches generation order.
+  /// so the cache set's publication order always matches generation order.
   std::mutex apply_mu_;
-  ThreadPool pool_;
-  /// Element-matching shard pool; null when matching_threads == 0.
-  std::unique_ptr<ThreadPool> matching_pool_;
-
-  mutable std::mutex caches_mu_;
-  /// Most recently *published* last (query touches never reorder);
-  /// bounded by 1 + cache_retained_generations at publication sites.
-  std::vector<CacheNamespace> caches_;
-  /// Counters folded in from dropped namespaces, so stats() is cumulative.
-  ClusterIndexCache::Stats retired_cache_stats_;
-
-  /// Metric handles, pre-registered at construction (shared registry or
-  /// the private fallback). Increments are single relaxed fetch_adds —
-  /// the same cost as the raw atomics they replaced — and the registry is
-  /// now the single source of truth stats() reads back from.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* queries_ = nullptr;
-  obs::Counter* batches_ = nullptr;
-  obs::Counter* cancelled_ = nullptr;
-  obs::Counter* deadline_exceeded_ = nullptr;
-  obs::Counter* early_stopped_ = nullptr;
-  obs::Counter* deltas_applied_ = nullptr;
-  obs::Counter* slow_queries_ = nullptr;
-  obs::Histogram* query_latency_ms_ = nullptr;
-  /// Mirrors cache/generation tallies into registry series at scrape
-  /// time; removed in the destructor (the hook captures `this`).
-  uint64_t scrape_hook_id_ = 0;
 };
 
 }  // namespace xsm::service

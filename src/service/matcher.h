@@ -1,25 +1,29 @@
-// Matcher: the one calling surface every matching backend implements.
-//
-// Historically callers bound to five overlapping MatchService entry points
-// (Match / Match+control / MatchStreaming / SubmitMatch / MatchBatch), which
-// made the service the only possible backend. This header is the redesigned
-// contract: a backend takes one MatchRequest in and produces one MatchOutcome
-// (streaming progress through the same MatchObserver as before), against an
-// explicit RepositoryPin so the caller and the engine provably see the same
-// repository generation. Both the single-snapshot MatchService and the
-// scatter-gather shard::ShardedMatchService implement it, so ServeSession,
+// Matcher: the one calling surface, and the one serving shell, of every
+// matching backend. A caller hands in one MatchRequest and gets one
+// MatchOutcome back (streaming progress through a MatchObserver), against
+// an explicit RepositoryPin so the caller and the engine provably see the
+// same repository generation. Both the single-snapshot MatchService and the
+// scatter-gather shard::ShardedMatchService derive from it, so ServeSession,
 // the HTTP endpoints, the CLI and the IntegrationEngine are backend-agnostic.
 //
 //   Result<MatchOutcome> out = matcher->Run(request);            // terminal
 //   MatchHandle h = matcher->Submit(matcher->Pin(), request);    // async
 //   matcher->RunOn(pin, request, control, &observer);            // streaming
+//   BatchMatchResult b = matcher->RunBatch(std::move(requests)); // batch
 //
-// The historical MatchService entry points still exist as thin deprecated
-// wrappers over this surface.
+// Everything both backends do identically lives here: the query and
+// matching pools, the shared metric families and their scrape hook, the
+// per-query envelope (validation, deadlines, the cluster-cache lookup and
+// its trace span, terminal and latency accounting), Submit / RunBatch and
+// the fingerprint-namespaced cluster caches. A backend supplies its
+// repository chain (pins, deltas, persistence) and four hooks: which pins
+// it owns, its execution plumbing, how it builds a cluster state, and how
+// it runs generation against one.
 #ifndef XSM_SERVICE_MATCHER_H_
 #define XSM_SERVICE_MATCHER_H_
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -52,14 +56,9 @@ struct MatchRequest {
   core::MatchOptions options;
 };
 
-/// Historical name; MatchQuery and MatchRequest are the same type.
-/// Deprecated: new code should say MatchRequest.
-using MatchQuery = MatchRequest;
-
-/// Validated construction of a MatchRequest: setters collect the knobs that
-/// used to be poked loose into MatchQuery fields by every serving layer, and
-/// Build() runs the complete validation (previously scattered across
-/// ParseQuery, MatchService and Bellflower) once, up front. A request that
+/// Validated construction of a MatchRequest: setters collect the knobs a
+/// serving layer sets, and Build() runs the complete validation once, up
+/// front. A request that
 /// Build() returns is accepted by every backend.
 class MatchRequestBuilder {
  public:
@@ -274,14 +273,17 @@ class MatchHandle {
   std::future<Result<core::MatchResult>> future_;
 };
 
-/// Abstract matching backend. Thread-safe: one instance serves arbitrarily
-/// many concurrent callers. Implementations: MatchService (one snapshot
-/// chain), shard::ShardedMatchService (K shard chains, scatter-gather).
+/// A matching backend. Thread-safe: one instance serves arbitrarily many
+/// concurrent callers. Implementations: MatchService (one snapshot chain),
+/// shard::ShardedMatchService (K shard chains, scatter-gather).
 class Matcher {
  public:
-  virtual ~Matcher() = default;
+  virtual ~Matcher();
 
-  // --- Repository surface. -----------------------------------------------
+  Matcher(const Matcher&) = delete;
+  Matcher& operator=(const Matcher&) = delete;
+
+  // --- Repository surface (per backend). ---------------------------------
 
   /// Pins the current repository generation. Hold the returned pointer
   /// while touching anything it exposes — a concurrent ApplyDelta retires
@@ -321,18 +323,22 @@ class Matcher {
   /// the whole pinned repository.
   virtual std::vector<ShardDescriptor> Shards() const;
 
-  // --- Query surface. ----------------------------------------------------
+  // --- Query surface (shared by every backend). --------------------------
 
   /// Executes one request against an explicit pin, on the calling thread,
-  /// streaming progress to `observer` (may be null) under `control`. The
-  /// pin must come from this backend's Pin(). A run no limit interrupts is
-  /// deterministic for a fixed (pin fingerprint, request); an interrupted
-  /// run resolves Status-OK with the mappings found so far and the typed
-  /// terminal status in MatchResult::execution.
-  virtual Result<core::MatchResult> RunOn(
-      const RepositoryPinPtr& pin, const MatchRequest& request,
-      const core::ExecutionControl& control,
-      core::MatchObserver* observer = nullptr) = 0;
+  /// streaming progress to `observer` (may be null) under `control` (the
+  /// backend default deadline fills in if `control` has none). The pin
+  /// must come from this backend's Pin(); a foreign pin is InvalidArgument.
+  /// A run no limit interrupts is deterministic for a fixed (pin
+  /// fingerprint, request); an interrupted run resolves Status-OK with the
+  /// mappings found so far and the typed terminal status in
+  /// MatchResult::execution. Cancellation never poisons the cluster cache:
+  /// a cluster-state build that has started always completes (and is
+  /// cached fully built); control is re-checked before and after it.
+  Result<core::MatchResult> RunOn(const RepositoryPinPtr& pin,
+                                  const MatchRequest& request,
+                                  const core::ExecutionControl& control,
+                                  core::MatchObserver* observer = nullptr);
 
   /// Terminal convenience: pins the current generation, runs the request,
   /// and wraps the result with the pin's provenance.
@@ -343,50 +349,158 @@ class Matcher {
 
   /// Enqueues one request on the pool against an explicit pin and returns
   /// a cancellable handle; the backend default deadline starts now (queue
-  /// wait counts). `observer` (may be null) must outlive the request; its
+  /// wait counts). Callers that format results against a pin they already
+  /// hold pass that pin, so request and formatter provably see the same
+  /// generation. `observer` (may be null) must outlive the request; its
   /// callbacks run on the pool thread executing it.
-  virtual MatchHandle Submit(
-      RepositoryPinPtr pin, MatchRequest request,
-      core::ExecutionControl control = core::ExecutionControl(),
-      core::MatchObserver* observer = nullptr) = 0;
+  MatchHandle Submit(RepositoryPinPtr pin, MatchRequest request,
+                     core::ExecutionControl control = core::ExecutionControl(),
+                     core::MatchObserver* observer = nullptr);
 
   /// Executes all requests on the pool and returns their results in input
   /// order. The whole batch runs against one pin — the generation current
   /// at the call — so its results are mutually consistent even when deltas
   /// land mid-batch. Blocks until the batch is done; call from outside the
   /// backend's pool.
-  virtual BatchMatchResult RunBatch(std::vector<MatchRequest> requests) = 0;
+  BatchMatchResult RunBatch(std::vector<MatchRequest> requests);
 
   /// The cached cluster state (element matching + clustering) for
   /// `request` against an explicit pin: consults the fingerprint-keyed
   /// cache namespace and computes-once on miss, exactly like the query
   /// path. The build always runs to completion, so the cache can never
-  /// hold a partial state.
-  virtual Result<ClusterStatePtr> ClusterStateFor(
-      const RepositoryPinPtr& pin, const MatchRequest& request) = 0;
+  /// hold a partial state. This is the integration engine's bulk
+  /// preprocessing hook: its states are shared with interactive traffic.
+  Result<ClusterStatePtr> ClusterStateFor(const RepositoryPinPtr& pin,
+                                          const MatchRequest& request);
 
   // --- Introspection. ----------------------------------------------------
 
-  virtual const MatchServiceOptions& options() const = 0;
-  virtual ThreadPool& pool() = 0;
-  virtual ServiceStats stats() const = 0;
+  const MatchServiceOptions& options() const { return options_; }
+  ThreadPool& pool() { return pool_; }
+  ServiceStats stats() const;
 
-  /// The registry this backend's series live in. Every stats surface
-  /// (`!stats`, `/v1/stats`, `/metrics`) reads values that originate here,
-  /// so they can never disagree.
-  virtual obs::MetricsRegistry& metrics() const = 0;
+  /// The registry this backend's series live in — the shared one from
+  /// MatchServiceOptions::metrics or the private fallback. Every stats
+  /// surface (`!stats`, `/v1/stats`, `/metrics`) reads values that
+  /// originate here, so they can never disagree.
+  obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   /// The options this backend actually runs for `request` against the
   /// current pin: EffectiveRequestOptions plus backend execution plumbing
-  /// (which never changes results).
-  virtual core::MatchOptions EffectiveOptions(
-      const MatchRequest& request) const = 0;
+  /// (which never changes results). Lifetime: injected plumbing may point
+  /// into the pin current at this call — hold Pin() across any use of the
+  /// returned options.
+  core::MatchOptions EffectiveOptions(const MatchRequest& request) const;
 
   /// The cluster-cache key for `request`: a canonical fingerprint of its
   /// personal schema and state-determining options. Stable across
   /// generations and identical across backends — cross-generation
   /// isolation comes from the fingerprint namespace, not the key.
-  virtual std::string ClusterStateKey(const MatchRequest& request) const = 0;
+  std::string ClusterStateKey(const MatchRequest& request) const;
+
+  /// Drops every cached cluster state in every retained namespace
+  /// (measurement / repository tuning).
+  void ClearCache();
+
+ protected:
+  /// Builds the pools and registers the shared counters and the latency
+  /// histogram. Creates `num_cache_sets` fingerprint-namespaced cache sets;
+  /// set 0 holds the cluster states the query path serves.
+  Matcher(const MatchServiceOptions& options, size_t num_cache_sets);
+
+  // --- Backend hooks. ----------------------------------------------------
+
+  /// Whether `pin` comes from this backend's chain.
+  virtual bool OwnsPin(const RepositoryPin& pin) const = 0;
+
+  /// Layers execution plumbing onto `effective` for a run against `pin`
+  /// (never changes results, so cache keys ignore it).
+  virtual void AddPlumbing(const RepositoryPin& pin,
+                           core::MatchOptions* effective) const = 0;
+
+  /// Builds the cluster state for `personal` against `pin`; called on a
+  /// cache miss in set 0. Must run to completion (no control) so the cache
+  /// never holds a partial state; `trace` (may be null) receives its spans.
+  virtual Result<core::ClusterState> BuildClusterState(
+      const RepositoryPin& pin, const schema::SchemaTree& personal,
+      const core::ClusterStateOptions& options, obs::TraceContext* trace) = 0;
+
+  /// Runs generation for `personal` against `state` under `control`.
+  virtual Result<core::MatchResult> Generate(
+      const RepositoryPin& pin, const schema::SchemaTree& personal,
+      const core::ClusterState& state, const core::MatchOptions& effective,
+      const core::ExecutionControl& control,
+      core::MatchObserver* observer) = 0;
+
+  // --- Shared state for backends. ----------------------------------------
+
+  /// Installs the scrape hook mirroring ServiceStats into the registry;
+  /// `extra` (may be null) mirrors backend-specific series in the same
+  /// pass. Called at the end of a backend's constructor.
+  void StartServing(std::function<void()> extra = nullptr);
+
+  /// Detaches the scrape hook and drains the pool. Both call back into the
+  /// backend, so its destructor calls this before its members go away.
+  void StopServing();
+
+  ClusterCacheSet& cache_set(size_t i) { return *cache_sets_[i]; }
+  /// Labels every series of this backend carries (the tenant).
+  const obs::LabelSet& metric_labels() const { return labels_; }
+  /// Durability counters every repository manager of this backend reports.
+  const live::ManagerMetrics& manager_metrics() const {
+    return manager_metrics_;
+  }
+  void CountDelta() { deltas_applied_->Increment(); }
+
+ private:
+  /// Fills in the backend default deadline when `control` has none.
+  core::ExecutionControl ResolveControl(core::ExecutionControl control) const;
+
+  /// Bumps the terminal-status counter for one finished query.
+  void CountTerminal(core::ExecutionStatus status);
+
+  /// EffectiveRequestOptions plus the matching pool and AddPlumbing.
+  core::MatchOptions EffectiveOptionsOn(const MatchRequest& request,
+                                        const RepositoryPin& pin) const;
+
+  /// The cluster state for `personal` from cache set 0 (`fetch` may be
+  /// null).
+  Result<ClusterStatePtr> CachedClusterState(
+      const RepositoryPin& pin, const schema::SchemaTree& personal,
+      const core::ClusterStateOptions& options, obs::TraceContext* trace,
+      ClusterIndexCache::Fetch* fetch);
+
+  /// A pin from a different backend (or a null one) is a caller bug,
+  /// surfaced as InvalidArgument instead of undefined behaviour.
+  Status CheckPin(const RepositoryPinPtr& pin) const;
+
+  /// RunOn after the pin check.
+  Result<core::MatchResult> RunPinned(const RepositoryPinPtr& pin,
+                                      const MatchRequest& request,
+                                      const core::ExecutionControl& control,
+                                      core::MatchObserver* observer);
+
+  MatchServiceOptions options_;
+  ThreadPool pool_;
+  /// Element-matching shard pool; null when matching_threads == 0.
+  std::unique_ptr<ThreadPool> matching_pool_;
+  std::vector<std::unique_ptr<ClusterCacheSet>> cache_sets_;
+
+  /// Metric handles, registered once at construction; increments are
+  /// single relaxed fetch_adds, and stats() reads them back.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::LabelSet labels_;
+  obs::Counter* queries_ = nullptr;
+  obs::Counter* batches_ = nullptr;
+  obs::Counter* cancelled_ = nullptr;
+  obs::Counter* deadline_exceeded_ = nullptr;
+  obs::Counter* early_stopped_ = nullptr;
+  obs::Counter* deltas_applied_ = nullptr;
+  obs::Counter* slow_queries_ = nullptr;
+  obs::Histogram* query_latency_ms_ = nullptr;
+  live::ManagerMetrics manager_metrics_;
+  uint64_t scrape_hook_id_ = 0;
 };
 
 /// The canonical cluster-cache key (exposed so every backend and test

@@ -180,7 +180,7 @@ void NdjsonIntegrationObserver::OnFinish(
 ServeSession::ServeSession(Matcher* service, ServeSessionOptions options)
     : service_(service), options_(std::move(options)) {}
 
-Result<MatchQuery> ServeSession::ParseQuery(const std::string& line,
+Result<MatchRequest> ServeSession::ParseQuery(const std::string& line,
                                             size_t index) const {
   std::istringstream stream(line);
   std::string spec;
@@ -235,7 +235,7 @@ Result<MatchQuery> ServeSession::ParseQuery(const std::string& line,
 }
 
 Result<core::MatchResult> ServeSession::RunQuery(
-    const MatchQuery& query, const EventSink& sink,
+    const MatchRequest& query, const EventSink& sink,
     core::ExecutionControl control) {
   if (options_.first_n > 0 && control.stop_after_n_mappings == 0) {
     control.stop_after_n_mappings = options_.first_n;
@@ -269,7 +269,7 @@ Result<core::MatchResult> ServeSession::RunQuery(
   return result;
 }
 
-size_t ServeSession::RunBatch(const std::vector<MatchQuery>& queries,
+size_t ServeSession::RunBatch(const std::vector<MatchRequest>& queries,
                               const EventSink& sink,
                               core::ExecutionControl control) {
   // Batch members run concurrently on pool threads, but a sink is never
@@ -283,7 +283,7 @@ size_t ServeSession::RunBatch(const std::vector<MatchQuery>& queries,
   std::vector<MatchHandle> handles;
   observers.reserve(queries.size());
   handles.reserve(queries.size());
-  for (const MatchQuery& query : queries) {
+  for (const MatchRequest& query : queries) {
     core::ExecutionControl query_control = control;
     // Each member needs its own cancel token: the caller's `control` is a
     // template, not one shared handle (sharing would make the first

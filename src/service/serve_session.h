@@ -148,7 +148,7 @@ class ServeSession {
   ///   SPEC [id=NAME] [delta=D] [top=N] [cluster=tree|kmeans] [join=J]
   ///        [threshold=T] [alpha=A]
   /// against the session defaults. `index` numbers the fallback id "q<i>".
-  Result<MatchQuery> ParseQuery(const std::string& line, size_t index) const;
+  Result<MatchRequest> ParseQuery(const std::string& line, size_t index) const;
 
   /// Runs one query to completion, streaming mapping/cluster events to
   /// `sink` the moment they are found and finishing with one "done" (or
@@ -158,7 +158,7 @@ class ServeSession {
   /// session first_n and the service default deadline fill in when
   /// `control` carries none.
   Result<core::MatchResult> RunQuery(
-      const MatchQuery& query, const EventSink& sink,
+      const MatchRequest& query, const EventSink& sink,
       core::ExecutionControl control = core::ExecutionControl());
 
   /// Submits every query on the service pool, streams interleaved mapping
@@ -167,7 +167,7 @@ class ServeSession {
   /// Status (interrupted runs — cancelled / deadline — are not errors).
   /// Members run concurrently, but their events reach `sink` one call at a
   /// time: RunBatch holds one mutex around every sink call it makes.
-  size_t RunBatch(const std::vector<MatchQuery>& queries,
+  size_t RunBatch(const std::vector<MatchRequest>& queries,
                   const EventSink& sink,
                   core::ExecutionControl control = core::ExecutionControl());
 

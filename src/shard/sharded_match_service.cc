@@ -151,13 +151,6 @@ class ShardedMatchService::ShardedPin : public service::RepositoryPin {
   uint64_t fingerprint_ = 0;
 };
 
-namespace {
-
-using ShardedPinPtr =
-    std::shared_ptr<const ShardedMatchService::ShardedPin>;
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Factories.
 // ---------------------------------------------------------------------------
@@ -326,140 +319,60 @@ ShardedMatchService::ShardedMatchService(
     std::shared_ptr<const ShardedPin> pin,
     const service::MatchServiceOptions& options,
     const ShardedOptions& shard_options)
-    : options_(options),
+    : Matcher(options, /*num_cache_sets=*/1 + managers.size()),
       shard_options_(shard_options),
       managers_(std::move(managers)),
       generation_(pin->generation()),
-      pin_(std::move(pin)),
-      pool_(options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                     : options.num_threads) {
+      pin_(std::move(pin)) {
   const size_t k = managers_.size();
   fanout_pool_ = std::make_unique<ThreadPool>(
       std::min(k, ThreadPool::DefaultThreadCount()));
-  if (options_.matching_threads > 0) {
-    matching_pool_ = std::make_unique<ThreadPool>(options_.matching_threads);
-  }
-  cache_sets_.resize(1 + k);
-
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  obs::LabelSet labels;
-  if (!options_.metrics_tenant.empty()) {
-    labels.push_back({"tenant", options_.metrics_tenant});
-  }
-  // Identical family names to MatchService: the serving layers' dashboards
-  // and stats surfaces are backend-agnostic. Batch members are counted
-  // exactly once, in MatchOnPin — RunBatch only bumps the batch counter.
-  queries_ = metrics_->RegisterCounter(
-      "xsm_queries_total", "Match() calls (batch members included)", labels);
-  batches_ = metrics_->RegisterCounter("xsm_batches_total",
-                                       "MatchBatch() calls", labels);
-  cancelled_ = metrics_->RegisterCounter(
-      "xsm_queries_cancelled_total", "queries stopped by cancellation",
-      labels);
-  deadline_exceeded_ = metrics_->RegisterCounter(
-      "xsm_queries_deadline_exceeded_total",
-      "queries stopped by their wall-clock deadline", labels);
-  early_stopped_ = metrics_->RegisterCounter(
-      "xsm_queries_early_stopped_total",
-      "queries stopped by their mapping budget", labels);
-  deltas_applied_ = metrics_->RegisterCounter(
-      "xsm_deltas_applied_total", "successful ApplyDelta publications",
-      labels);
-  slow_queries_ = metrics_->RegisterCounter(
-      "xsm_slow_queries_total",
-      "queries slower than the configured slow-query threshold", labels);
-  fanouts_ = metrics_->RegisterCounter(
-      "xsm_shard_fanouts_total",
-      "queries whose generation phase scattered across >1 shard", labels);
-  rebalances_ = metrics_->RegisterCounter(
-      "xsm_shard_rebalances_total", "shard plan rebalances after deltas",
-      labels);
-  query_latency_ms_ = metrics_->RegisterHistogram(
-      "xsm_query_duration_ms", "wall-clock query latency in milliseconds",
-      obs::DefaultLatencyBoundsMs(), labels);
-
-  obs::Counter* cache_hits = metrics_->RegisterCounter(
-      "xsm_cluster_cache_hits_total", "cluster-state cache hits", labels);
-  obs::Counter* cache_shared = metrics_->RegisterCounter(
-      "xsm_cluster_cache_shared_total",
-      "cluster-state builds shared with a concurrent query", labels);
-  obs::Counter* cache_misses = metrics_->RegisterCounter(
-      "xsm_cluster_cache_misses_total", "cluster-state cache misses",
-      labels);
-  obs::Counter* cache_evictions = metrics_->RegisterCounter(
-      "xsm_cluster_cache_evictions_total",
-      "cluster states dropped by the LRU policy", labels);
-  obs::Gauge* cache_entries = metrics_->RegisterGauge(
-      "xsm_cluster_cache_entries", "resident cluster states", labels);
-  obs::Gauge* cache_namespaces = metrics_->RegisterGauge(
-      "xsm_cluster_cache_namespaces",
-      "retained per-fingerprint cache namespaces", labels);
-  obs::Gauge* generation_gauge = metrics_->RegisterGauge(
-      "xsm_repository_generation", "current repository generation", labels);
-
-  manager_metrics_.wal_appends = metrics_->RegisterCounter(
-      "xsm_wal_appends_total", "deltas journaled and fsynced before publish",
-      labels);
-  manager_metrics_.wal_compactions = metrics_->RegisterCounter(
-      "xsm_wal_compactions_total",
-      "journal compactions after a durable checkpoint", labels);
-  manager_metrics_.snapshot_saves = metrics_->RegisterCounter(
-      "xsm_snapshot_saves_total", "snapshots persisted to disk", labels);
   for (auto& manager : managers_) {
-    manager->SetMetrics(manager_metrics_);
+    manager->SetMetrics(manager_metrics());
   }
 
+  obs::MetricsRegistry& registry = metrics();
+  fanouts_ = registry.RegisterCounter(
+      "xsm_shard_fanouts_total",
+      "queries whose generation phase scattered across >1 shard",
+      metric_labels());
+  rebalances_ = registry.RegisterCounter(
+      "xsm_shard_rebalances_total", "shard plan rebalances after deltas",
+      metric_labels());
   // Per-shard layout gauges, labeled by shard index.
   std::vector<obs::Gauge*> shard_trees, shard_nodes, shard_generations;
   for (size_t s = 0; s < k; ++s) {
-    obs::LabelSet shard_labels = labels;
+    obs::LabelSet shard_labels = metric_labels();
     shard_labels.push_back({"shard", std::to_string(s)});
-    shard_trees.push_back(metrics_->RegisterGauge(
+    shard_trees.push_back(registry.RegisterGauge(
         "xsm_shard_trees", "trees owned by the shard", shard_labels));
-    shard_nodes.push_back(metrics_->RegisterGauge(
+    shard_nodes.push_back(registry.RegisterGauge(
         "xsm_shard_nodes", "total nodes owned by the shard", shard_labels));
-    shard_generations.push_back(metrics_->RegisterGauge(
+    shard_generations.push_back(registry.RegisterGauge(
         "xsm_shard_generation", "the shard's own chain generation",
         shard_labels));
   }
 
-  scrape_hook_id_ = metrics_->AddScrapeHook(
-      [this, cache_hits, cache_shared, cache_misses, cache_evictions,
-       cache_entries, cache_namespaces, generation_gauge, shard_trees,
-       shard_nodes, shard_generations]() {
-        service::ServiceStats s = stats();
-        cache_hits->Set(s.cache.hits);
-        cache_shared->Set(s.cache.shared);
-        cache_misses->Set(s.cache.misses);
-        cache_evictions->Set(s.cache.evictions);
-        cache_entries->Set(static_cast<double>(s.cache.entries));
-        cache_namespaces->Set(static_cast<double>(s.cache_namespaces));
-        generation_gauge->Set(static_cast<double>(s.generation));
-        std::shared_ptr<const ShardedPin> pin = CurrentPin();
-        for (size_t i = 0; i < pin->num_shards(); ++i) {
-          shard_trees[i]->Set(static_cast<double>(pin->shard(i)->num_trees()));
-          shard_nodes[i]->Set(
-              static_cast<double>(pin->shard(i)->total_nodes()));
-          shard_generations[i]->Set(
-              static_cast<double>(pin->shard(i)->generation()));
-        }
-      });
-
   // Materialize the initial cache namespaces.
-  CacheFor(0, pin_->fingerprint(), /*enforce_retention=*/true);
-  for (size_t s = 0; s < k; ++s) {
-    CacheFor(1 + s, pin_->shard(s)->fingerprint(),
-             /*enforce_retention=*/true);
-  }
+  PublishCaches(*pin_);
+  StartServing([this, shard_trees, shard_nodes, shard_generations]() {
+    std::shared_ptr<const ShardedPin> pin = CurrentPin();
+    for (size_t i = 0; i < pin->num_shards(); ++i) {
+      shard_trees[i]->Set(static_cast<double>(pin->shard(i)->num_trees()));
+      shard_nodes[i]->Set(static_cast<double>(pin->shard(i)->total_nodes()));
+      shard_generations[i]->Set(
+          static_cast<double>(pin->shard(i)->generation()));
+    }
+  });
 }
 
-ShardedMatchService::~ShardedMatchService() {
-  metrics_->RemoveScrapeHook(scrape_hook_id_);
+ShardedMatchService::~ShardedMatchService() { StopServing(); }
+
+void ShardedMatchService::PublishCaches(const ShardedPin& pin) {
+  cache_set(0).Publish(pin.fingerprint());
+  for (size_t s = 0; s < pin.num_shards(); ++s) {
+    cache_set(1 + s).Publish(pin.shard(s)->fingerprint());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -480,19 +393,13 @@ uint64_t ShardedMatchService::CurrentGeneration() const {
   return CurrentPin()->generation();
 }
 
-namespace {
-
-Result<ShardedPinPtr> AsShardedPin(const service::RepositoryPinPtr& pin) {
-  auto sharded =
-      std::dynamic_pointer_cast<const ShardedMatchService::ShardedPin>(pin);
-  if (sharded == nullptr) {
-    return Status::InvalidArgument(
-        "pin does not come from this backend's chain");
-  }
-  return sharded;
+bool ShardedMatchService::OwnsPin(const service::RepositoryPin& pin) const {
+  return dynamic_cast<const ShardedPin*>(&pin) != nullptr;
 }
 
-}  // namespace
+void ShardedMatchService::AddPlumbing(const service::RepositoryPin& /*pin*/,
+                                      core::MatchOptions* /*effective*/) const {
+}
 
 std::vector<service::ShardDescriptor> ShardedMatchService::Shards() const {
   std::shared_ptr<const ShardedPin> pin = CurrentPin();
@@ -512,252 +419,119 @@ std::vector<service::ShardDescriptor> ShardedMatchService::Shards() const {
 }
 
 // ---------------------------------------------------------------------------
-// Effective options / keys.
-// ---------------------------------------------------------------------------
-
-core::MatchOptions ShardedMatchService::EffectiveOptionsImpl(
-    const service::MatchRequest& request) const {
-  core::MatchOptions effective = service::EffectiveRequestOptions(
-      request, {options_.base_seed, options_.derive_seeds});
-  // No global dictionary exists (each shard owns one; the scatter injects
-  // them per shard), so the only plumbing layered on is the matching pool.
-  if (effective.element.pool == nullptr && matching_pool_ != nullptr) {
-    effective.element.pool = matching_pool_.get();
-  }
-  return effective;
-}
-
-core::MatchOptions ShardedMatchService::EffectiveOptions(
-    const service::MatchRequest& request) const {
-  return EffectiveOptionsImpl(request);
-}
-
-std::string ShardedMatchService::ClusterStateKey(
-    const service::MatchRequest& request) const {
-  return service::BuildClusterStateKey(
-      request.personal,
-      core::ClusterStateOptions::From(EffectiveOptionsImpl(request)));
-}
-
-core::ExecutionControl ShardedMatchService::ResolveControl(
-    core::ExecutionControl control) const {
-  if (!control.deadline.has_value() && options_.default_deadline_seconds > 0) {
-    control.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options_.default_deadline_seconds));
-  }
-  return control;
-}
-
-void ShardedMatchService::CountTerminal(core::ExecutionStatus status) {
-  switch (status) {
-    case core::ExecutionStatus::kCompleted:
-      break;
-    case core::ExecutionStatus::kCancelled:
-      cancelled_->Increment();
-      break;
-    case core::ExecutionStatus::kDeadlineExceeded:
-      deadline_exceeded_->Increment();
-      break;
-    case core::ExecutionStatus::kEarlyStopped:
-      early_stopped_->Increment();
-      break;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Cluster-state scatter.
 // ---------------------------------------------------------------------------
 
-Result<service::ClusterStatePtr> ShardedMatchService::ShardedClusterState(
-    const std::shared_ptr<const ShardedPin>& pin,
-    const schema::SchemaTree& personal,
-    const core::ClusterStateOptions& state_options,
-    obs::TraceContext* trace) {
-  std::shared_ptr<service::ClusterIndexCache> cache =
-      CacheFor(0, pin->fingerprint());
+Result<core::ClusterState> ShardedMatchService::BuildClusterState(
+    const service::RepositoryPin& global, const schema::SchemaTree& personal,
+    const core::ClusterStateOptions& state_options, obs::TraceContext* trace) {
+  const auto& pin = static_cast<const ShardedPin&>(global);
   const std::string key =
       service::BuildClusterStateKey(personal, state_options);
-
-  obs::ScopedSpan cache_span(trace, "cluster_cache");
-  service::ClusterIndexCache::Fetch fetch =
-      service::ClusterIndexCache::Fetch::kMiss;
-  auto result = cache->GetOrCompute(
-      key,
-      [&]() -> Result<core::ClusterState> {
-        // Scatter element matching per shard. Each shard matches against
-        // its own forest with its own dictionary; per-shard results are
-        // cached in the shard's fingerprint-namespaced cache (matching-only
-        // ClusterStates), so a delta touching one shard recomputes one
-        // shard.
-        obs::ScopedSpan fan_span(trace, "shard_fanout");
-        std::vector<size_t> shard_ids;
-        std::vector<std::future<Result<service::ClusterStatePtr>>> futures;
-        for (size_t s = 0; s < pin->num_shards(); ++s) {
-          if (pin->shard(s)->num_trees() == 0) continue;
-          shard_ids.push_back(s);
-          futures.push_back(fanout_pool_->Submit(
-              [this, pin, &personal, &state_options, key,
-               s]() -> Result<service::ClusterStatePtr> {
-                const auto& snap = pin->shard(s);
-                std::shared_ptr<service::ClusterIndexCache> shard_cache =
-                    CacheFor(1 + s, snap->fingerprint());
-                return shard_cache->GetOrCompute(
-                    key, [&]() -> Result<core::ClusterState> {
-                      match::ElementMatchingOptions mo = state_options.element;
-                      mo.dictionary = &snap->name_dictionary();
-                      if (mo.pool == nullptr && matching_pool_ != nullptr) {
-                        mo.pool = matching_pool_.get();
-                      }
-                      // Like the unsharded cache: a build that starts
-                      // always completes, so a cached shard result can
-                      // never be partial.
-                      mo.control = nullptr;
-                      Timer timer;
-                      XSM_ASSIGN_OR_RETURN(
-                          match::ElementMatchingResult matched,
-                          match::MatchElements(personal, snap->forest(), mo));
-                      core::ClusterState partial;
-                      partial.matching = std::move(matched);
-                      partial.time_matching_seconds = timer.ElapsedSeconds();
-                      return partial;
-                    });
-              }));
-        }
-        std::vector<service::ClusterStatePtr> parts;
-        parts.reserve(futures.size());
-        Status first_error = Status::OK();
-        for (auto& future : futures) {
-          auto part = future.get();
-          if (!part.ok()) {
-            if (first_error.ok()) first_error = part.status();
-            continue;
-          }
-          parts.push_back(std::move(part.value()));
-        }
-        XSM_RETURN_NOT_OK(first_error);
-        if (trace != nullptr) {
-          fan_span.set_note(std::to_string(parts.size()) + " shards");
-        }
-
-        // Gather: concatenate in shard order with each shard's tree ids
-        // offset by its first global tree. Per-shard element lists are
-        // NodeRef-sorted and shard tree ranges are increasing, so plain
-        // concatenation reproduces the global sorted order bit-for-bit.
-        match::ElementMatchingResult merged;
-        merged.sets.resize(personal.size());
-        for (schema::NodeId n = 0;
-             n < static_cast<schema::NodeId>(personal.size()); ++n) {
-          merged.sets[static_cast<size_t>(n)].personal_node = n;
-        }
-        double matching_seconds = 0;
-        for (size_t i = 0; i < parts.size(); ++i) {
-          const schema::TreeId offset = pin->plan().first_tree(shard_ids[i]);
-          const match::ElementMatchingResult& part = parts[i]->matching;
-          matching_seconds += parts[i]->time_matching_seconds;
-          for (size_t n = 0; n < part.sets.size(); ++n) {
-            auto& out = merged.sets[n].elements;
-            for (const match::MappingElement& element : part.sets[n].elements) {
-              out.push_back({{element.node.tree + offset, element.node.node},
-                             element.score});
-            }
-          }
-          for (size_t d = 0; d < part.distinct_nodes.size(); ++d) {
-            merged.distinct_nodes.push_back(
-                {part.distinct_nodes[d].tree + offset,
-                 part.distinct_nodes[d].node});
-            merged.masks.push_back(part.masks[d]);
-          }
-        }
-
-        // Cluster once, globally: k-means' global couplings (MEmin seeding,
-        // convergence, the RNG) see exactly what the unsharded pipeline
-        // would have seen.
-        core::ExecutionControl build_control;
-        build_control.trace = trace;
-        return pin->matcher().ClusterFromMatching(
-            personal, std::move(merged), matching_seconds, state_options,
-            &build_control);
-      },
-      &fetch);
+  // Scatter element matching per shard. Each shard matches against its own
+  // forest with its own dictionary; per-shard results are cached in the
+  // shard's fingerprint-namespaced cache (matching-only ClusterStates), so
+  // a delta touching one shard recomputes one shard.
+  obs::ScopedSpan fan_span(trace, "shard_fanout");
+  std::vector<size_t> shard_ids;
+  std::vector<std::future<Result<service::ClusterStatePtr>>> futures;
+  for (size_t s = 0; s < pin.num_shards(); ++s) {
+    if (pin.shard(s)->num_trees() == 0) continue;
+    shard_ids.push_back(s);
+    futures.push_back(fanout_pool_->Submit(
+        [this, &pin, &personal, &state_options, &key,
+         s]() -> Result<service::ClusterStatePtr> {
+          const auto& snap = pin.shard(s);
+          return cache_set(1 + s).Get(snap->fingerprint())->GetOrCompute(
+              key, [&]() -> Result<core::ClusterState> {
+                match::ElementMatchingOptions mo = state_options.element;
+                mo.dictionary = &snap->name_dictionary();
+                // Like the global cache: a build that starts always
+                // completes, so a cached shard result can never be partial.
+                mo.control = nullptr;
+                Timer timer;
+                XSM_ASSIGN_OR_RETURN(
+                    match::ElementMatchingResult matched,
+                    match::MatchElements(personal, snap->forest(), mo));
+                core::ClusterState partial;
+                partial.matching = std::move(matched);
+                partial.time_matching_seconds = timer.ElapsedSeconds();
+                return partial;
+              });
+        }));
+  }
+  std::vector<service::ClusterStatePtr> parts;
+  parts.reserve(futures.size());
+  Status first_error = Status::OK();
+  for (auto& future : futures) {
+    auto part = future.get();
+    if (!part.ok()) {
+      if (first_error.ok()) first_error = part.status();
+      continue;
+    }
+    parts.push_back(std::move(part.value()));
+  }
+  XSM_RETURN_NOT_OK(first_error);
   if (trace != nullptr) {
-    switch (fetch) {
-      case service::ClusterIndexCache::Fetch::kHit:
-        cache_span.set_note("hit");
-        break;
-      case service::ClusterIndexCache::Fetch::kShared:
-        cache_span.set_note("shared");
-        break;
-      case service::ClusterIndexCache::Fetch::kMiss:
-        cache_span.set_note("miss");
-        break;
+    fan_span.set_note(std::to_string(parts.size()) + " shards");
+  }
+
+  // Gather: concatenate in shard order with each shard's tree ids offset by
+  // its first global tree. Per-shard element lists are NodeRef-sorted and
+  // shard tree ranges are increasing, so plain concatenation reproduces the
+  // global sorted order bit-for-bit.
+  match::ElementMatchingResult merged;
+  merged.sets.resize(personal.size());
+  for (schema::NodeId n = 0; n < static_cast<schema::NodeId>(personal.size());
+       ++n) {
+    merged.sets[static_cast<size_t>(n)].personal_node = n;
+  }
+  double matching_seconds = 0;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    const schema::TreeId offset = pin.plan().first_tree(shard_ids[i]);
+    const match::ElementMatchingResult& part = parts[i]->matching;
+    matching_seconds += parts[i]->time_matching_seconds;
+    for (size_t n = 0; n < part.sets.size(); ++n) {
+      auto& out = merged.sets[n].elements;
+      for (const match::MappingElement& element : part.sets[n].elements) {
+        out.push_back(
+            {{element.node.tree + offset, element.node.node}, element.score});
+      }
+    }
+    for (size_t d = 0; d < part.distinct_nodes.size(); ++d) {
+      merged.distinct_nodes.push_back(
+          {part.distinct_nodes[d].tree + offset, part.distinct_nodes[d].node});
+      merged.masks.push_back(part.masks[d]);
     }
   }
-  return result;
+
+  // Cluster once, globally: k-means' global couplings (MEmin seeding,
+  // convergence, the RNG) see exactly what the unsharded pipeline would
+  // have seen.
+  core::ExecutionControl build_control;
+  build_control.trace = trace;
+  return pin.matcher().ClusterFromMatching(personal, std::move(merged),
+                                           matching_seconds, state_options,
+                                           &build_control);
 }
 
 // ---------------------------------------------------------------------------
-// Query path.
+// Generation scatter.
 // ---------------------------------------------------------------------------
 
-Result<core::MatchResult> ShardedMatchService::RunOn(
-    const service::RepositoryPinPtr& pin, const service::MatchRequest& request,
+Result<core::MatchResult> ShardedMatchService::Generate(
+    const service::RepositoryPin& global, const schema::SchemaTree& personal,
+    const core::ClusterState& state, const core::MatchOptions& effective,
     const core::ExecutionControl& control, core::MatchObserver* observer) {
-  XSM_ASSIGN_OR_RETURN(ShardedPinPtr sharded, AsShardedPin(pin));
-  return MatchOnPin(sharded, request, control, observer);
-}
-
-Result<core::MatchResult> ShardedMatchService::MatchOnPin(
-    const std::shared_ptr<const ShardedPin>& pin,
-    const service::MatchRequest& request,
-    const core::ExecutionControl& control, core::MatchObserver* observer) {
-  queries_->Increment();
-  const bool instrument = options_.enable_metrics;
-  Timer latency_timer;
-  auto record_latency = [&]() {
-    if (!instrument) return;
-    const double elapsed_ms = latency_timer.ElapsedSeconds() * 1e3;
-    query_latency_ms_->Observe(elapsed_ms);
-    if (options_.slow_query_ms > 0 && elapsed_ms >= options_.slow_query_ms) {
-      slow_queries_->Increment();
-    }
-  };
-  core::MatchOptions effective = EffectiveOptionsImpl(request);
-  XSM_RETURN_NOT_OK(effective.objective.Validate());
-  if (effective.delta < 0.0 || effective.delta > 1.0) {
-    return Status::InvalidArgument("delta must be in [0,1]");
-  }
-  core::ExecutionControl resolved = ResolveControl(control);
-
-  core::ExecutionMonitor pre(resolved);
-  if (pre.ShouldStop()) {
-    core::MatchResult result;
-    result.stats.repository_nodes = pin->forest().total_nodes();
-    result.stats.repository_trees = pin->forest().num_trees();
-    result.execution = pre.status();
-    CountTerminal(result.execution);
-    if (observer != nullptr) observer->OnFinish(result);
-    record_latency();
-    return result;
-  }
-
-  core::ClusterStateOptions state_options =
-      core::ClusterStateOptions::From(effective);
-  service::ClusterStatePtr state;
-  XSM_ASSIGN_OR_RETURN(state, ShardedClusterState(pin, request.personal,
-                                                  state_options,
-                                                  resolved.trace));
-
-  const core::Bellflower& matcher = pin->matcher();
+  const auto& pin = static_cast<const ShardedPin&>(global);
+  const core::Bellflower& matcher = pin.matcher();
   // Partition the global cluster list by owning shard (clusters never span
   // trees, so every cluster has exactly one owner).
-  const size_t k = pin->num_shards();
+  const size_t k = pin.num_shards();
   std::vector<std::vector<size_t>> subsets(k);
   size_t active = 0;
-  for (size_t ci = 0; ci < state->clustering.clusters.size(); ++ci) {
-    const size_t s =
-        pin->plan().shard_of(state->clustering.clusters[ci].tree);
+  for (size_t ci = 0; ci < state.clustering.clusters.size(); ++ci) {
+    const size_t s = pin.plan().shard_of(state.clustering.clusters[ci].tree);
     if (subsets[s].empty()) ++active;
     subsets[s].push_back(ci);
   }
@@ -773,11 +547,8 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
       (effective.structural_matcher != nullptr &&
        !effective.structural_within_clusters_only);
   if (observer != nullptr || active <= 1 || coupled) {
-    Result<core::MatchResult> run = matcher.MatchWithState(
-        request.personal, *state, effective, resolved, observer);
-    if (run.ok()) CountTerminal(run->execution);
-    record_latency();
-    return run;
+    return matcher.MatchWithState(personal, state, effective, control,
+                                  observer);
   }
 
   // Scatter generation: one restricted MatchWithState per owning shard
@@ -789,8 +560,8 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
   Timer generation_timer;
   std::vector<Result<core::MatchResult>> shard_results;
   {
-    obs::ScopedSpan fan_span(resolved.trace, "shard_fanout");
-    if (resolved.trace != nullptr) {
+    obs::ScopedSpan fan_span(control.trace, "shard_fanout");
+    if (control.trace != nullptr) {
       fan_span.set_note(std::to_string(active) + "/" + std::to_string(k) +
                         " shards");
     }
@@ -822,12 +593,12 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
           [&, s]() -> Result<core::MatchResult> {
             core::MatchOptions task_options = effective;
             task_options.delta = read_floor();
-            core::ExecutionControl task_control = resolved;
+            core::ExecutionControl task_control = control;
             // Spans stay on the scattering thread; TraceContext is not
             // shared across concurrent writers.
             task_control.trace = nullptr;
             Result<core::MatchResult> run = matcher.MatchWithState(
-                request.personal, *state, task_options, task_control,
+                personal, state, task_options, task_control,
                 /*observer=*/nullptr, &subsets[s]);
             if (run.ok()) publish_deltas(run->mappings);
             return run;
@@ -844,12 +615,12 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
 
   // Gather: the same deterministic reduction the unsharded engine performs
   // as its stage ⑤ (sort by MappingOrder, truncate to top N).
-  obs::ScopedSpan merge_span(resolved.trace, "shard_merge");
+  obs::ScopedSpan merge_span(control.trace, "shard_merge");
   core::MatchResult merged;
   // State-wide stats fields are identical in every restricted run; start
   // from the first and re-accumulate the per-run ones.
   merged.stats = shard_results[0].value().stats;
-  merged.stats.num_clusters = state->clustering.clusters.size();
+  merged.stats.num_clusters = state.clustering.clusters.size();
   merged.stats.num_useful_clusters = 0;
   merged.stats.search_space = 0;
   merged.stats.generator = {};
@@ -908,68 +679,7 @@ Result<core::MatchResult> ShardedMatchService::MatchOnPin(
             generate::PartialMappingOrder());
   merged.stats.num_partial_mappings = merged.partial_mappings.size();
   merged.stats.time_generation_seconds = generation_timer.ElapsedSeconds();
-
-  CountTerminal(merged.execution);
-  record_latency();
   return merged;
-}
-
-service::MatchHandle ShardedMatchService::Submit(
-    service::RepositoryPinPtr pin, service::MatchRequest request,
-    core::ExecutionControl control, core::MatchObserver* observer) {
-  Result<ShardedPinPtr> sharded = AsShardedPin(pin);
-  if (!sharded.ok()) {
-    std::promise<Result<core::MatchResult>> failed;
-    failed.set_value(sharded.status());
-    return service::MatchHandle(core::CancelToken(), failed.get_future());
-  }
-  control = ResolveControl(std::move(control));
-  core::CancelToken token = control.cancel;
-  const double submitted_ms =
-      control.trace != nullptr ? control.trace->NowMs() : 0;
-  std::future<Result<core::MatchResult>> future =
-      pool_.Submit([this, pinned = std::move(sharded.value()),
-                    request = std::move(request),
-                    control = std::move(control), submitted_ms, observer]() {
-        if (control.trace != nullptr) {
-          control.trace->AddSpan("queue_wait", "", submitted_ms,
-                                 control.trace->NowMs() - submitted_ms);
-        }
-        return MatchOnPin(pinned, request, control, observer);
-      });
-  return service::MatchHandle(std::move(token), std::move(future));
-}
-
-service::BatchMatchResult ShardedMatchService::RunBatch(
-    std::vector<service::MatchRequest> requests) {
-  batches_->Increment();
-  std::shared_ptr<const ShardedPin> pin = CurrentPin();
-  service::BatchMatchResult batch;
-  batch.generation = pin->generation();
-  batch.fingerprint = pin->fingerprint();
-  std::vector<std::future<Result<core::MatchResult>>> futures;
-  futures.reserve(requests.size());
-  for (service::MatchRequest& request : requests) {
-    futures.push_back(
-        pool_.Submit([this, pin, request = std::move(request)]() {
-          return MatchOnPin(pin, request, core::ExecutionControl(), nullptr);
-        }));
-  }
-  batch.results.reserve(futures.size());
-  for (auto& future : futures) {
-    batch.results.push_back(future.get());
-  }
-  return batch;
-}
-
-Result<service::ClusterStatePtr> ShardedMatchService::ClusterStateFor(
-    const service::RepositoryPinPtr& pin,
-    const service::MatchRequest& request) {
-  XSM_ASSIGN_OR_RETURN(ShardedPinPtr sharded, AsShardedPin(pin));
-  return ShardedClusterState(
-      sharded, request.personal,
-      core::ClusterStateOptions::From(EffectiveOptionsImpl(request)),
-      /*trace=*/nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,7 +755,7 @@ Result<live::ApplyReport> ShardedMatchService::ApplyDelta(
     merged.build_seconds += report.build_seconds;
   }
   ++generation_;
-  deltas_applied_->Increment();
+  CountDelta();
 
   std::vector<std::shared_ptr<const service::RepositorySnapshot>> shards;
   shards.reserve(k);
@@ -1059,11 +769,7 @@ Result<live::ApplyReport> ShardedMatchService::ApplyDelta(
     std::lock_guard<std::mutex> pin_lock(pin_mu_);
     pin_ = new_pin;
   }
-  CacheFor(0, new_pin->fingerprint(), /*enforce_retention=*/true);
-  for (size_t s = 0; s < k; ++s) {
-    CacheFor(1 + s, new_pin->shard(s)->fingerprint(),
-             /*enforce_retention=*/true);
-  }
+  PublishCaches(*new_pin);
   merged.generation = generation_;
   merged.fingerprint = new_pin->fingerprint();
   merged.trees_total = new_pin->forest().num_trees();
@@ -1130,7 +836,7 @@ Status ShardedMatchService::MaybeRebalance(
         service::RepositorySnapshot::CreateSuccessor(previous, std::move(sub),
                                                      reuse));
     auto manager = std::make_unique<live::RepositoryManager>(successor);
-    manager->SetMetrics(manager_metrics_);
+    manager->SetMetrics(manager_metrics());
     if (wal_env_ != nullptr) {
       // The shard's journal base moved with its chain; a fresh journal at
       // the successor generation replaces it (the re-checkpoint below
@@ -1220,91 +926,6 @@ bool ShardedMatchService::wal_attached() const {
     if (!manager->wal_attached()) return false;
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Caches / stats.
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<service::ClusterIndexCache> ShardedMatchService::CacheFor(
-    size_t set, uint64_t fingerprint, bool enforce_retention) {
-  std::lock_guard<std::mutex> lock(caches_mu_);
-  CacheSet& cs = cache_sets_[set];
-  std::shared_ptr<service::ClusterIndexCache> cache;
-  for (size_t i = 0; i < cs.namespaces.size(); ++i) {
-    if (cs.namespaces[i].fingerprint != fingerprint) continue;
-    cache = cs.namespaces[i].cache;
-    if (enforce_retention && i + 1 != cs.namespaces.size()) {
-      CacheNamespace ns = std::move(cs.namespaces[i]);
-      cs.namespaces.erase(cs.namespaces.begin() +
-                          static_cast<ptrdiff_t>(i));
-      cs.namespaces.push_back(std::move(ns));
-    }
-    break;
-  }
-  if (cache == nullptr) {
-    CacheNamespace ns;
-    ns.fingerprint = fingerprint;
-    ns.cache = std::make_shared<service::ClusterIndexCache>(
-        options_.cluster_cache_capacity);
-    cache = ns.cache;
-    if (enforce_retention) {
-      cs.namespaces.push_back(std::move(ns));
-    } else {
-      cs.namespaces.insert(cs.namespaces.begin(), std::move(ns));
-    }
-  }
-  if (enforce_retention) {
-    const size_t limit = 1 + options_.cache_retained_generations;
-    while (cs.namespaces.size() > limit) {
-      service::ClusterIndexCache::Stats dropped =
-          cs.namespaces.front().cache->stats();
-      cs.retired.hits += dropped.hits;
-      cs.retired.shared += dropped.shared;
-      cs.retired.misses += dropped.misses;
-      cs.retired.evictions += dropped.evictions + dropped.entries;
-      cs.namespaces.erase(cs.namespaces.begin());
-    }
-  }
-  return cache;
-}
-
-void ShardedMatchService::ClearCache() {
-  std::lock_guard<std::mutex> lock(caches_mu_);
-  for (CacheSet& cs : cache_sets_) {
-    for (CacheNamespace& ns : cs.namespaces) {
-      ns.cache->Clear();
-    }
-  }
-}
-
-service::ServiceStats ShardedMatchService::stats() const {
-  service::ServiceStats s;
-  s.queries = queries_->value();
-  s.batches = batches_->value();
-  s.cancelled = cancelled_->value();
-  s.deadline_exceeded = deadline_exceeded_->value();
-  s.early_stopped = early_stopped_->value();
-  s.generation = CurrentPin()->generation();
-  s.deltas_applied = deltas_applied_->value();
-  s.slow_queries = slow_queries_->value();
-  std::lock_guard<std::mutex> lock(caches_mu_);
-  for (const CacheSet& cs : cache_sets_) {
-    s.cache_namespaces += cs.namespaces.size();
-    s.cache.hits += cs.retired.hits;
-    s.cache.shared += cs.retired.shared;
-    s.cache.misses += cs.retired.misses;
-    s.cache.evictions += cs.retired.evictions;
-    for (const CacheNamespace& ns : cs.namespaces) {
-      service::ClusterIndexCache::Stats live = ns.cache->stats();
-      s.cache.hits += live.hits;
-      s.cache.shared += live.shared;
-      s.cache.misses += live.misses;
-      s.cache.evictions += live.evictions;
-      s.cache.entries += live.entries;
-    }
-  }
-  return s;
 }
 
 }  // namespace xsm::shard

@@ -52,7 +52,6 @@
 #include "live/repository_manager.h"
 #include "obs/metrics.h"
 #include "schema/schema_forest.h"
-#include "service/cluster_index_cache.h"
 #include "service/matcher.h"
 #include "service/repository_snapshot.h"
 #include "shard/shard_plan.h"
@@ -113,28 +112,10 @@ class ShardedMatchService : public service::Matcher {
 
   ~ShardedMatchService() override;
 
-  // --- Matcher surface. ---------------------------------------------------
+  // --- Repository surface. -----------------------------------------------
 
   service::RepositoryPinPtr Pin() const override;
   uint64_t CurrentGeneration() const override;
-
-  Result<core::MatchResult> RunOn(
-      const service::RepositoryPinPtr& pin,
-      const service::MatchRequest& request,
-      const core::ExecutionControl& control,
-      core::MatchObserver* observer = nullptr) override;
-
-  service::MatchHandle Submit(
-      service::RepositoryPinPtr pin, service::MatchRequest request,
-      core::ExecutionControl control = core::ExecutionControl(),
-      core::MatchObserver* observer = nullptr) override;
-
-  service::BatchMatchResult RunBatch(
-      std::vector<service::MatchRequest> requests) override;
-
-  Result<service::ClusterStatePtr> ClusterStateFor(
-      const service::RepositoryPinPtr& pin,
-      const service::MatchRequest& request) override;
 
   Result<live::ApplyReport> ApplyDelta(
       const live::RepositoryDelta& delta,
@@ -149,24 +130,9 @@ class ShardedMatchService : public service::Matcher {
 
   std::vector<service::ShardDescriptor> Shards() const override;
 
-  const service::MatchServiceOptions& options() const override {
-    return options_;
-  }
-  ThreadPool& pool() override { return pool_; }
-  service::ServiceStats stats() const override;
-  obs::MetricsRegistry& metrics() const override { return *metrics_; }
-
-  core::MatchOptions EffectiveOptions(
-      const service::MatchRequest& request) const override;
-  std::string ClusterStateKey(
-      const service::MatchRequest& request) const override;
-
   // --- Sharded extras. ----------------------------------------------------
 
   const ShardedOptions& shard_options() const { return shard_options_; }
-
-  /// Drops every cached cluster state (global and per-shard namespaces).
-  void ClearCache();
 
   /// Per-shard snapshot file written by SaveSnapshot / read by WarmStart:
   /// `prefix + ".shard" + i`. Exposed for tools and tests.
@@ -176,19 +142,28 @@ class ShardedMatchService : public service::Matcher {
   /// but nameable so pins can round-trip through RepositoryPinPtr).
   class ShardedPin;
 
+ protected:
+  bool OwnsPin(const service::RepositoryPin& pin) const override;
+  /// No global dictionary exists (each shard owns one, and the element
+  /// matching scatter injects them per shard): nothing to add.
+  void AddPlumbing(const service::RepositoryPin& pin,
+                   core::MatchOptions* effective) const override;
+  /// Scatters element matching per shard (each shard's results cached in
+  /// its own fingerprint-namespaced cache set), merges into global tree-id
+  /// space, and clusters once globally.
+  Result<core::ClusterState> BuildClusterState(
+      const service::RepositoryPin& pin, const schema::SchemaTree& personal,
+      const core::ClusterStateOptions& options,
+      obs::TraceContext* trace) override;
+  /// Scatters generation per owning shard against the shared global state
+  /// and merges, or runs it once on the global view (see the file comment).
+  Result<core::MatchResult> Generate(
+      const service::RepositoryPin& pin, const schema::SchemaTree& personal,
+      const core::ClusterState& state, const core::MatchOptions& effective,
+      const core::ExecutionControl& control,
+      core::MatchObserver* observer) override;
+
  private:
-
-  /// Global + per-shard cluster-state caches share MatchService's
-  /// fingerprint-namespaced retention scheme.
-  struct CacheNamespace {
-    uint64_t fingerprint = 0;
-    std::shared_ptr<service::ClusterIndexCache> cache;
-  };
-  struct CacheSet {
-    std::vector<CacheNamespace> namespaces;
-    service::ClusterIndexCache::Stats retired;
-  };
-
   ShardedMatchService(
       std::vector<std::unique_ptr<live::RepositoryManager>> managers,
       std::shared_ptr<const ShardedPin> pin,
@@ -196,32 +171,6 @@ class ShardedMatchService : public service::Matcher {
       const ShardedOptions& shard_options);
 
   std::shared_ptr<const ShardedPin> CurrentPin() const;
-
-  core::ExecutionControl ResolveControl(core::ExecutionControl control) const;
-  void CountTerminal(core::ExecutionStatus status);
-
-  core::MatchOptions EffectiveOptionsImpl(
-      const service::MatchRequest& request) const;
-
-  /// The whole query path against one pinned sharded view.
-  Result<core::MatchResult> MatchOnPin(
-      const std::shared_ptr<const ShardedPin>& pin,
-      const service::MatchRequest& request,
-      const core::ExecutionControl& control, core::MatchObserver* observer);
-
-  /// The cached global cluster state for (personal, options) against `pin`:
-  /// scatters element matching per shard (per-shard fingerprint-namespaced
-  /// caches), merges into global tree-id space, clusters once globally.
-  Result<service::ClusterStatePtr> ShardedClusterState(
-      const std::shared_ptr<const ShardedPin>& pin,
-      const schema::SchemaTree& personal,
-      const core::ClusterStateOptions& state_options,
-      obs::TraceContext* trace);
-
-  /// Cache namespace lookup; `set` 0 is the global merged-state cache,
-  /// 1 + s is shard s's element-matching cache.
-  std::shared_ptr<service::ClusterIndexCache> CacheFor(
-      size_t set, uint64_t fingerprint, bool enforce_retention = false);
 
   /// Rebalances shards whose ranges changed under the freshly balanced
   /// plan (copy-on-write successors; WAL re-attach; re-checkpoint when a
@@ -235,7 +184,10 @@ class ShardedMatchService : public service::Matcher {
   Result<store::SnapshotFileInfo> SaveLocked(const std::string& path,
                                              obs::TraceContext* trace) const;
 
-  service::MatchServiceOptions options_;
+  /// Publishes `pin`'s fingerprints in the global (0) and per-shard (1 + s)
+  /// cache sets.
+  void PublishCaches(const ShardedPin& pin);
+
   ShardedOptions shard_options_;
 
   /// Serializes ApplyDelta / SaveSnapshot / AttachWal end to end so a save
@@ -250,37 +202,18 @@ class ShardedMatchService : public service::Matcher {
   mutable std::mutex pin_mu_;
   std::shared_ptr<const ShardedPin> pin_;
 
-  ThreadPool pool_;
-  /// Scatter pool: per-query fan-out tasks run here, never on pool_, so a
-  /// query executing on pool_ (Submit / RunBatch) can't deadlock waiting
+  /// Scatter pool: per-query fan-out tasks run here, never on pool(), so a
+  /// query executing on pool() (Submit / RunBatch) can't deadlock waiting
   /// for its own shard tasks.
   std::unique_ptr<ThreadPool> fanout_pool_;
-  /// Element-matching shard pool; null when matching_threads == 0.
-  std::unique_ptr<ThreadPool> matching_pool_;
-
-  mutable std::mutex caches_mu_;
-  /// [0] = global merged-state caches, [1 + s] = shard s's caches.
-  std::vector<CacheSet> cache_sets_;
 
   /// WAL / checkpoint bookkeeping for the rebalance path.
   util::io::Env* wal_env_ = nullptr;
   std::string wal_prefix_;
   mutable std::string snap_prefix_;
 
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* queries_ = nullptr;
-  obs::Counter* batches_ = nullptr;
-  obs::Counter* cancelled_ = nullptr;
-  obs::Counter* deadline_exceeded_ = nullptr;
-  obs::Counter* early_stopped_ = nullptr;
-  obs::Counter* deltas_applied_ = nullptr;
-  obs::Counter* slow_queries_ = nullptr;
   obs::Counter* fanouts_ = nullptr;
   obs::Counter* rebalances_ = nullptr;
-  obs::Histogram* query_latency_ms_ = nullptr;
-  live::ManagerMetrics manager_metrics_;
-  uint64_t scrape_hook_id_ = 0;
 };
 
 }  // namespace xsm::shard

@@ -2,8 +2,19 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <utility>
 
 namespace xsm::xml {
+
+XmlElement::~XmlElement() {
+  std::vector<std::unique_ptr<XmlElement>> pending = std::move(children);
+  while (!pending.empty()) {
+    std::unique_ptr<XmlElement> element = std::move(pending.back());
+    pending.pop_back();
+    for (auto& child : element->children) pending.push_back(std::move(child));
+    element->children.clear();  // nothing left to destroy recursively
+  }
+}
 
 const std::string* XmlElement::FindAttribute(
     std::string_view attr_name) const {
@@ -205,7 +216,9 @@ class Parser {
     return std::string(in_.substr(start, pos_ - start));
   }
 
-  Result<std::unique_ptr<XmlElement>> ParseElement() {
+  /// Parses one start tag (name and attributes) at '<'; `*empty` reports a
+  /// self-closing "<x/>".
+  Result<std::unique_ptr<XmlElement>> ParseStartTag(bool* empty) {
     if (!Consume("<")) return Error("expected '<'");
     auto element = std::make_unique<XmlElement>();
     XSM_ASSIGN_OR_RETURN(element->name, ParseName());
@@ -236,11 +249,25 @@ class Parser {
       Advance();  // closing quote
     }
 
-    if (Consume("/>")) return element;
-    if (!Consume(">")) return Error("expected '>'");
+    *empty = Consume("/>");
+    if (!*empty && !Consume(">")) return Error("expected '>'");
+    return element;
+  }
 
-    // Content.
+  /// Parses the element starting at '<' with all its descendants. Nesting
+  /// lives on an explicit stack of open elements (outermost first), so the
+  /// input's depth never reaches the call stack.
+  Result<std::unique_ptr<XmlElement>> ParseElement() {
+    bool empty = false;
+    XSM_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> root,
+                         ParseStartTag(&empty));
+    if (empty) return root;
+    std::vector<std::unique_ptr<XmlElement>> open;
+    open.push_back(std::move(root));
+
+    // Content of the innermost open element.
     while (true) {
+      XmlElement* element = open.back().get();
       if (AtEnd()) return Error("unterminated element '" + element->name +
                                 "'");
       if (in_.substr(pos_, 4) == "<!--") {
@@ -267,11 +294,22 @@ class Parser {
         }
         SkipWhitespace();
         if (!Consume(">")) return Error("expected '>' in end tag");
-        return element;
+        std::unique_ptr<XmlElement> closed = std::move(open.back());
+        open.pop_back();
+        if (open.empty()) return closed;
+        open.back()->children.push_back(std::move(closed));
       } else if (Peek() == '<') {
+        if (open.size() >= kMaxElementDepth) {
+          return Error("element nesting deeper than " +
+                       std::to_string(kMaxElementDepth));
+        }
         XSM_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> child,
-                             ParseElement());
-        element->children.push_back(std::move(child));
+                             ParseStartTag(&empty));
+        if (empty) {
+          element->children.push_back(std::move(child));
+        } else {
+          open.push_back(std::move(child));
+        }
       } else {
         size_t start = pos_;
         while (!AtEnd() && Peek() != '<') Advance();

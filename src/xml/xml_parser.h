@@ -10,6 +10,7 @@
 #ifndef XSM_XML_XML_PARSER_H_
 #define XSM_XML_XML_PARSER_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -20,8 +21,18 @@
 
 namespace xsm::xml {
 
+/// Deepest element nesting ParseXml accepts (the root is depth 1); deeper
+/// input is a ParseError. Parsing and destruction are iterative, so this
+/// bounds the work consumers recursing over the tree may face, not the
+/// parser's own stack.
+inline constexpr size_t kMaxElementDepth = 4096;
+
 /// One parsed element.
 struct XmlElement {
+  XmlElement() = default;
+  /// Iterative: destroying a deeply nested tree never recurses per level.
+  ~XmlElement();
+
   std::string name;  ///< Qualified name as written ("xs:element").
   std::vector<std::pair<std::string, std::string>> attributes;
   std::vector<std::unique_ptr<XmlElement>> children;
@@ -44,7 +55,8 @@ struct XmlDocument {
   std::string doctype_name;
 };
 
-/// Parses a complete document. Errors carry 1-based line numbers.
+/// Parses a complete document. Errors carry 1-based line numbers; nesting
+/// deeper than kMaxElementDepth is rejected.
 Result<XmlDocument> ParseXml(std::string_view input);
 
 /// Decodes the five predefined entities and numeric character references in

@@ -130,8 +130,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParserRobustnessTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
 TEST(RobustnessTest, DeepNestingIsBounded) {
-  // Deeply nested XML: the parser is recursive over elements; make sure a
-  // pathological but realistic depth works.
+  // Deeply nested XML: a pathological but realistic depth parses (and is
+  // destroyed) without exhausting the stack.
   std::string open;
   std::string close;
   for (int i = 0; i < 2000; ++i) {
@@ -155,6 +155,41 @@ TEST(RobustnessTest, DeepNestingIsBounded) {
   EXPECT_FALSE(xml::DtdToSchemaTrees(*parsed, options).ok());
   options.max_depth = 1024;
   EXPECT_TRUE(xml::DtdToSchemaTrees(*parsed, options).ok());
+}
+
+TEST(RobustnessTest, NestingBeyondTheCapIsAParseError) {
+  auto nested = [](size_t depth) {
+    std::string doc;
+    doc.reserve(depth * 7);
+    for (size_t i = 0; i < depth; ++i) doc += "<a>";
+    for (size_t i = 0; i < depth; ++i) doc += "</a>";
+    return doc;
+  };
+  // The deepest accepted document parses and is destroyed iteratively.
+  auto deepest = xml::ParseXml(nested(xml::kMaxElementDepth));
+  ASSERT_TRUE(deepest.ok()) << deepest.status().ToString();
+  size_t depth = 1;
+  for (const xml::XmlElement* e = deepest->root.get(); !e->children.empty();
+       e = e->children[0].get()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, xml::kMaxElementDepth);
+
+  for (size_t too_deep : {xml::kMaxElementDepth + 1, size_t{100000}}) {
+    auto result = xml::ParseXml(nested(too_deep));
+    ASSERT_FALSE(result.ok()) << too_deep;
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << too_deep;
+  }
+  // A self-closing element one level too deep counts too.
+  std::string open;
+  std::string close;
+  for (size_t i = 0; i < xml::kMaxElementDepth; ++i) {
+    open += "<a>";
+    close += "</a>";
+  }
+  auto leaf = xml::ParseXml(open + "<b/>" + close);
+  ASSERT_FALSE(leaf.ok());
+  EXPECT_EQ(leaf.status().code(), StatusCode::kParseError);
 }
 
 TEST(RobustnessTest, HugeAttributeAndNameLengths) {

@@ -24,7 +24,7 @@
 namespace xsm::live {
 namespace {
 
-using service::MatchQuery;
+using service::MatchRequest;
 using service::MatchService;
 using service::RepositorySnapshot;
 
@@ -145,16 +145,16 @@ void ExpectEquivalentToScratch(
   MatchService incremental(snapshot);
   MatchService fresh(*scratch);
   for (size_t s = 0; s < kNumSpecs; ++s) {
-    MatchQuery query;
+    MatchRequest query;
     query.id = "eq-" + std::to_string(s);
     query.personal = *schema::ParseTreeSpec(kSpecs[s]);
     query.options.delta = 0.6;
     query.options.top_n = 10;
-    auto got = incremental.Match(query);
-    auto want = fresh.Match(query);
+    auto got = incremental.Run(query);
+    auto want = fresh.Run(query);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ExpectSameMatchResults(*got, *want);
+    ExpectSameMatchResults(got->result, want->result);
   }
 }
 

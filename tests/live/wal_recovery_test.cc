@@ -480,19 +480,20 @@ TEST_F(WalRecoveryTest, RecoveredServiceAnswersQueriesIdentically) {
       "order(id,lines)",
   };
   for (const char* spec : kQuerySpecs) {
-    service::MatchQuery query;
+    service::MatchRequest query;
     query.id = std::string("recovery:") + spec;
     query.personal = Spec(spec);
     query.options.delta = 0.6;
-    auto got = (*recovered_service)->Match(query);
-    auto want = reference.Match(query);
+    auto got = (*recovered_service)->Run(query);
+    auto want = reference.Run(query);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ASSERT_EQ(got->mappings.size(), want->mappings.size()) << spec;
-    for (size_t i = 0; i < got->mappings.size(); ++i) {
-      EXPECT_EQ(got->mappings[i].tree, want->mappings[i].tree)
+    ASSERT_EQ(got->result.mappings.size(), want->result.mappings.size())
+        << spec;
+    for (size_t i = 0; i < got->result.mappings.size(); ++i) {
+      EXPECT_EQ(got->result.mappings[i].tree, want->result.mappings[i].tree)
           << spec << " rank " << i;
-      EXPECT_EQ(got->mappings[i].images, want->mappings[i].images)
+      EXPECT_EQ(got->result.mappings[i].images, want->result.mappings[i].images)
           << spec << " rank " << i;
     }
   }

@@ -183,7 +183,7 @@ TEST_F(HttpServerTest, BatchMatchesInProcessBatch) {
   auto service = service::MatchService::Create(*forest_, options.service);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   service::ServeSession session(service->get(), options.session);
-  std::vector<service::MatchQuery> queries;
+  std::vector<service::MatchRequest> queries;
   size_t index = 0;
   for (const std::string& line : SplitLines(kBatchBody)) {
     auto query = session.ParseQuery(line, index++);

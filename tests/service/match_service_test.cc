@@ -47,8 +47,8 @@ class MatchServiceTest : public ::testing::Test {
     forest_ = nullptr;
   }
 
-  static MatchQuery MakeQuery(const std::string& id, const char* spec) {
-    MatchQuery query;
+  static MatchRequest MakeQuery(const std::string& id, const char* spec) {
+    MatchRequest query;
     query.id = id;
     auto personal = schema::ParseTreeSpec(spec);
     EXPECT_TRUE(personal.ok()) << personal.status().ToString();
@@ -93,15 +93,15 @@ core::Bellflower* MatchServiceTest::direct_ = nullptr;
 
 TEST_F(MatchServiceTest, MatchEqualsDirectBellflower) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("q0", kSpecs[0]);
+  MatchRequest query = MakeQuery("q0", kSpecs[0]);
 
-  auto via_service = service->Match(query);
+  auto via_service = service->Run(query);
   ASSERT_TRUE(via_service.ok()) << via_service.status().ToString();
   auto via_direct = direct_->Match(query.personal, query.options);
   ASSERT_TRUE(via_direct.ok()) << via_direct.status().ToString();
 
-  EXPECT_FALSE(via_service->mappings.empty());
-  ExpectSameResults(*via_service, *via_direct);
+  EXPECT_FALSE(via_service->result.mappings.empty());
+  ExpectSameResults(via_service->result, *via_direct);
 }
 
 // The PR's acceptance criterion: a batch of >= 8 queries on >= 4 threads
@@ -112,14 +112,14 @@ TEST_F(MatchServiceTest, BatchOnFourThreadsIsByteIdenticalAndInOrder) {
   options.num_threads = 4;
   auto service = MakeService(options);
 
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   for (size_t i = 0; i < kNumSpecs; ++i) {
     queries.push_back(MakeQuery("batch-" + std::to_string(i), kSpecs[i]));
   }
   ASSERT_GE(queries.size(), 8u);
 
   std::vector<Result<core::MatchResult>> batch =
-      service->MatchBatch(queries).results;
+      service->RunBatch(queries).results;
   ASSERT_EQ(batch.size(), queries.size());
 
   size_t nonempty = 0;
@@ -137,13 +137,13 @@ TEST_F(MatchServiceTest, BatchOnFourThreadsIsByteIdenticalAndInOrder) {
 
 TEST_F(MatchServiceTest, RepeatedQueryHitsClusterCache) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("repeat", kSpecs[1]);
+  MatchRequest query = MakeQuery("repeat", kSpecs[1]);
 
-  auto first = service->Match(query);
+  auto first = service->Run(query);
   ASSERT_TRUE(first.ok());
-  auto second = service->Match(query);
+  auto second = service->Run(query);
   ASSERT_TRUE(second.ok());
-  ExpectSameResults(*second, *first);
+  ExpectSameResults(second->result, first->result);
 
   ClusterIndexCache::Stats cache = service->stats().cache;
   EXPECT_EQ(cache.misses, 1u);
@@ -153,46 +153,46 @@ TEST_F(MatchServiceTest, RepeatedQueryHitsClusterCache) {
 
 TEST_F(MatchServiceTest, GenerationOnlyOptionsShareClusterState) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("gen-a", kSpecs[2]);
-  ASSERT_TRUE(service->Match(query).ok());
+  MatchRequest query = MakeQuery("gen-a", kSpecs[2]);
+  ASSERT_TRUE(service->Run(query).ok());
 
   // δ and top-N only affect the generation phase: same cache entry.
-  MatchQuery variant = query;
+  MatchRequest variant = query;
   variant.id = "gen-b";
   variant.options.delta = 0.8;
   variant.options.top_n = 3;
   EXPECT_EQ(service->ClusterStateKey(variant),
             service->ClusterStateKey(query));
-  ASSERT_TRUE(service->Match(variant).ok());
+  ASSERT_TRUE(service->Run(variant).ok());
   EXPECT_EQ(service->stats().cache.misses, 1u);
   EXPECT_EQ(service->stats().cache.hits, 1u);
 
   // A clustering knob (join distance) changes the key: new entry.
-  MatchQuery reclustered = query;
+  MatchRequest reclustered = query;
   reclustered.id = "gen-c";
   reclustered.options.kmeans.join_distance = 4;
   EXPECT_NE(service->ClusterStateKey(reclustered),
             service->ClusterStateKey(query));
-  ASSERT_TRUE(service->Match(reclustered).ok());
+  ASSERT_TRUE(service->Run(reclustered).ok());
   EXPECT_EQ(service->stats().cache.misses, 2u);
 }
 
 TEST_F(MatchServiceTest, TreeClusterBaselineIgnoresKMeansKnobs) {
   auto service = MakeService();
-  MatchQuery a = MakeQuery("tree-a", kSpecs[3]);
+  MatchRequest a = MakeQuery("tree-a", kSpecs[3]);
   a.options.clustering = core::ClusteringMode::kTreeClusters;
-  MatchQuery b = a;
+  MatchRequest b = a;
   b.id = "tree-b";
   b.options.kmeans.join_distance = 2;
   b.options.kmeans.seed = 999;
   EXPECT_EQ(service->ClusterStateKey(a), service->ClusterStateKey(b));
 }
 
-TEST_F(MatchServiceTest, SubmitMatchResolvesToSameResult) {
+TEST_F(MatchServiceTest, SubmitResolvesToSameResult) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("async", kSpecs[4]);
+  MatchRequest query = MakeQuery("async", kSpecs[4]);
 
-  MatchHandle handle = service->SubmitMatch(query);
+  MatchHandle handle = service->Submit(service->Pin(), query);
   auto async_result = handle.Get();
   ASSERT_TRUE(async_result.ok()) << async_result.status().ToString();
   EXPECT_EQ(async_result->execution, core::ExecutionStatus::kCompleted);
@@ -206,11 +206,11 @@ TEST_F(MatchServiceTest, IdenticalQueriesInBatchComputeStateOnce) {
   options.num_threads = 8;
   auto service = MakeService(options);
 
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   for (int i = 0; i < 16; ++i) {
     queries.push_back(MakeQuery("same-" + std::to_string(i), kSpecs[5]));
   }
-  auto results = service->MatchBatch(std::move(queries)).results;
+  auto results = service->RunBatch(std::move(queries)).results;
 
   ASSERT_TRUE(results[0].ok());
   for (size_t i = 1; i < results.size(); ++i) {
@@ -227,21 +227,21 @@ TEST_F(MatchServiceTest, DerivedSeedsAreDeterministicPerQueryId) {
   options.num_threads = 4;
   auto service = MakeService(options);
 
-  MatchQuery query = MakeQuery("rand-1", kSpecs[6]);
+  MatchRequest query = MakeQuery("rand-1", kSpecs[6]);
   query.options.kmeans.init = cluster::CentroidInit::kRandom;
   query.options.kmeans.num_centroids = 40;
 
   // Re-running the same id reproduces the result exactly (cache cleared in
   // between, so clustering really reruns with the derived seed).
-  auto first = service->Match(query);
+  auto first = service->Run(query);
   ASSERT_TRUE(first.ok());
   service->ClearCache();
-  auto again = service->Match(query);
+  auto again = service->Run(query);
   ASSERT_TRUE(again.ok());
-  ExpectSameResults(*again, *first);
+  ExpectSameResults(again->result, first->result);
 
   // A different query id derives a different seed.
-  MatchQuery other = query;
+  MatchRequest other = query;
   other.id = "rand-2";
   EXPECT_NE(service->EffectiveOptions(other).kmeans.seed,
             service->EffectiveOptions(query).kmeans.seed);
@@ -259,24 +259,24 @@ TEST_F(MatchServiceTest, DisabledCacheStillCorrect) {
   MatchServiceOptions options;
   options.cluster_cache_capacity = 0;
   auto service = MakeService(options);
-  MatchQuery query = MakeQuery("nocache", kSpecs[7]);
+  MatchRequest query = MakeQuery("nocache", kSpecs[7]);
 
-  auto first = service->Match(query);
-  auto second = service->Match(query);
+  auto first = service->Run(query);
+  auto second = service->Run(query);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  ExpectSameResults(*second, *first);
+  ExpectSameResults(second->result, first->result);
   EXPECT_EQ(service->stats().cache.misses, 2u);
   EXPECT_EQ(service->stats().cache.entries, 0u);
 }
 
 TEST_F(MatchServiceTest, InvalidQueryPropagatesStatus) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("bad", kSpecs[0]);
+  MatchRequest query = MakeQuery("bad", kSpecs[0]);
   query.options.delta = 1.5;
-  auto result = service->Match(query);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  auto outcome = service->Run(query);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
   // Rejected before the expensive build: nothing computed, nothing cached.
   EXPECT_EQ(service->stats().cache.misses, 0u);
   EXPECT_EQ(service->stats().cache.entries, 0u);
@@ -287,9 +287,9 @@ TEST_F(MatchServiceTest, DelimiterNamesDoNotCollideInCacheKey) {
   // ':' is legal in XML names (namespaces). Unprefixed concatenation would
   // serialize both of these children as "...a:0:b:0::00;" — one cache key
   // for two different schemas; length-prefixing keeps them distinct.
-  MatchQuery a = MakeQuery("colon-a", "root(child)");
+  MatchRequest a = MakeQuery("colon-a", "root(child)");
   a.personal.mutable_props(1)->name = "a:0:b";
-  MatchQuery b = MakeQuery("colon-b", "root(child)");
+  MatchRequest b = MakeQuery("colon-b", "root(child)");
   b.personal.mutable_props(1)->name = "a";
   b.personal.mutable_props(1)->datatype = "b:0:";
   EXPECT_NE(service->ClusterStateKey(a), service->ClusterStateKey(b));
@@ -302,7 +302,7 @@ TEST_F(MatchServiceTest, InjectsSnapshotDictionaryAndMatchingPool) {
 
   // EffectiveOptions wires the snapshot's name dictionary and the dedicated
   // matching pool into every query that didn't bring its own.
-  MatchQuery query = MakeQuery("plumbed", kSpecs[0]);
+  MatchRequest query = MakeQuery("plumbed", kSpecs[0]);
   core::MatchOptions effective = service->EffectiveOptions(query);
   EXPECT_EQ(effective.element.dictionary,
             &service->CurrentSnapshot()->name_dictionary());
@@ -310,14 +310,14 @@ TEST_F(MatchServiceTest, InjectsSnapshotDictionaryAndMatchingPool) {
   EXPECT_EQ(effective.element.pool->num_threads(), 2u);
 
   // The plumbing is result-neutral: byte-identical to the direct pipeline
-  // and to a serial-matching service, including through MatchBatch.
+  // and to a serial-matching service, including through RunBatch.
   auto serial_service = MakeService();
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   for (size_t s = 0; s < kNumSpecs; ++s) {
     queries.push_back(MakeQuery("plumb-" + std::to_string(s), kSpecs[s]));
   }
-  auto parallel_results = service->MatchBatch(queries).results;
-  auto serial_results = serial_service->MatchBatch(queries).results;
+  auto parallel_results = service->RunBatch(queries).results;
+  auto serial_results = serial_service->RunBatch(queries).results;
   ASSERT_EQ(parallel_results.size(), serial_results.size());
   for (size_t i = 0; i < parallel_results.size(); ++i) {
     ASSERT_TRUE(parallel_results[i].ok());
@@ -337,7 +337,7 @@ TEST_F(MatchServiceTest, InjectsSnapshotDictionaryAndMatchingPool) {
 
 TEST_F(MatchServiceTest, QuerySuppliedElementControlCannotPoisonCache) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("ctl", kSpecs[0]);
+  MatchRequest query = MakeQuery("ctl", kSpecs[0]);
   core::ExecutionControl cancelled;
   cancelled.cancel.Cancel();
   query.options.element.control = &cancelled;
@@ -345,10 +345,10 @@ TEST_F(MatchServiceTest, QuerySuppliedElementControlCannotPoisonCache) {
   // completes, the query succeeds, and the cancelled control never reaches
   // a build that other queries could share.
   EXPECT_EQ(service->EffectiveOptions(query).element.control, nullptr);
-  auto result = service->Match(query);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->execution, core::ExecutionStatus::kCompleted);
-  EXPECT_FALSE(result->mappings.empty());
+  auto outcome = service->Run(query);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->result.execution, core::ExecutionStatus::kCompleted);
+  EXPECT_FALSE(outcome->result.mappings.empty());
 }
 
 TEST_F(MatchServiceTest, SnapshotDictionaryMatchesForest) {
@@ -366,10 +366,10 @@ TEST_F(MatchServiceTest, CreateValidatesForest) {
   schema::SchemaForest empty;
   auto service = MatchService::Create(std::move(empty));
   ASSERT_TRUE(service.ok());  // empty repository is valid, just matchless
-  MatchQuery query = MakeQuery("empty", kSpecs[0]);
-  auto result = (*service)->Match(query);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->mappings.empty());
+  MatchRequest query = MakeQuery("empty", kSpecs[0]);
+  auto outcome = (*service)->Run(query);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->result.mappings.empty());
 }
 
 // --- Evolving repositories (live::ApplyDelta through the service). --------
@@ -393,13 +393,13 @@ TEST_F(MatchServiceTest, ApplyDeltaPublishesNewGeneration) {
   // Baseline clustering, so the tiny 3-node tree cannot be dropped by
   // k-means cluster-size heuristics — this asserts visibility, not
   // clustering behaviour.
-  MatchQuery query = MakeQuery("after-delta", kSpecs[0]);
+  MatchRequest query = MakeQuery("after-delta", kSpecs[0]);
   query.options.clustering = core::ClusteringMode::kTreeClusters;
-  auto result = service->Match(query);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->mappings.empty());
-  EXPECT_EQ(result->mappings[0].delta, 1.0);
-  EXPECT_EQ(result->mappings[0].tree,
+  auto outcome = service->Run(query);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_FALSE(outcome->result.mappings.empty());
+  EXPECT_EQ(outcome->result.mappings[0].delta, 1.0);
+  EXPECT_EQ(outcome->result.mappings[0].tree,
             static_cast<schema::TreeId>(
                 service->CurrentSnapshot()->num_trees() - 1));
 
@@ -411,13 +411,13 @@ TEST_F(MatchServiceTest, ApplyDeltaPublishesNewGeneration) {
 // A batch records which snapshot served it: generation + fingerprint of the
 // one pin all members ran against (integration provenance reads these
 // instead of racing CurrentGeneration() against concurrent deltas).
-TEST_F(MatchServiceTest, MatchBatchSurfacesPinnedGeneration) {
+TEST_F(MatchServiceTest, RunBatchSurfacesPinnedGeneration) {
   auto service = MakeService();
 
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   queries.push_back(MakeQuery("pin-0", kSpecs[0]));
   queries.push_back(MakeQuery("pin-1", kSpecs[1]));
-  BatchMatchResult before = service->MatchBatch(queries);
+  BatchMatchResult before = service->RunBatch(queries);
   EXPECT_EQ(before.generation, 0u);
   EXPECT_EQ(before.fingerprint, service->CurrentSnapshot()->fingerprint());
   ASSERT_EQ(before.results.size(), queries.size());
@@ -427,7 +427,7 @@ TEST_F(MatchServiceTest, MatchBatchSurfacesPinnedGeneration) {
                   "feed:pin");
   ASSERT_TRUE(service->ApplyDelta(*builder.Build()).ok());
 
-  BatchMatchResult after = service->MatchBatch(queries);
+  BatchMatchResult after = service->RunBatch(queries);
   EXPECT_EQ(after.generation, 1u);
   EXPECT_EQ(after.fingerprint, service->CurrentSnapshot()->fingerprint());
   EXPECT_NE(after.fingerprint, before.fingerprint);
@@ -435,9 +435,9 @@ TEST_F(MatchServiceTest, MatchBatchSurfacesPinnedGeneration) {
 
 TEST_F(MatchServiceTest, DeltaInvalidatesCacheByNamespaceNotByKey) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("ns", kSpecs[1]);
-  ASSERT_TRUE(service->Match(query).ok());
-  ASSERT_TRUE(service->Match(query).ok());
+  MatchRequest query = MakeQuery("ns", kSpecs[1]);
+  ASSERT_TRUE(service->Run(query).ok());
+  ASSERT_TRUE(service->Run(query).ok());
   EXPECT_EQ(service->stats().cache.misses, 1u);
   EXPECT_EQ(service->stats().cache.hits, 1u);
   const std::string key_before = service->ClusterStateKey(query);
@@ -450,8 +450,8 @@ TEST_F(MatchServiceTest, DeltaInvalidatesCacheByNamespaceNotByKey) {
   // namespace, so the changed repository recomputes instead of serving the
   // stale state.
   EXPECT_EQ(service->ClusterStateKey(query), key_before);
-  ASSERT_TRUE(service->Match(query).ok());
-  ASSERT_TRUE(service->Match(query).ok());
+  ASSERT_TRUE(service->Run(query).ok());
+  ASSERT_TRUE(service->Run(query).ok());
   ServiceStats stats = service->stats();
   EXPECT_EQ(stats.cache.misses, 2u);
   EXPECT_EQ(stats.cache.hits, 2u);
@@ -460,8 +460,8 @@ TEST_F(MatchServiceTest, DeltaInvalidatesCacheByNamespaceNotByKey) {
 
 TEST_F(MatchServiceTest, RevertedDeltaRevivesWarmCache) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("revert", kSpecs[2]);
-  ASSERT_TRUE(service->Match(query).ok());  // miss, warms gen-0 namespace
+  MatchRequest query = MakeQuery("revert", kSpecs[2]);
+  ASSERT_TRUE(service->Run(query).ok());  // miss, warms gen-0 namespace
 
   // Add a tree, then remove it again: the final content equals gen 0, so
   // its fingerprint — and its warm cache — come back.
@@ -477,7 +477,7 @@ TEST_F(MatchServiceTest, RevertedDeltaRevivesWarmCache) {
   EXPECT_EQ(r2->generation, 2u);
   EXPECT_EQ(r2->fingerprint, service->CurrentSnapshot()->fingerprint());
 
-  ASSERT_TRUE(service->Match(query).ok());
+  ASSERT_TRUE(service->Run(query).ok());
   ServiceStats stats = service->stats();
   EXPECT_EQ(stats.cache.misses, 1u);  // no recompute: namespace revived
   EXPECT_EQ(stats.cache.hits, 1u);
@@ -559,14 +559,14 @@ TEST_F(MatchServiceTest, ConcurrentApplyDeltaAndBatchesStayConsistent) {
   // Fire a stream of async queries while deltas land between waves; the
   // submissions interleave with publications across the pool.
   std::vector<MatchHandle> handles;
-  std::vector<MatchQuery> submitted;
+  std::vector<MatchRequest> submitted;
   for (int g = 1; g < kGenerations; ++g) {
     for (int burst = 0; burst < 6; ++burst) {
-      MatchQuery query = MakeQuery(
+      MatchRequest query = MakeQuery(
           "live-" + std::to_string(g) + "-" + std::to_string(burst),
           kSpecs[burst % kNumSpecs]);
       submitted.push_back(query);
-      handles.push_back(service->SubmitMatch(query));
+      handles.push_back(service->Submit(service->Pin(), query));
     }
     ASSERT_TRUE(service->ApplyDelta(deltas[static_cast<size_t>(g - 1)]).ok());
   }
@@ -584,9 +584,9 @@ TEST_F(MatchServiceTest, ConcurrentApplyDeltaAndBatchesStayConsistent) {
     }
     ASSERT_LT(gen, gen_nodes.size()) << "result saw an unknown repository";
     // ...and demand equality with that generation's quiesced run.
-    auto expected = quiesced[gen]->Match(submitted[i]);
+    auto expected = quiesced[gen]->Run(submitted[i]);
     ASSERT_TRUE(expected.ok());
-    ExpectSameResults(*result, *expected);
+    ExpectSameResults(*result, expected->result);
   }
 }
 

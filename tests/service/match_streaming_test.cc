@@ -1,6 +1,7 @@
-// Streaming / anytime MatchService execution: MatchStreaming, cancellable
-// SubmitMatch handles, the default per-query deadline, and the acceptance
-// stress test that cancellation can never poison the ClusterIndexCache.
+// Streaming / anytime MatchService execution: RunOn with an observer,
+// cancellable Submit handles, the default per-query deadline, and the
+// acceptance stress test that cancellation can never poison the
+// ClusterIndexCache.
 #include "service/match_service.h"
 
 #include <gtest/gtest.h>
@@ -51,9 +52,9 @@ class MatchStreamingTest : public ::testing::Test {
     forest_ = nullptr;
   }
 
-  static MatchQuery MakeQuery(const std::string& id,
+  static MatchRequest MakeQuery(const std::string& id,
                               const char* spec = "name(address,email)") {
-    MatchQuery query;
+    MatchRequest query;
     query.id = id;
     auto personal = schema::ParseTreeSpec(spec);
     EXPECT_TRUE(personal.ok()) << personal.status().ToString();
@@ -89,18 +90,19 @@ schema::SchemaForest* MatchStreamingTest::forest_ = nullptr;
 
 TEST_F(MatchStreamingTest, StreamingEqualsBlockingMatch) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("stream");
+  MatchRequest query = MakeQuery("stream");
 
-  auto blocking = service->Match(query);
+  auto blocking = service->Run(query);
   ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
-  ASSERT_FALSE(blocking->mappings.empty());
+  ASSERT_FALSE(blocking->result.mappings.empty());
 
   CollectingObserver observer;
-  auto streaming = service->MatchStreaming(query, &observer);
+  auto streaming = service->RunOn(service->Pin(), query,
+                                  core::ExecutionControl(), &observer);
   ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
   EXPECT_EQ(streaming->execution, core::ExecutionStatus::kCompleted);
-  ExpectSameResults(*streaming, *blocking);
-  EXPECT_EQ(observer.mappings.size(), blocking->mappings.size());
+  ExpectSameResults(*streaming, blocking->result);
+  EXPECT_EQ(observer.mappings.size(), blocking->result.mappings.size());
 }
 
 TEST_F(MatchStreamingTest, HandleCancelBeforeExecutionSkipsAllWork) {
@@ -124,7 +126,7 @@ TEST_F(MatchStreamingTest, HandleCancelBeforeExecutionSkipsAllWork) {
     cv.wait(lock, [&]() { return blocker_running; });
   }
 
-  MatchHandle handle = service->SubmitMatch(MakeQuery("queued"));
+  MatchHandle handle = service->Submit(service->Pin(), MakeQuery("queued"));
   handle.Cancel();  // lands while the query is still in the queue
   {
     std::unique_lock<std::mutex> lock(mu);
@@ -143,29 +145,29 @@ TEST_F(MatchStreamingTest, HandleCancelBeforeExecutionSkipsAllWork) {
 
 TEST_F(MatchStreamingTest, CancelMidGenerationReturnsPartialResults) {
   auto service = MakeService();
-  MatchQuery query = MakeQuery("midrun");
+  MatchRequest query = MakeQuery("midrun");
 
-  auto blocking = service->Match(query);
+  auto blocking = service->Run(query);
   ASSERT_TRUE(blocking.ok());
-  ASSERT_GT(blocking->mappings.size(), 1u);
+  ASSERT_GT(blocking->result.mappings.size(), 1u);
 
   core::ExecutionControl control;
   CollectingObserver observer;
   observer.cancel_after_first_mapping = &control.cancel;
-  auto result = service->MatchStreaming(query, &observer, control);
+  auto result = service->RunOn(service->Pin(), query, control, &observer);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->execution, core::ExecutionStatus::kCancelled);
   EXPECT_GE(result->mappings.size(), 1u);
-  EXPECT_LT(result->mappings.size(), blocking->mappings.size());
+  EXPECT_LT(result->mappings.size(), blocking->result.mappings.size());
 
   // The cancelled query's cluster state was cached fully built: the next
   // (uncancelled) identical query hits the cache and reproduces the
   // blocking result byte-for-byte.
   uint64_t hits_before = service->stats().cache.hits;
-  auto again = service->Match(query);
+  auto again = service->Run(query);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->execution, core::ExecutionStatus::kCompleted);
-  ExpectSameResults(*again, *blocking);
+  EXPECT_EQ(again->result.execution, core::ExecutionStatus::kCompleted);
+  ExpectSameResults(again->result, blocking->result);
   EXPECT_GT(service->stats().cache.hits, hits_before);
 }
 
@@ -174,28 +176,29 @@ TEST_F(MatchStreamingTest, DefaultDeadlineExpiresQueries) {
   options.default_deadline_seconds = 1e-9;  // expires immediately
   auto service = MakeService(options);
 
-  auto result = service->Match(MakeQuery("expired"));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->execution, core::ExecutionStatus::kDeadlineExceeded);
-  EXPECT_TRUE(result->mappings.empty());
+  auto outcome = service->Run(MakeQuery("expired"));
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->result.execution,
+            core::ExecutionStatus::kDeadlineExceeded);
+  EXPECT_TRUE(outcome->result.mappings.empty());
   EXPECT_EQ(service->stats().deadline_exceeded, 1u);
 
   // A caller-supplied deadline wins over the service default.
-  auto generous = service->Match(MakeQuery("generous"),
+  auto generous = service->Run(MakeQuery("generous"),
                                  core::ExecutionControl::WithDeadline(3600));
   ASSERT_TRUE(generous.ok());
-  EXPECT_EQ(generous->execution, core::ExecutionStatus::kCompleted);
-  EXPECT_FALSE(generous->mappings.empty());
+  EXPECT_EQ(generous->result.execution, core::ExecutionStatus::kCompleted);
+  EXPECT_FALSE(generous->result.mappings.empty());
 }
 
 TEST_F(MatchStreamingTest, EarlyStopCountsInServiceStats) {
   auto service = MakeService();
   core::ExecutionControl control;
   control.stop_after_n_mappings = 1;
-  auto result = service->Match(MakeQuery("first1"), control);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->execution, core::ExecutionStatus::kEarlyStopped);
-  EXPECT_EQ(result->mappings.size(), 1u);
+  auto outcome = service->Run(MakeQuery("first1"), control);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->result.execution, core::ExecutionStatus::kEarlyStopped);
+  EXPECT_EQ(outcome->result.mappings.size(), 1u);
   EXPECT_EQ(service->stats().early_stopped, 1u);
 }
 
@@ -206,11 +209,11 @@ TEST_F(MatchStreamingTest, CancellationStressNeverPoisonsCache) {
   MatchServiceOptions options;
   options.num_threads = 4;
   auto service = MakeService(options);
-  MatchQuery query = MakeQuery("stress");
+  MatchRequest query = MakeQuery("stress");
 
-  auto reference = service->Match(query);
+  auto reference = service->Run(query);
   ASSERT_TRUE(reference.ok());
-  ASSERT_FALSE(reference->mappings.empty());
+  ASSERT_FALSE(reference->result.mappings.empty());
 
   constexpr int kRounds = 8;
   constexpr int kConcurrent = 8;
@@ -219,7 +222,7 @@ TEST_F(MatchStreamingTest, CancellationStressNeverPoisonsCache) {
     std::vector<MatchHandle> handles;
     handles.reserve(kConcurrent);
     for (int i = 0; i < kConcurrent; ++i) {
-      handles.push_back(service->SubmitMatch(query));
+      handles.push_back(service->Submit(service->Pin(), query));
     }
     // Cancel every other query while the shared build / generation runs.
     for (int i = 0; i < kConcurrent; i += 2) {
@@ -231,24 +234,24 @@ TEST_F(MatchStreamingTest, CancellationStressNeverPoisonsCache) {
       if (i % 2 == 1) {
         // Never cancelled: must be the full, exact result.
         ASSERT_EQ(result->execution, core::ExecutionStatus::kCompleted);
-        ExpectSameResults(*result, *reference);
+        ExpectSameResults(*result, reference->result);
       } else {
         // Cancelled: completed (cancel lost the race) with the full result,
         // or cut short with a subset — never an error, never garbage.
         if (result->execution == core::ExecutionStatus::kCompleted) {
-          ExpectSameResults(*result, *reference);
+          ExpectSameResults(*result, reference->result);
         } else {
           EXPECT_EQ(result->execution, core::ExecutionStatus::kCancelled);
-          EXPECT_LE(result->mappings.size(), reference->mappings.size());
+          EXPECT_LE(result->mappings.size(), reference->result.mappings.size());
         }
       }
     }
     // Whatever the interleaving, the cache entry (if present) is fully
     // built: a fresh query must hit or rebuild to the exact result.
-    auto after = service->Match(query);
+    auto after = service->Run(query);
     ASSERT_TRUE(after.ok());
-    ASSERT_EQ(after->execution, core::ExecutionStatus::kCompleted);
-    ExpectSameResults(*after, *reference);
+    ASSERT_EQ(after->result.execution, core::ExecutionStatus::kCompleted);
+    ExpectSameResults(after->result, reference->result);
   }
 }
 

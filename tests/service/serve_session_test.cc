@@ -185,7 +185,7 @@ TEST_F(ServeSessionTest, CancelledQueryEmitsCancelledDone) {
 
 TEST_F(ServeSessionTest, RunBatchEmitsDoneEventsInInputOrder) {
   auto session = MakeSession();
-  std::vector<MatchQuery> queries;
+  std::vector<MatchRequest> queries;
   const char* lines[] = {
       "person(name,phone) id=b1 delta=0.6 top=3",
       "book(title,author) id=b2 delta=0.6 top=3",

@@ -22,7 +22,7 @@
 namespace xsm::shard {
 namespace {
 
-using service::MatchQuery;
+using service::MatchRequest;
 using service::MatchService;
 using service::MatchServiceOptions;
 
@@ -54,8 +54,8 @@ class ShardedEquivalenceTest : public ::testing::Test {
     forest_ = nullptr;
   }
 
-  static MatchQuery MakeQuery(const std::string& id, const char* spec) {
-    MatchQuery query;
+  static MatchRequest MakeQuery(const std::string& id, const char* spec) {
+    MatchRequest query;
     query.id = id;
     auto personal = schema::ParseTreeSpec(spec);
     EXPECT_TRUE(personal.ok()) << personal.status().ToString();
@@ -170,7 +170,7 @@ TEST_F(ShardedEquivalenceTest, TreeClusteringIdenticalAcrossShardCounts) {
   for (size_t k : {1u, 2u, 4u, 8u}) {
     auto sharded = MakeSharded(k, options);
     for (size_t q = 0; q < kNumSpecs; ++q) {
-      MatchQuery query = MakeQuery("q" + std::to_string(q), kSpecs[q]);
+      MatchRequest query = MakeQuery("q" + std::to_string(q), kSpecs[q]);
       query.options.clustering = core::ClusteringMode::kTreeClusters;
       auto want = reference->Run(query);
       auto got = sharded->Run(query);
@@ -190,7 +190,7 @@ TEST_F(ShardedEquivalenceTest, KMeansClusteringIdenticalAcrossShardCounts) {
   for (size_t k : {1u, 3u, 8u}) {
     auto sharded = MakeSharded(k, options);
     for (size_t q = 0; q < kNumSpecs; q += 2) {
-      MatchQuery query = MakeQuery("km" + std::to_string(q), kSpecs[q]);
+      MatchRequest query = MakeQuery("km" + std::to_string(q), kSpecs[q]);
       query.options.clustering = core::ClusteringMode::kKMeans;
       query.options.kmeans.join_distance = 2;
       auto want = reference->Run(query);
@@ -223,7 +223,7 @@ TEST_F(ShardedEquivalenceTest, IdenticalAcrossThreadCounts) {
       options.num_threads = threads;
       auto sharded = MakeSharded(k, options);
       for (size_t q = 0; q < kNumSpecs; ++q) {
-        MatchQuery query = MakeQuery("t" + std::to_string(q), kSpecs[q]);
+        MatchRequest query = MakeQuery("t" + std::to_string(q), kSpecs[q]);
         const bool count_comparable =
             MaterializedCountIsDeterministic(query.options);
         auto got = sharded->Run(std::move(query));
@@ -253,7 +253,7 @@ TEST_F(ShardedEquivalenceTest, RandomizedOptionSweepStaysIdentical) {
 
   std::mt19937 rng(271828);
   for (int round = 0; round < 12; ++round) {
-    MatchQuery query =
+    MatchRequest query =
         MakeQuery("r" + std::to_string(round), kSpecs[rng() % kNumSpecs]);
     query.options.delta = 0.45 + 0.05 * static_cast<double>(rng() % 8);
     query.options.top_n = rng() % 3 == 0 ? 0 : 1 + rng() % 12;

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,7 +29,7 @@ namespace xsm::shard {
 namespace {
 
 namespace fs = std::filesystem;
-using service::MatchQuery;
+using service::MatchRequest;
 using service::MatchService;
 using service::MatchServiceOptions;
 
@@ -68,8 +71,8 @@ schema::SchemaTree MakeTree(const char* spec) {
   return std::move(*tree);
 }
 
-MatchQuery MakeQuery(const std::string& id, const char* spec) {
-  MatchQuery query;
+MatchRequest MakeQuery(const std::string& id, const char* spec) {
+  MatchRequest query;
   query.id = id;
   query.personal = MakeTree(spec);
   query.options.delta = 0.55;
@@ -112,7 +115,7 @@ TEST(ShardedServiceTest, SingleShardIsByteIdenticalToMatchService) {
   ASSERT_EQ(sharded->Shards().size(), 1u);
   EXPECT_EQ(sharded->Shards()[0].trees, reference.Pin()->num_trees());
 
-  MatchQuery query = MakeQuery("q0", "person(name,email,phone)");
+  MatchRequest query = MakeQuery("q0", "person(name,email,phone)");
   // Same cluster-state key: the caches are interchangeable namespaces.
   EXPECT_EQ(sharded->ClusterStateKey(query), reference.ClusterStateKey(query));
 
@@ -154,7 +157,7 @@ TEST(ShardedServiceTest, MoreShardsThanTreesMergesCleanly) {
   EXPECT_EQ(trees, 3u);
   EXPECT_EQ(sharded->Pin()->fingerprint(), reference.Pin()->fingerprint());
 
-  MatchQuery query = MakeQuery("q0", "person(name,phone)");
+  MatchRequest query = MakeQuery("q0", "person(name,phone)");
   query.options.delta = 0.4;
   // Baseline clustering: the tiny trees must not be droppable by k-means
   // cluster-size heuristics — this asserts the merge, not clustering.
@@ -172,7 +175,7 @@ TEST(ShardedServiceTest, HugeTopNMatchesUnlimited) {
   // top-N: SIZE_MAX is what a request's `top=-1` parses to.
   schema::SchemaForest forest = MakeCorpus(800, 3);
   auto sharded = MakeSharded(forest, 4);
-  MatchQuery query = MakeQuery("q0", "person(name,email,phone)");
+  MatchRequest query = MakeQuery("q0", "person(name,email,phone)");
   query.options.top_n = 0;
   auto want = sharded->Run(query);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
@@ -238,7 +241,7 @@ TEST(ShardedServiceTest, DeltasTrackUnshardedChainAndRebalance) {
   EXPECT_EQ(sharded->Pin()->fingerprint(), reference.Pin()->fingerprint());
 
   // Queries stay exact after routing + any rebalances.
-  MatchQuery query = MakeQuery("after", "bulk(a,b,c)");
+  MatchRequest query = MakeQuery("after", "bulk(a,b,c)");
   query.options.delta = 0.4;
   auto want = reference.Run(query);
   auto got = sharded->Run(query);
@@ -263,7 +266,7 @@ TEST(ShardedServiceTest, SaveAndWarmStartRoundTripsManifestAndShards) {
   schema::SchemaForest forest = MakeCorpus(700, 9);
   auto sharded = MakeSharded(forest, 4);
 
-  MatchQuery query = MakeQuery("q", "person(name,email)");
+  MatchRequest query = MakeQuery("q", "person(name,email)");
   auto before = sharded->Run(query);
   ASSERT_TRUE(before.ok());
 
@@ -374,7 +377,7 @@ TEST(ShardedServiceTest, BatchMembersCountOnceInQueriesFamily) {
       matcher = MakeSharded(forest, 3, options);
     }
 
-    std::vector<MatchQuery> queries;
+    std::vector<MatchRequest> queries;
     for (size_t q = 0; q < 3; ++q) {
       queries.push_back(MakeQuery("b" + std::to_string(q), specs[q]));
     }
@@ -402,6 +405,98 @@ TEST(ShardedServiceTest, BatchMembersCountOnceInQueriesFamily) {
     EXPECT_EQ(registry.CounterValue("xsm_batches_total", labels), 1u)
         << "backend " << backend;
   }
+}
+
+// --- shared serving surface ------------------------------------------------
+
+/// The `# HELP` and `# TYPE` lines of a Prometheus exposition, per family.
+std::map<std::string, std::string> FamilyHeaders(const std::string& text) {
+  std::map<std::string, std::string> headers;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# HELP ", 0) != 0 && line.rfind("# TYPE ", 0) != 0) {
+      continue;
+    }
+    const size_t begin = 7;
+    headers[line.substr(begin, line.find(' ', begin) - begin)] += line + "\n";
+  }
+  return headers;
+}
+
+TEST(ShardedServiceTest, BackendsShareMetricFamiliesAndCounters) {
+  schema::SchemaForest forest = MakeCorpus(600, 29);
+  // One script against each backend, each with its own registry: queries,
+  // one batch, one cancelled and one deadline-expired query, one delta.
+  std::map<std::string, std::string> headers[2];
+  service::ServiceStats stats[2];
+  for (int backend = 0; backend < 2; ++backend) {
+    obs::MetricsRegistry registry;
+    MatchServiceOptions options;
+    options.num_threads = 2;
+    options.metrics = &registry;
+    options.metrics_tenant = "t";
+    std::unique_ptr<service::Matcher> matcher;
+    if (backend == 0) {
+      auto snapshot = service::RepositorySnapshot::Create(forest);
+      ASSERT_TRUE(snapshot.ok());
+      matcher = std::make_unique<MatchService>(std::move(*snapshot), options);
+    } else {
+      matcher = MakeSharded(forest, 2, options);
+    }
+
+    ASSERT_TRUE(matcher->Run(MakeQuery("q0", "person(name,email)")).ok());
+    ASSERT_TRUE(matcher->Run(MakeQuery("q1", "book(title,author)")).ok());
+    std::vector<service::MatchRequest> batch;
+    batch.push_back(MakeQuery("b0", "order(item,customer)"));
+    batch.push_back(MakeQuery("b1", "person(name,email)"));
+    for (const auto& result : matcher->RunBatch(std::move(batch)).results) {
+      ASSERT_TRUE(result.ok());
+    }
+
+    core::ExecutionControl cancelled;
+    cancelled.cancel.Cancel();
+    auto stopped = matcher->Run(MakeQuery("c", "person(name)"), cancelled);
+    ASSERT_TRUE(stopped.ok());
+    EXPECT_EQ(stopped->result.execution, core::ExecutionStatus::kCancelled);
+
+    core::ExecutionControl expired;
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    auto late = matcher->Run(MakeQuery("d", "person(name)"), expired);
+    ASSERT_TRUE(late.ok());
+    EXPECT_EQ(late->result.execution,
+              core::ExecutionStatus::kDeadlineExceeded);
+
+    live::DeltaBuilder builder;
+    builder.AddTree(MakeTree("invoice(total,customer)"));
+    auto delta = builder.Build();
+    ASSERT_TRUE(delta.ok());
+    ASSERT_TRUE(matcher->ApplyDelta(*delta).ok());
+    ASSERT_TRUE(matcher->Run(MakeQuery("q2", "invoice(total)")).ok());
+
+    headers[backend] = FamilyHeaders(registry.RenderPrometheusText());
+    stats[backend] = matcher->stats();
+  }
+
+  size_t shared_families = 0;
+  for (const auto& [family, lines] : headers[0]) {
+    auto other = headers[1].find(family);
+    if (other == headers[1].end()) continue;
+    ++shared_families;
+    EXPECT_EQ(lines, other->second) << family;
+  }
+  // Every unsharded family is also a sharded one.
+  EXPECT_EQ(shared_families, headers[0].size());
+
+  EXPECT_EQ(stats[0].queries, 7u);
+  EXPECT_EQ(stats[0].queries, stats[1].queries);
+  EXPECT_EQ(stats[0].batches, stats[1].batches);
+  EXPECT_EQ(stats[0].cancelled, stats[1].cancelled);
+  EXPECT_EQ(stats[0].deadline_exceeded, stats[1].deadline_exceeded);
+  EXPECT_EQ(stats[0].early_stopped, stats[1].early_stopped);
+  EXPECT_EQ(stats[0].deltas_applied, stats[1].deltas_applied);
+  EXPECT_EQ(stats[0].generation, stats[1].generation);
 }
 
 // --- serving through ServeSession ------------------------------------------

@@ -26,7 +26,7 @@
 namespace xsm::store {
 namespace {
 
-using service::MatchQuery;
+using service::MatchRequest;
 using service::MatchService;
 using service::RepositorySnapshot;
 
@@ -173,16 +173,16 @@ void ExpectRoundTripEquivalent(
   MatchService warm(loaded);
   MatchService cold(original);
   for (size_t s = 0; s < kNumSpecs; ++s) {
-    MatchQuery query;
+    MatchRequest query;
     query.id = "rt-" + std::to_string(s);
     query.personal = *schema::ParseTreeSpec(kSpecs[s]);
     query.options.delta = 0.6;
     query.options.top_n = 10;
-    auto got = warm.Match(query);
-    auto want = cold.Match(query);
+    auto got = warm.Run(query);
+    auto want = cold.Run(query);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ExpectSameMatchResults(*got, *want);
+    ExpectSameMatchResults(got->result, want->result);
   }
 }
 
@@ -344,15 +344,15 @@ TEST(SnapshotStoreTest, MatchServiceWarmStartServesIdenticalResults) {
             (*cold)->CurrentSnapshot()->fingerprint());
 
   for (size_t s = 0; s < kNumSpecs; ++s) {
-    MatchQuery query;
+    MatchRequest query;
     query.id = "svc-" + std::to_string(s);
     query.personal = *schema::ParseTreeSpec(kSpecs[s]);
     query.options.delta = 0.6;
-    auto got = (*warm)->Match(query);
-    auto want = (*cold)->Match(query);
+    auto got = (*warm)->Run(query);
+    auto want = (*cold)->Run(query);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ExpectSameMatchResults(*got, *want);
+    ExpectSameMatchResults(got->result, want->result);
   }
 
   live::DeltaBuilder builder;

@@ -541,7 +541,7 @@ core::MatchOptions DefaultServiceOptions(const Args& args, bool* ok) {
 // Parses one query line of the batch/serve format:
 //   SPEC [id=NAME] [delta=D] [top=N] [cluster=tree|kmeans] [join=J]
 //        [threshold=T] [alpha=A]
-Result<service::MatchQuery> ParseQueryLine(
+Result<service::MatchRequest> ParseQueryLine(
     const std::string& line, const core::MatchOptions& defaults,
     size_t index) {
   std::istringstream stream(line);
@@ -551,7 +551,7 @@ Result<service::MatchQuery> ParseQueryLine(
     return Status::InvalidArgument("empty query line");
   }
 
-  service::MatchQuery query;
+  service::MatchRequest query;
   query.id = "q" + std::to_string(index);
   query.options = defaults;
   XSM_ASSIGN_OR_RETURN(query.personal, schema::ParseTreeSpec(spec));
@@ -672,7 +672,7 @@ int RunBatch(const Args& args) {
     std::fprintf(stderr, "cannot open %s\n", args.Get("queries").c_str());
     return 1;
   }
-  std::vector<service::MatchQuery> queries;
+  std::vector<service::MatchRequest> queries;
   std::string line;
   size_t lineno = 0;
   while (std::getline(file, line)) {
