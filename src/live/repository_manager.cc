@@ -155,37 +155,57 @@ Result<std::unique_ptr<RepositoryManager>> RepositoryManager::Recover(
   XSM_ASSIGN_OR_RETURN(
       std::shared_ptr<const service::RepositorySnapshot> snapshot,
       store::LoadSnapshotFromFile(snapshot_path, env));
-  auto manager = std::make_unique<RepositoryManager>(std::move(snapshot));
+  auto manager = std::make_unique<RepositoryManager>(snapshot);
+  XSM_ASSIGN_OR_RETURN(
+      std::unique_ptr<wal::WalWriter> writer,
+      ReplayJournal(
+          env, wal_path, snapshot->generation(), snapshot->fingerprint(),
+          [&manager](const RepositoryDelta& delta) -> Result<uint64_t> {
+            XSM_ASSIGN_OR_RETURN(ApplyReport applied, manager->Apply(delta));
+            return applied.fingerprint;
+          },
+          report));
+  std::lock_guard<std::mutex> lock(manager->apply_mu_);
+  manager->env_ = env;
+  manager->wal_path_ = wal_path;
+  manager->wal_ = std::move(writer);
+  return manager;
+}
 
+Result<std::unique_ptr<wal::WalWriter>> ReplayJournal(
+    util::io::Env* env, const std::string& wal_path,
+    uint64_t checkpoint_generation, uint64_t checkpoint_fingerprint,
+    const std::function<Result<uint64_t>(const RepositoryDelta&)>& apply,
+    RecoveryReport* report) {
   RecoveryReport local;
-  local.snapshot_generation = manager->CurrentGeneration();
+  local.snapshot_generation = checkpoint_generation;
+  local.recovered_generation = checkpoint_generation;
 
   auto read = wal::ReadWal(env, wal_path);
   if (!read.ok() && read.status().code() == StatusCode::kNotFound) {
     // No journal (first boot, or it was never attached): start one fresh.
-    XSM_RETURN_NOT_OK(manager->AttachWal(env, wal_path));
-    local.recovered_generation = manager->CurrentGeneration();
     if (report != nullptr) *report = local;
-    return manager;
+    return wal::WalWriter::Create(env, wal_path, checkpoint_generation,
+                                  checkpoint_fingerprint);
   }
   XSM_RETURN_NOT_OK(read.status());
   local.torn_tail = read->torn_tail;
   local.dropped_bytes = read->dropped_bytes;
 
-  if (read->info.base_generation > local.snapshot_generation) {
+  if (read->info.base_generation > checkpoint_generation) {
     // The journal's first record would chain onto a generation newer than
     // the checkpoint we have — deltas between them are unrecoverable.
     return Status::Corruption(
         "journal " + wal_path + " begins at generation " +
         std::to_string(read->info.base_generation) +
-        " but snapshot " + snapshot_path + " is at generation " +
-        std::to_string(local.snapshot_generation));
+        " but the checkpoint is at generation " +
+        std::to_string(checkpoint_generation));
   }
 
+  uint64_t& current = local.recovered_generation;
   for (const wal::WalRecord& record : read->records) {
     XSM_ASSIGN_OR_RETURN(JournaledDelta journaled,
                          DeserializeJournaledDelta(record.payload));
-    const uint64_t current = manager->CurrentGeneration();
     if (journaled.resulting_generation <= current) {
       // Pre-checkpoint record (a compaction crashed before rewriting the
       // journal): the snapshot already contains it.
@@ -198,33 +218,25 @@ Result<std::unique_ptr<RepositoryManager>> RepositoryManager::Recover(
           std::to_string(journaled.resulting_generation) +
           " but the chain is at " + std::to_string(current));
     }
-    XSM_ASSIGN_OR_RETURN(ApplyReport applied,
-                         manager->Apply(journaled.delta));
-    if (applied.fingerprint != journaled.resulting_fingerprint) {
+    XSM_ASSIGN_OR_RETURN(uint64_t fingerprint, apply(journaled.delta));
+    ++current;
+    if (fingerprint != journaled.resulting_fingerprint) {
       return Status::Corruption(
-          "journal replay diverged at generation " +
-          std::to_string(applied.generation) + ": fingerprint " +
-          std::to_string(applied.fingerprint) + " vs acknowledged " +
+          "journal replay diverged at generation " + std::to_string(current) +
+          ": fingerprint " + std::to_string(fingerprint) +
+          " vs acknowledged " +
           std::to_string(journaled.resulting_fingerprint));
     }
     ++local.records_replayed;
   }
-  local.recovered_generation = manager->CurrentGeneration();
 
-  // Re-attach in append mode: the replayed records stay (the checkpoint
-  // on disk is still the old generation; a second crash must find them),
-  // and any torn tail is truncated to put the next append on a frame
-  // boundary.
+  // Reopen in append mode: the replayed records stay (the checkpoint on
+  // disk is still the old generation; a second crash must find them), and
+  // any torn tail is truncated to put the next append on a frame boundary.
   XSM_ASSIGN_OR_RETURN(std::unique_ptr<wal::WalWriter> writer,
                        wal::WalWriter::Open(env, wal_path, *read));
-  {
-    std::lock_guard<std::mutex> lock(manager->apply_mu_);
-    manager->env_ = env;
-    manager->wal_path_ = wal_path;
-    manager->wal_ = std::move(writer);
-  }
   if (report != nullptr) *report = local;
-  return manager;
+  return writer;
 }
 
 }  // namespace xsm::live

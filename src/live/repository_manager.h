@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,6 +70,21 @@ struct RecoveryReport {
   uint64_t dropped_bytes = 0;         ///< bytes of that torn record
 };
 
+/// The journal half of crash recovery, shared by every backend that
+/// journals deltas: reads the journal at `wal_path` and hands each record
+/// past the checkpoint to `apply`, which re-applies the delta and returns
+/// the fingerprint it produced; that must equal the acknowledged one.
+/// Records at or below the checkpoint are skipped and a crash-torn tail is
+/// dropped. A CRC-failing complete record, a generation gap, a fingerprint
+/// divergence or a journal that begins after the checkpoint is
+/// kCorruption. Returns the journal reopened for appending (created fresh
+/// at the checkpoint if missing); `report` (may be null) gets the counts.
+Result<std::unique_ptr<wal::WalWriter>> ReplayJournal(
+    util::io::Env* env, const std::string& wal_path,
+    uint64_t checkpoint_generation, uint64_t checkpoint_fingerprint,
+    const std::function<Result<uint64_t>(const RepositoryDelta&)>& apply,
+    RecoveryReport* report);
+
 /// Thread-safe. Readers call Current() from any thread at any time;
 /// writers call Apply() from any thread (serialized internally).
 class RepositoryManager {
@@ -102,14 +118,9 @@ class RepositoryManager {
 
   uint64_t CurrentGeneration() const { return Current()->generation(); }
 
-  /// Boots from a checkpoint + journal pair: loads the snapshot, replays
-  /// every journal record past its generation (each re-validated and
-  /// fingerprint-verified against what was acknowledged), truncates any
-  /// crash-torn tail, and re-attaches the journal so the chain keeps
-  /// journaling. A missing journal file starts a fresh one at the
-  /// snapshot's generation. Damage — a CRC-failing complete record, a
-  /// generation gap, a fingerprint divergence, a journal that begins
-  /// after the snapshot — is kCorruption; a torn tail is not damage.
+  /// Boots from a checkpoint + journal pair: loads the snapshot and
+  /// replays the journal onto it under the ReplayJournal policy, then
+  /// keeps journaling into the same file.
   static Result<std::unique_ptr<RepositoryManager>> Recover(
       util::io::Env* env, const std::string& snapshot_path,
       const std::string& wal_path, RecoveryReport* report = nullptr);

@@ -234,8 +234,6 @@ HttpServerStats HttpServer::stats() const {
   stats.disconnect_cancels = disconnect_cancels_->value();
   stats.inflight = inflight_.load(std::memory_order_relaxed);
   stats.drain_save_failures = drain_save_failures_->value();
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  stats.latency_ms = latency_ms_;
   return stats;
 }
 
@@ -652,8 +650,6 @@ bool HttpServer::AdmitWork(const std::shared_ptr<Connection>& conn,
 void HttpServer::FinishWork(double latency_ms) {
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
   request_latency_ms_->Observe(latency_ms);
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  latency_ms_.Add(latency_ms);
 }
 
 // --- routing ---------------------------------------------------------------
@@ -762,8 +758,10 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
               metrics.CounterValue("xsm_wal_records_skipped_total")),
           static_cast<unsigned long long>(
               metrics.CounterValue("xsm_wal_torn_tail_truncations_total")),
-          stats.latency_ms.count(), stats.latency_ms.P50(),
-          stats.latency_ms.P95(), stats.latency_ms.P99());
+          static_cast<size_t>(request_latency_ms_->count()),
+          request_latency_ms_->Quantile(0.50),
+          request_latency_ms_->Quantile(0.95),
+          request_latency_ms_->Quantile(0.99));
       QueueSimple(conn, 200, std::string(buf) + "\n", keep_alive);
       return;
     }

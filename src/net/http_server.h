@@ -40,7 +40,6 @@
 #include "net/http.h"
 #include "net/tenant_registry.h"
 #include "obs/metrics.h"
-#include "util/histogram.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -89,8 +88,6 @@ struct HttpServerStats {
   uint64_t disconnect_cancels = 0;    ///< queries cancelled by client EOF
   uint64_t drain_save_failures = 0;   ///< tenants the drain failed to save
   size_t inflight = 0;                ///< match/batch executing right now
-  /// Wall-clock latency of finished match/batch requests, milliseconds.
-  QuantileAccumulator latency_ms;
 };
 
 /// Serves the registry's tenants over HTTP/1.1. The REST surface is
@@ -246,11 +243,6 @@ class HttpServer {
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Histogram* request_latency_ms_ = nullptr;
   uint64_t scrape_hook_id_ = 0;
-
-  /// Exact-quantile mirror of request_latency_ms_ (same Adds), kept so
-  /// HttpServerStats::latency_ms preserves its QuantileAccumulator shape.
-  mutable std::mutex latency_mu_;
-  QuantileAccumulator latency_ms_;
 };
 
 }  // namespace xsm::net

@@ -24,12 +24,6 @@ bool LooksLikeShardManifest(util::io::Env* env, const std::string& path) {
   return contents.value().compare(0, kMagic.size(), kMagic) == 0;
 }
 
-shard::ShardedOptions ShardOptionsFor(size_t shards) {
-  shard::ShardedOptions shard_options;
-  shard_options.num_shards = shards;
-  return shard_options;
-}
-
 }  // namespace
 
 bool TenantRegistry::ValidTenantName(std::string_view name) {
@@ -126,9 +120,9 @@ Result<Tenant*> TenantRegistry::Create(const std::string& name,
   if (options_.shards > 1) {
     XSM_ASSIGN_OR_RETURN(
         service,
-        shard::ShardedMatchService::Create(std::move(forest),
-                                           ServiceOptionsFor(name),
-                                           ShardOptionsFor(options_.shards)));
+        shard::ShardedMatchService::Create(
+            std::move(forest), ServiceOptionsFor(name),
+            shard::ShardedOptions{options_.shards}));
   } else {
     XSM_ASSIGN_OR_RETURN(
         service,
@@ -170,7 +164,6 @@ Result<Tenant*> TenantRegistry::WarmStart(const std::string& name,
           service,
           shard::ShardedMatchService::Recover(env(), path, wal_path,
                                               ServiceOptionsFor(name),
-                                              shard::ShardedOptions(),
                                               &local));
     } else {
       XSM_ASSIGN_OR_RETURN(
@@ -190,7 +183,7 @@ Result<Tenant*> TenantRegistry::WarmStart(const std::string& name,
     XSM_ASSIGN_OR_RETURN(
         service,
         shard::ShardedMatchService::WarmStart(path, ServiceOptionsFor(name),
-                                              shard::ShardedOptions(), env()));
+                                              env()));
   } else {
     XSM_ASSIGN_OR_RETURN(
         service,

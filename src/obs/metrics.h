@@ -72,10 +72,11 @@ class Gauge {
 
 /// Latency histogram: fixed explicit upper bounds (cumulative `le`
 /// buckets in the exposition) plus a QuantileAccumulator backing that
-/// keeps *exact* nearest-rank P50/P95/P99 — the same accumulator
-/// semantics HttpServerStats has always reported, so migrating onto the
-/// registry loses no fidelity. Observe is called once per completed
-/// query/request; the short mutex section is off the per-element path.
+/// keeps *exact* nearest-rank quantiles. It is the one copy of each
+/// latency sample: `/v1/stats` reads its count and P50/P95/P99 here.
+/// Exactness has a price: every observation is kept (8 bytes each, for
+/// the registry's lifetime) and Observe takes a mutex. Observe is called
+/// once per completed query/request, off the per-element path.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);

@@ -194,7 +194,8 @@ Matcher::Matcher(const MatchServiceOptions& options, size_t num_cache_sets)
       "xsm_query_duration_ms", "wall-clock query latency in milliseconds",
       obs::DefaultLatencyBoundsMs(), labels_);
   // Durability events (WAL appends, checkpoint compactions, snapshot
-  // saves) are counted by the repository managers via these handles.
+  // saves) are counted by the backends' durability paths via these
+  // handles, once per tenant event.
   manager_metrics_.wal_appends = metrics_->RegisterCounter(
       "xsm_wal_appends_total", "deltas journaled and fsynced before publish",
       labels_);

@@ -308,10 +308,10 @@ class Matcher {
   virtual Result<store::SnapshotFileInfo> SaveSnapshot(
       const std::string& path, obs::TraceContext* trace = nullptr) const = 0;
 
-  /// Write-ahead journals every subsequent ApplyDelta (sharded backends
-  /// journal per shard under the given path prefix): appended + fsync'd
-  /// before the new generation is published, so an acknowledged delta
-  /// survives a crash.
+  /// Write-ahead journals every subsequent ApplyDelta into one journal at
+  /// `wal_path` (a sharded backend too): appended + fsync'd before the new
+  /// generation is published, so an acknowledged delta survives a crash.
+  /// Every later durable write of the backend goes through `env`.
   virtual Status AttachWal(util::io::Env* env,
                            const std::string& wal_path) = 0;
 
@@ -446,7 +446,7 @@ class Matcher {
   ClusterCacheSet& cache_set(size_t i) { return *cache_sets_[i]; }
   /// Labels every series of this backend carries (the tenant).
   const obs::LabelSet& metric_labels() const { return labels_; }
-  /// Durability counters every repository manager of this backend reports.
+  /// Durability counters the backend bumps once per tenant event.
   const live::ManagerMetrics& manager_metrics() const {
     return manager_metrics_;
   }

@@ -4,11 +4,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "generate/top_n_floor.h"
 #include "label/tree_index.h"
+#include "live/delta_codec.h"
 #include "match/element_matching.h"
 #include "obs/trace.h"
 #include "store/snapshot_store.h"
@@ -19,8 +19,15 @@ namespace xsm::shard {
 
 namespace {
 
+using ShardSnapshots =
+    std::vector<std::shared_ptr<const service::RepositorySnapshot>>;
+
 constexpr const char* kManifestMagic = "xsm-shard-manifest";
 constexpr int kManifestVersion = 1;
+
+/// ApplyDelta rebalances when the node imbalance (max shard nodes over the
+/// per-shard mean) exceeds this factor and a better balanced plan exists.
+constexpr double kRebalanceThreshold = 1.5;
 
 struct Manifest {
   size_t shards = 0;
@@ -42,21 +49,48 @@ Result<Manifest> ParseManifest(const std::string& text) {
   Manifest m;
   int version = 0;
   char magic[32] = {0};
-  if (std::sscanf(text.c_str(),
-                  "%31s %d\nshards %zu\ngeneration %" SCNu64
-                  "\nfingerprint %" SCNx64,
-                  magic, &version, &m.shards, &m.generation,
-                  &m.fingerprint) != 5 ||
-      std::string(magic) != kManifestMagic) {
+  const int fields = std::sscanf(text.c_str(),
+                                 "%31s %d\nshards %zu\ngeneration %" SCNu64
+                                 "\nfingerprint %" SCNx64,
+                                 magic, &version, &m.shards, &m.generation,
+                                 &m.fingerprint);
+  if (fields < 2 || std::string(magic) != kManifestMagic) {
     return Status::Corruption("not a shard manifest");
   }
-  if (version != kManifestVersion) {
-    return Status::Corruption("unsupported shard manifest version");
+  if (version > kManifestVersion) {
+    return Status::Unimplemented("newer shard manifest version " +
+                                 std::to_string(version));
   }
-  if (m.shards == 0) {
-    return Status::Corruption("shard manifest names zero shards");
+  if (version != kManifestVersion || fields != 5 || m.shards == 0 ||
+      m.shards > kMaxShards) {
+    return Status::Corruption("malformed shard manifest (" +
+                              std::to_string(m.shards) + " shards)");
   }
   return m;
+}
+
+/// The plan a shard set implies: its shards' tree counts, in order.
+ShardPlan PlanOf(const ShardSnapshots& shards) {
+  std::vector<size_t> counts;
+  for (const auto& shard : shards) counts.push_back(shard->num_trees());
+  return ShardPlan::FromShardTreeCounts(counts);
+}
+
+/// The global fingerprint of a shard set: the unsharded snapshot's over
+/// the same content. Needs no global view (replay checks one per record).
+uint64_t ShardsFingerprint(const ShardSnapshots& shards) {
+  size_t num_trees = 0;
+  size_t total_nodes = 0;
+  std::vector<uint64_t> tree_fps;
+  for (const auto& shard : shards) {
+    num_trees += shard->num_trees();
+    total_nodes += shard->total_nodes();
+    for (schema::TreeId t = 0;
+         t < static_cast<schema::TreeId>(shard->num_trees()); ++t) {
+      tree_fps.push_back(shard->tree_fingerprint(t));
+    }
+  }
+  return service::CombineForestFingerprint(num_trees, total_nodes, tree_fps);
 }
 
 /// Terminal-status merge priority: the "most interrupted" shard wins, so
@@ -89,20 +123,13 @@ int StatusRank(core::ExecutionStatus status) {
 
 class ShardedMatchService::ShardedPin : public service::RepositoryPin {
  public:
-  static std::shared_ptr<const ShardedPin> Build(
-      std::vector<std::shared_ptr<const service::RepositorySnapshot>> shards,
-      uint64_t generation) {
+  static std::shared_ptr<const ShardedPin> Build(ShardSnapshots shards,
+                                                 uint64_t generation) {
     auto pin = std::shared_ptr<ShardedPin>(new ShardedPin());
     pin->shards_ = std::move(shards);
     pin->generation_ = generation;
-    std::vector<size_t> counts;
-    counts.reserve(pin->shards_.size());
-    size_t total_trees = 0;
-    for (const auto& shard : pin->shards_) {
-      counts.push_back(shard->num_trees());
-      total_trees += shard->num_trees();
-    }
-    pin->plan_ = ShardPlan::FromShardTreeCounts(counts);
+    pin->plan_ = PlanOf(pin->shards_);
+    const size_t total_trees = pin->plan_.num_trees();
     std::vector<std::shared_ptr<const label::TreeIndex>> parts;
     parts.reserve(total_trees);
     pin->tree_fps_.reserve(total_trees);
@@ -115,8 +142,7 @@ class ShardedMatchService::ShardedPin : public service::RepositoryPin {
         pin->tree_fps_.push_back(shard->tree_fingerprint(t));
       }
     }
-    pin->fingerprint_ = service::CombineForestFingerprint(
-        pin->forest_.num_trees(), pin->forest_.total_nodes(), pin->tree_fps_);
+    pin->fingerprint_ = ShardsFingerprint(pin->shards_);
     // The forest lives at its final heap address now; the matcher's
     // internal pointer stays valid for the pin's whole life.
     pin->matcher_ = std::make_unique<core::Bellflower>(
@@ -133,6 +159,7 @@ class ShardedMatchService::ShardedPin : public service::RepositoryPin {
 
   const ShardPlan& plan() const { return plan_; }
   size_t num_shards() const { return shards_.size(); }
+  const ShardSnapshots& shards() const { return shards_; }
   const std::shared_ptr<const service::RepositorySnapshot>& shard(
       size_t s) const {
     return shards_[s];
@@ -145,11 +172,175 @@ class ShardedMatchService::ShardedPin : public service::RepositoryPin {
   schema::SchemaForest forest_;
   std::unique_ptr<core::Bellflower> matcher_;
   ShardPlan plan_;
-  std::vector<std::shared_ptr<const service::RepositorySnapshot>> shards_;
+  ShardSnapshots shards_;
   std::vector<uint64_t> tree_fps_;
   uint64_t generation_ = 0;
   uint64_t fingerprint_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Shard sets: the building blocks of deltas, checkpoints and replay.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Moves trees between shards when the node imbalance exceeds
+/// kRebalanceThreshold and a better balanced plan exists: each shard whose
+/// range changes gets a copy-on-write successor (trees that stay reuse
+/// their index and dictionary state; trees migrating in are rebuilt).
+/// Returns whether the plan changed.
+Result<bool> Rebalance(ShardSnapshots* shards, obs::TraceContext* trace) {
+  const size_t k = shards->size();
+  std::vector<size_t> nodes;
+  for (const auto& shard : *shards) {
+    const schema::SchemaForest& forest = shard->forest();
+    for (schema::TreeId t = 0;
+         t < static_cast<schema::TreeId>(forest.num_trees()); ++t) {
+      nodes.push_back(forest.tree(t).size());
+    }
+  }
+  const ShardPlan current = PlanOf(*shards);
+  if (current.Imbalance(nodes) <= kRebalanceThreshold) return false;
+  const ShardPlan target = ShardPlan::Balanced(nodes, k);
+  if (target == current) return false;
+
+  obs::ScopedSpan rebalance_span(trace, "shard_rebalance");
+  const ShardSnapshots before = *shards;
+  for (size_t s = 0; s < k; ++s) {
+    if (target.first_tree(s) == current.first_tree(s) &&
+        target.shard_trees(s) == current.shard_trees(s)) {
+      continue;  // range unchanged: keep the shard as is
+    }
+    schema::SchemaForest sub;
+    std::vector<schema::TreeId> reuse;
+    for (size_t i = 0; i < target.shard_trees(s); ++i) {
+      const auto g = target.first_tree(s) + static_cast<schema::TreeId>(i);
+      const size_t owner = current.shard_of(g);
+      const schema::TreeId local = current.to_local(g);
+      const schema::SchemaForest& from = before[owner]->forest();
+      sub.AddTree(from.tree_ptr(local), from.source(local));
+      reuse.push_back(owner == s ? local : -1);
+    }
+    XSM_ASSIGN_OR_RETURN(
+        (*shards)[s], service::RepositorySnapshot::CreateSuccessor(
+                          before[s], std::move(sub), reuse));
+  }
+  return true;
+}
+
+/// Applies `delta` to `*shards` (nothing is published or journaled):
+/// routes every op to its owning shard (adds go to the last shard; the
+/// rebalance restores balance when they pile up), builds each touched
+/// shard's successor, then rebalances. Per-shard removals close gaps
+/// within the shard, so the concatenated global ordering matches what the
+/// unsharded chain publishes. Adds the build accounting to `*report` and
+/// returns whether the plan was rebalanced.
+Result<bool> ApplyToShards(ShardSnapshots* shards,
+                           const live::RepositoryDelta& delta,
+                           live::ApplyReport* report,
+                           obs::TraceContext* trace) {
+  const size_t k = shards->size();
+  const ShardPlan plan = PlanOf(*shards);
+  const auto num_global = static_cast<schema::TreeId>(plan.num_trees());
+
+  std::vector<live::DeltaBuilder> builders(k);
+  for (const live::DeltaOp& op : delta.ops()) {
+    if (op.kind == live::DeltaOpKind::kAdd) {
+      builders[k - 1].AddTree(op.tree, op.source);
+    } else if (op.target < 0 || op.target >= num_global) {
+      return Status::InvalidArgument("delta targets nonexistent tree " +
+                                     std::to_string(op.target));
+    } else if (op.kind == live::DeltaOpKind::kReplace) {
+      builders[plan.shard_of(op.target)].ReplaceTree(
+          plan.to_local(op.target), op.tree, op.source);
+    } else {
+      builders[plan.shard_of(op.target)].RemoveTree(plan.to_local(op.target));
+    }
+  }
+
+  Timer timer;
+  for (size_t s = 0; s < k; ++s) {
+    if (builders[s].empty()) continue;
+    std::shared_ptr<const service::RepositorySnapshot>& shard = (*shards)[s];
+    live::AppliedDelta applied;
+    {
+      obs::ScopedSpan span(trace, "delta_validate");
+      XSM_ASSIGN_OR_RETURN(live::RepositoryDelta shard_delta,
+                           builders[s].Build());
+      XSM_ASSIGN_OR_RETURN(
+          applied, live::ApplyDeltaToForest(shard->forest(), shard_delta));
+    }
+    obs::ScopedSpan span(trace, "snapshot_build");
+    XSM_ASSIGN_OR_RETURN(shard, service::RepositorySnapshot::CreateSuccessor(
+                                    shard, std::move(applied.forest),
+                                    applied.reuse_map));
+    const service::RepositorySnapshot::BuildStats& stats = shard->build_stats();
+    report->trees_reused += stats.trees_reused;
+    report->trees_rebuilt += stats.trees_rebuilt;
+    report->name_entries_copied += stats.name_entries_copied;
+    report->name_entries_computed += stats.name_entries_computed;
+  }
+  XSM_ASSIGN_OR_RETURN(const bool rebalanced, Rebalance(shards, trace));
+  report->build_seconds += timer.ElapsedSeconds();
+  return rebalanced;
+}
+
+/// Where SaveSnapshot stages shard `s` until the manifest commits it.
+std::string StagedShardPath(const std::string& prefix, size_t shard) {
+  return ShardedMatchService::ShardFilePath(prefix, shard) + ".next";
+}
+
+/// Loads the K shard files of the checkpoint at `path`.
+Result<ShardSnapshots> LoadShards(util::io::Env* env,
+                                  const std::string& path, size_t k) {
+  ShardSnapshots shards;
+  shards.reserve(k);
+  for (size_t s = 0; s < k; ++s) {
+    XSM_ASSIGN_OR_RETURN(
+        std::shared_ptr<const service::RepositorySnapshot> shard,
+        store::LoadSnapshotFromFile(
+            ShardedMatchService::ShardFilePath(path, s), env));
+    shards.push_back(std::move(shard));
+  }
+  return shards;
+}
+
+/// The one checkpoint loader of WarmStart and Recover: the manifest at
+/// `path` (into `*manifest`) plus the shard files it names.
+Result<ShardSnapshots> LoadCheckpoint(util::io::Env* env,
+                                      const std::string& path,
+                                      Manifest* manifest) {
+  XSM_ASSIGN_OR_RETURN(std::string text, env->ReadFileToString(path));
+  XSM_ASSIGN_OR_RETURN(*manifest, ParseManifest(text));
+  auto shards = LoadShards(env, path, manifest->shards);
+  if (!shards.ok() || ShardsFingerprint(*shards) != manifest->fingerprint) {
+    // SaveSnapshot stages the shard files, commits the manifest, then
+    // moves the staged files into place: a crash mid-move leaves the
+    // manifest ahead of the shard files. Finish the move and look again.
+    bool moved = false;
+    for (size_t s = 0; s < manifest->shards; ++s) {
+      const std::string staged = StagedShardPath(path, s);
+      if (!env->FileExists(staged)) continue;
+      XSM_RETURN_NOT_OK(env->RenameFile(
+          staged, ShardedMatchService::ShardFilePath(path, s)));
+      moved = true;
+    }
+    if (moved) {
+      (void)env->SyncDir(util::io::DirnameOf(path));
+      shards = LoadShards(env, path, manifest->shards);
+    }
+  }
+  XSM_RETURN_NOT_OK(shards.status());
+  // Every shard file verified its own content; this check proves the set
+  // of shard files is the set the manifest was written for.
+  if (ShardsFingerprint(*shards) != manifest->fingerprint) {
+    return Status::Corruption(
+        "shard contents do not match the manifest fingerprint");
+  }
+  return shards;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Factories.
@@ -164,8 +355,10 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Create(
     schema::SchemaForest repository,
     const service::MatchServiceOptions& options,
     const ShardedOptions& shard_options) {
-  if (shard_options.num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
+  if (shard_options.num_shards == 0 ||
+      shard_options.num_shards > kMaxShards) {
+    return Status::InvalidArgument("num_shards must be in [1, " +
+                                   std::to_string(kMaxShards) + "]");
   }
   XSM_RETURN_NOT_OK(repository.Validate());
   const size_t k = shard_options.num_shards;
@@ -200,7 +393,7 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Create(
           return service::RepositorySnapshot::Create(std::move(sub));
         }));
   }
-  std::vector<std::shared_ptr<const service::RepositorySnapshot>> shards;
+  ShardSnapshots shards;
   shards.reserve(k);
   Status first_error = Status::OK();
   for (auto& future : futures) {
@@ -213,100 +406,56 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Create(
   }
   XSM_RETURN_NOT_OK(first_error);
 
-  std::vector<std::unique_ptr<live::RepositoryManager>> managers;
-  managers.reserve(k);
-  for (auto& shard : shards) {
-    managers.push_back(std::make_unique<live::RepositoryManager>(shard));
-  }
-  auto pin = ShardedPin::Build(std::move(shards), /*generation=*/0);
   return std::unique_ptr<ShardedMatchService>(new ShardedMatchService(
-      std::move(managers), std::move(pin), options, shard_options));
+      ShardedPin::Build(std::move(shards), /*generation=*/0), options,
+      util::io::Env::Default()));
 }
 
 Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::WarmStart(
     const std::string& path, const service::MatchServiceOptions& options,
-    const ShardedOptions& shard_options, util::io::Env* env) {
+    util::io::Env* env) {
   if (env == nullptr) env = util::io::Env::Default();
-  XSM_ASSIGN_OR_RETURN(std::string text, env->ReadFileToString(path));
-  XSM_ASSIGN_OR_RETURN(Manifest manifest, ParseManifest(text));
-
-  std::vector<std::shared_ptr<const service::RepositorySnapshot>> shards;
-  std::vector<std::unique_ptr<live::RepositoryManager>> managers;
-  shards.reserve(manifest.shards);
-  managers.reserve(manifest.shards);
-  for (size_t s = 0; s < manifest.shards; ++s) {
-    XSM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const service::RepositorySnapshot> shard,
-        store::LoadSnapshotFromFile(ShardFilePath(path, s), env));
-    managers.push_back(std::make_unique<live::RepositoryManager>(shard));
-    shards.push_back(std::move(shard));
-  }
-  auto pin = ShardedPin::Build(std::move(shards), manifest.generation);
-  // Every shard file verified its own content; this check proves the set
-  // of shard files is the set the manifest was written for.
-  if (pin->fingerprint() != manifest.fingerprint) {
-    return Status::Corruption(
-        "shard contents do not match the manifest fingerprint");
-  }
-  ShardedOptions effective_shards = shard_options;
-  effective_shards.num_shards = manifest.shards;
-  auto service = std::unique_ptr<ShardedMatchService>(new ShardedMatchService(
-      std::move(managers), std::move(pin), options, effective_shards));
-  service->snap_prefix_ = path;
-  return service;
+  Manifest manifest;
+  XSM_ASSIGN_OR_RETURN(ShardSnapshots shards,
+                       LoadCheckpoint(env, path, &manifest));
+  return std::unique_ptr<ShardedMatchService>(new ShardedMatchService(
+      ShardedPin::Build(std::move(shards), manifest.generation), options,
+      env));
 }
 
 Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Recover(
     util::io::Env* env, const std::string& snapshot_path,
     const std::string& wal_path, const service::MatchServiceOptions& options,
-    const ShardedOptions& shard_options, live::RecoveryReport* report) {
+    live::RecoveryReport* report) {
   if (env == nullptr) env = util::io::Env::Default();
-  XSM_ASSIGN_OR_RETURN(std::string text, env->ReadFileToString(snapshot_path));
-  XSM_ASSIGN_OR_RETURN(Manifest manifest, ParseManifest(text));
-
-  std::vector<std::unique_ptr<live::RepositoryManager>> managers;
-  std::vector<std::shared_ptr<const service::RepositorySnapshot>> shards;
-  managers.reserve(manifest.shards);
-  shards.reserve(manifest.shards);
-  uint64_t max_replay_depth = 0;
-  live::RecoveryReport aggregate;
-  for (size_t s = 0; s < manifest.shards; ++s) {
-    live::RecoveryReport shard_report;
-    XSM_ASSIGN_OR_RETURN(
-        std::unique_ptr<live::RepositoryManager> manager,
-        live::RepositoryManager::Recover(env, ShardFilePath(snapshot_path, s),
-                                         ShardFilePath(wal_path, s),
-                                         &shard_report));
-    max_replay_depth = std::max(
-        max_replay_depth, shard_report.recovered_generation -
-                              shard_report.snapshot_generation);
-    aggregate.records_replayed += shard_report.records_replayed;
-    aggregate.records_skipped += shard_report.records_skipped;
-    aggregate.torn_tail = aggregate.torn_tail || shard_report.torn_tail;
-    aggregate.dropped_bytes += shard_report.dropped_bytes;
-    shards.push_back(manager->Current());
-    managers.push_back(std::move(manager));
+  if (env->FileExists(ShardFilePath(wal_path, 0))) {
+    return Status::FailedPrecondition(
+        ShardFilePath(wal_path, 0) + " is a per-shard journal; this build "
+        "keeps one journal per tenant. To migrate, recover and SaveSnapshot "
+        "with the build that wrote it, then remove " + wal_path + ".shard*");
   }
-  aggregate.snapshot_generation = manifest.generation;
-  aggregate.recovered_generation = manifest.generation + max_replay_depth;
-  if (report != nullptr) *report = aggregate;
-
-  auto pin =
-      ShardedPin::Build(std::move(shards), aggregate.recovered_generation);
-  // Fingerprints are only comparable when no journal records moved the
-  // content past the checkpoint.
-  if (max_replay_depth == 0 && pin->fingerprint() != manifest.fingerprint) {
-    return Status::Corruption(
-        "shard contents do not match the manifest fingerprint");
-  }
-  ShardedOptions effective_shards = shard_options;
-  effective_shards.num_shards = manifest.shards;
+  Manifest manifest;
+  XSM_ASSIGN_OR_RETURN(ShardSnapshots shards,
+                       LoadCheckpoint(env, snapshot_path, &manifest));
+  // Replay on bare shard sets: the global view is built once, at the end.
+  live::RecoveryReport local;
+  XSM_ASSIGN_OR_RETURN(
+      std::unique_ptr<wal::WalWriter> writer,
+      live::ReplayJournal(
+          env, wal_path, manifest.generation, manifest.fingerprint,
+          [&shards](const live::RepositoryDelta& delta) -> Result<uint64_t> {
+            live::ApplyReport unused;
+            XSM_RETURN_NOT_OK(
+                ApplyToShards(&shards, delta, &unused, nullptr).status());
+            return ShardsFingerprint(shards);
+          },
+          &local));
   auto service = std::unique_ptr<ShardedMatchService>(new ShardedMatchService(
-      std::move(managers), std::move(pin), options, effective_shards));
-  service->generation_ = aggregate.recovered_generation;
-  service->wal_env_ = env;
-  service->wal_prefix_ = wal_path;
-  service->snap_prefix_ = snapshot_path;
+      ShardedPin::Build(std::move(shards), local.recovered_generation),
+      options, env));
+  service->wal_path_ = wal_path;
+  service->wal_ = std::move(writer);
+  if (report != nullptr) *report = local;
   return service;
 }
 
@@ -315,21 +464,14 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Recover(
 // ---------------------------------------------------------------------------
 
 ShardedMatchService::ShardedMatchService(
-    std::vector<std::unique_ptr<live::RepositoryManager>> managers,
     std::shared_ptr<const ShardedPin> pin,
-    const service::MatchServiceOptions& options,
-    const ShardedOptions& shard_options)
-    : Matcher(options, /*num_cache_sets=*/1 + managers.size()),
-      shard_options_(shard_options),
-      managers_(std::move(managers)),
-      generation_(pin->generation()),
+    const service::MatchServiceOptions& options, util::io::Env* env)
+    : Matcher(options, /*num_cache_sets=*/1 + pin->num_shards()),
+      env_(env),
       pin_(std::move(pin)) {
-  const size_t k = managers_.size();
+  const size_t k = pin_->num_shards();
   fanout_pool_ = std::make_unique<ThreadPool>(
       std::min(k, ThreadPool::DefaultThreadCount()));
-  for (auto& manager : managers_) {
-    manager->SetMetrics(manager_metrics());
-  }
 
   obs::MetricsRegistry& registry = metrics();
   fanouts_ = registry.RegisterCounter(
@@ -683,249 +825,115 @@ Result<core::MatchResult> ShardedMatchService::Generate(
 }
 
 // ---------------------------------------------------------------------------
-// Deltas / rebalancing.
+// Deltas.
 // ---------------------------------------------------------------------------
 
 Result<live::ApplyReport> ShardedMatchService::ApplyDelta(
     const live::RepositoryDelta& delta, obs::TraceContext* trace) {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  std::shared_ptr<const ShardedPin> pin;
+  std::shared_ptr<const ShardedPin> pin = CurrentPin();
+  ShardSnapshots shards = pin->shards();
+  live::ApplyReport report;
+  XSM_ASSIGN_OR_RETURN(const bool rebalanced,
+                       ApplyToShards(&shards, delta, &report, trace));
+  auto new_pin = ShardedPin::Build(std::move(shards), pin->generation() + 1);
+
+  // Write-ahead: the whole delta is durable, once, before any of it is
+  // visible. A failed append publishes nothing.
+  if (wal_ != nullptr) {
+    obs::ScopedSpan span(trace, "wal_fsync");
+    XSM_RETURN_NOT_OK(wal_->Append(
+        wal::RecordType::kDelta,
+        live::SerializeJournaledDelta(delta, new_pin->generation(),
+                                      new_pin->fingerprint())));
+    manager_metrics().wal_appends->Increment();
+  }
   {
-    std::lock_guard<std::mutex> pin_lock(pin_mu_);
-    pin = pin_;
-  }
-  const ShardPlan& plan = pin->plan();
-  const size_t k = managers_.size();
-  const auto num_global = static_cast<schema::TreeId>(plan.num_trees());
-
-  // Route every op to its owning shard (adds go to the last shard; the
-  // rebalance pass below restores balance when they pile up), validating
-  // all targets before anything is applied.
-  std::vector<live::DeltaBuilder> builders(k);
-  std::vector<bool> has_ops(k, false);
-  for (const live::DeltaOp& op : delta.ops()) {
-    switch (op.kind) {
-      case live::DeltaOpKind::kAdd: {
-        builders[k - 1].AddTree(op.tree, op.source);
-        has_ops[k - 1] = true;
-        break;
-      }
-      case live::DeltaOpKind::kReplace: {
-        if (op.target < 0 || op.target >= num_global) {
-          return Status::InvalidArgument("replace targets a nonexistent tree");
-        }
-        const size_t s = plan.shard_of(op.target);
-        builders[s].ReplaceTree(plan.to_local(op.target), op.tree, op.source);
-        has_ops[s] = true;
-        break;
-      }
-      case live::DeltaOpKind::kRemove: {
-        if (op.target < 0 || op.target >= num_global) {
-          return Status::InvalidArgument("remove targets a nonexistent tree");
-        }
-        const size_t s = plan.shard_of(op.target);
-        builders[s].RemoveTree(plan.to_local(op.target));
-        has_ops[s] = true;
-        break;
-      }
-    }
-  }
-  // Build (and thereby validate) every shard delta before applying any, so
-  // a malformed delta leaves all shards untouched.
-  std::vector<std::pair<size_t, live::RepositoryDelta>> shard_deltas;
-  for (size_t s = 0; s < k; ++s) {
-    if (!has_ops[s]) continue;
-    XSM_ASSIGN_OR_RETURN(live::RepositoryDelta shard_delta,
-                         builders[s].Build());
-    shard_deltas.emplace_back(s, std::move(shard_delta));
-  }
-
-  // Apply shard by shard. Per-shard removals close gaps within the shard,
-  // so the concatenated global ordering matches what the unsharded manager
-  // would publish. A WAL failure mid-sequence leaves the same state a
-  // crash between per-shard journal appends would — Recover heals it.
-  live::ApplyReport merged;
-  for (auto& [s, shard_delta] : shard_deltas) {
-    XSM_ASSIGN_OR_RETURN(live::ApplyReport report,
-                         managers_[s]->Apply(shard_delta, trace));
-    merged.trees_reused += report.trees_reused;
-    merged.trees_rebuilt += report.trees_rebuilt;
-    merged.name_entries_copied += report.name_entries_copied;
-    merged.name_entries_computed += report.name_entries_computed;
-    merged.build_seconds += report.build_seconds;
-  }
-  ++generation_;
-  CountDelta();
-
-  std::vector<std::shared_ptr<const service::RepositorySnapshot>> shards;
-  shards.reserve(k);
-  for (auto& manager : managers_) {
-    shards.push_back(manager->Current());
-  }
-  XSM_RETURN_NOT_OK(MaybeRebalance(&shards, trace));
-
-  auto new_pin = ShardedPin::Build(std::move(shards), generation_);
-  {
+    obs::ScopedSpan span(trace, "publish");
     std::lock_guard<std::mutex> pin_lock(pin_mu_);
     pin_ = new_pin;
   }
   PublishCaches(*new_pin);
-  merged.generation = generation_;
-  merged.fingerprint = new_pin->fingerprint();
-  merged.trees_total = new_pin->forest().num_trees();
-  // merged.snapshot stays null: there is no single snapshot object for the
+  if (rebalanced) rebalances_->Increment();
+  CountDelta();
+
+  report.generation = new_pin->generation();
+  report.fingerprint = new_pin->fingerprint();
+  report.trees_total = new_pin->forest().num_trees();
+  // report.snapshot stays null: there is no single snapshot object for the
   // federated view; callers read the scalar fields.
-  return merged;
-}
-
-Status ShardedMatchService::MaybeRebalance(
-    std::vector<std::shared_ptr<const service::RepositorySnapshot>>* shards,
-    obs::TraceContext* trace) {
-  if (shard_options_.rebalance_threshold <= 0) return Status::OK();
-  const size_t k = shards->size();
-  std::vector<size_t> counts;
-  std::vector<size_t> nodes;
-  std::vector<std::shared_ptr<const schema::SchemaTree>> payloads;
-  std::vector<std::string> sources;
-  counts.reserve(k);
-  for (const auto& shard : *shards) {
-    const schema::SchemaForest& forest = shard->forest();
-    counts.push_back(forest.num_trees());
-    for (schema::TreeId t = 0;
-         t < static_cast<schema::TreeId>(forest.num_trees()); ++t) {
-      nodes.push_back(forest.tree(t).size());
-      payloads.push_back(forest.tree_ptr(t));
-      sources.push_back(forest.source(t));
-    }
-  }
-  ShardPlan current = ShardPlan::FromShardTreeCounts(counts);
-  if (current.Imbalance(nodes) <= shard_options_.rebalance_threshold) {
-    return Status::OK();
-  }
-  ShardPlan target = ShardPlan::Balanced(nodes, k);
-  if (target == current) return Status::OK();
-
-  obs::ScopedSpan rebalance_span(trace, "shard_rebalance");
-  for (size_t s = 0; s < k; ++s) {
-    if (target.first_tree(s) == current.first_tree(s) &&
-        target.shard_trees(s) == current.shard_trees(s)) {
-      continue;  // range unchanged: keep the manager (and its WAL) as is
-    }
-    // Copy-on-write successor for the shard's new range: trees that stay
-    // in the shard reuse its index/dictionary state (payload pointer
-    // equality is the certificate); trees migrating in are rebuilt.
-    const std::shared_ptr<const service::RepositorySnapshot>& previous =
-        (*shards)[s];
-    std::unordered_map<const schema::SchemaTree*, schema::TreeId> prev_ids;
-    for (schema::TreeId t = 0;
-         t < static_cast<schema::TreeId>(previous->num_trees()); ++t) {
-      prev_ids[previous->forest().tree_ptr(t).get()] = t;
-    }
-    schema::SchemaForest sub;
-    std::vector<schema::TreeId> reuse;
-    reuse.reserve(target.shard_trees(s));
-    for (size_t g = static_cast<size_t>(target.first_tree(s));
-         g < static_cast<size_t>(target.first_tree(s)) + target.shard_trees(s);
-         ++g) {
-      sub.AddTree(payloads[g], sources[g]);
-      auto it = prev_ids.find(payloads[g].get());
-      reuse.push_back(it == prev_ids.end() ? -1 : it->second);
-    }
-    XSM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const service::RepositorySnapshot> successor,
-        service::RepositorySnapshot::CreateSuccessor(previous, std::move(sub),
-                                                     reuse));
-    auto manager = std::make_unique<live::RepositoryManager>(successor);
-    manager->SetMetrics(manager_metrics());
-    if (wal_env_ != nullptr) {
-      // The shard's journal base moved with its chain; a fresh journal at
-      // the successor generation replaces it (the re-checkpoint below
-      // makes recovery consistent again).
-      XSM_RETURN_NOT_OK(
-          manager->AttachWal(wal_env_, ShardFilePath(wal_prefix_, s)));
-    }
-    managers_[s] = std::move(manager);
-    (*shards)[s] = std::move(successor);
-  }
-  rebalances_->Increment();
-  // Re-checkpoint so on-disk shard snapshots describe the new plan (the
-  // rebalanced shards' journals restarted above).
-  if (!snap_prefix_.empty()) {
-    XSM_ASSIGN_OR_RETURN(store::SnapshotFileInfo info,
-                         SaveLocked(snap_prefix_, trace));
-    (void)info;
-  }
-  return Status::OK();
+  return report;
 }
 
 // ---------------------------------------------------------------------------
 // Persistence.
 // ---------------------------------------------------------------------------
 
-Result<store::SnapshotFileInfo> ShardedMatchService::SaveLocked(
-    const std::string& path, obs::TraceContext* trace) const {
-  store::SnapshotFileInfo aggregate;
-  std::vector<uint64_t> tree_fps;
-  size_t num_trees = 0;
-  size_t total_nodes = 0;
-  for (size_t s = 0; s < managers_.size(); ++s) {
-    XSM_ASSIGN_OR_RETURN(
-        store::SnapshotFileInfo info,
-        managers_[s]->SaveSnapshot(ShardFilePath(path, s), trace));
-    aggregate.format_version = info.format_version;
-    aggregate.trees += info.trees;
-    aggregate.total_nodes += info.total_nodes;
-    aggregate.total_bytes += info.total_bytes;
-    std::shared_ptr<const service::RepositorySnapshot> snap =
-        managers_[s]->Current();
-    num_trees += snap->num_trees();
-    total_nodes += snap->total_nodes();
-    for (schema::TreeId t = 0;
-         t < static_cast<schema::TreeId>(snap->num_trees()); ++t) {
-      tree_fps.push_back(snap->tree_fingerprint(t));
-    }
-  }
-  Manifest manifest;
-  manifest.shards = managers_.size();
-  manifest.generation = generation_;
-  manifest.fingerprint =
-      service::CombineForestFingerprint(num_trees, total_nodes, tree_fps);
-  // Shard files first, manifest last: the manifest is the commit point of
-  // the whole multi-file save.
-  XSM_RETURN_NOT_OK(util::io::AtomicFileWriter::WriteFileAtomic(
-      util::io::Env::Default(), path, EncodeManifest(manifest)));
-  aggregate.generation = manifest.generation;
-  aggregate.fingerprint = manifest.fingerprint;
-  return aggregate;
-}
-
 Result<store::SnapshotFileInfo> ShardedMatchService::SaveSnapshot(
     const std::string& path, obs::TraceContext* trace) const {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  XSM_ASSIGN_OR_RETURN(store::SnapshotFileInfo info,
-                       SaveLocked(path, trace));
-  snap_prefix_ = path;
-  return info;
+  std::shared_ptr<const ShardedPin> pin = CurrentPin();
+  const size_t k = pin->num_shards();
+  store::SnapshotFileInfo aggregate;
+  {
+    // Stage every shard file, commit the manifest, then move the staged
+    // files into place. The manifest is the commit point: a crash before
+    // it leaves the previous checkpoint whole, and LoadCheckpoint finishes
+    // a move that a crash interrupted after it.
+    obs::ScopedSpan span(trace, "store_save");
+    for (size_t s = 0; s < k; ++s) {
+      XSM_ASSIGN_OR_RETURN(store::SnapshotFileInfo info,
+                           store::SaveSnapshotToFile(
+                               *pin->shard(s), StagedShardPath(path, s), env_));
+      aggregate.format_version = info.format_version;
+      aggregate.trees += info.trees;
+      aggregate.total_nodes += info.total_nodes;
+      aggregate.total_bytes += info.total_bytes;
+    }
+    Manifest manifest;
+    manifest.shards = k;
+    manifest.generation = pin->generation();
+    manifest.fingerprint = pin->fingerprint();
+    XSM_RETURN_NOT_OK(util::io::AtomicFileWriter::WriteFileAtomic(
+        env_, path, EncodeManifest(manifest)));
+    for (size_t s = 0; s < k; ++s) {
+      XSM_RETURN_NOT_OK(
+          env_->RenameFile(StagedShardPath(path, s), ShardFilePath(path, s)));
+    }
+    (void)env_->SyncDir(util::io::DirnameOf(path));
+  }
+  aggregate.generation = pin->generation();
+  aggregate.fingerprint = pin->fingerprint();
+  manager_metrics().snapshot_saves->Increment();
+  if (wal_ != nullptr) {
+    // Checkpoint compaction, as in RepositoryManager::SaveSnapshot: the
+    // journal restarts empty, based at the saved generation. A failure
+    // keeps the old journal, whose records up to here replay as skips.
+    obs::ScopedSpan span(trace, "wal_compact");
+    XSM_ASSIGN_OR_RETURN(wal_,
+                         wal::WalWriter::Create(env_, wal_path_,
+                                                pin->generation(),
+                                                pin->fingerprint()));
+    manager_metrics().wal_compactions->Increment();
+  }
+  return aggregate;
 }
 
 Status ShardedMatchService::AttachWal(util::io::Env* env,
                                       const std::string& wal_path) {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  for (size_t s = 0; s < managers_.size(); ++s) {
-    XSM_RETURN_NOT_OK(
-        managers_[s]->AttachWal(env, ShardFilePath(wal_path, s)));
-  }
-  wal_env_ = env;
-  wal_prefix_ = wal_path;
+  std::shared_ptr<const ShardedPin> pin = CurrentPin();
+  XSM_ASSIGN_OR_RETURN(wal_, wal::WalWriter::Create(env, wal_path,
+                                                    pin->generation(),
+                                                    pin->fingerprint()));
+  env_ = env;
+  wal_path_ = wal_path;
   return Status::OK();
 }
 
 bool ShardedMatchService::wal_attached() const {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  for (const auto& manager : managers_) {
-    if (!manager->wal_attached()) return false;
-  }
-  return true;
+  return wal_ != nullptr;
 }
 
 }  // namespace xsm::shard

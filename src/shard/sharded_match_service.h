@@ -1,9 +1,9 @@
 // ShardedMatchService: the scatter-gather Matcher backend. The repository
 // forest is partitioned into K self-contained shards (each its own
-// RepositorySnapshot chain: forest + structural index + name dictionary +
-// generation/WAL machinery), and every query fans out across them — yet the
-// results are *exact*: byte-identical mappings, ranks and scores to the
-// single-snapshot MatchService on the same content.
+// RepositorySnapshot: forest + structural index + name dictionary), and
+// every query fans out across them — yet the results are *exact*:
+// byte-identical mappings, ranks and scores to the single-snapshot
+// MatchService on the same content.
 //
 // Why exactness holds:
 //   - The shard plan is a contiguous cut of the TreeId space (shard/
@@ -30,12 +30,13 @@
 // baseline) execute generation unscattered on the global view — still
 // exact, just not fanned out.
 //
-// Persistence: SaveSnapshot writes one manifest at `path` plus K per-shard
-// snapshot files at `path + ".shard<i>"`; AttachWal journals per shard
-// under `wal_path + ".shard<i>"`. WarmStart / Recover reverse both; the
-// recomputed global fingerprint must match the manifest. ApplyDelta routes
-// ops to owning shards (adds go to the last shard) and rebalances the plan
-// when node imbalance exceeds ShardedOptions::rebalance_threshold.
+// Deltas: ApplyDelta routes ops to owning shards (adds go to the last
+// shard), builds every touched shard's successor and any rebalance, then
+// journals the delta once and publishes one pin: it lands whole or not at
+// all. Persistence: SaveSnapshot writes K shard files at
+// `path + ".shard<i>"` and a manifest at `path`; AttachWal journals into
+// one file at `wal_path`. Recover loads both and lands on the exact
+// acknowledged generation.
 #ifndef XSM_SHARD_SHARDED_MATCH_SERVICE_H_
 #define XSM_SHARD_SHARDED_MATCH_SERVICE_H_
 
@@ -55,20 +56,22 @@
 #include "service/matcher.h"
 #include "service/repository_snapshot.h"
 #include "shard/shard_plan.h"
+#include "util/io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "wal/wal.h"
 
 namespace xsm::shard {
 
 struct ShardedOptions {
   /// Number of shards K (fixed for the service's life; rebalancing moves
-  /// trees between shards, never changes K). Must be >= 1.
+  /// trees between shards, never changes K). Must be in [1, kMaxShards].
   size_t num_shards = 2;
-  /// ApplyDelta rebalances when the node imbalance (max shard nodes over
-  /// the per-shard mean) exceeds this factor and a better balanced plan
-  /// exists. <= 0 disables rebalancing.
-  double rebalance_threshold = 1.5;
 };
+
+/// The most shards a service may have; a manifest naming more is refused
+/// as corrupt rather than trusted with an allocation.
+inline constexpr size_t kMaxShards = 4096;
 
 /// Thread-safe scatter-gather Matcher backend over K repository shards.
 class ShardedMatchService : public service::Matcher {
@@ -82,29 +85,26 @@ class ShardedMatchService : public service::Matcher {
       const ShardedOptions& shard_options = ShardedOptions());
 
   /// Boots from a manifest + per-shard snapshots written by SaveSnapshot.
-  /// The shard count comes from the manifest; `shard_options` supplies the
-  /// runtime knobs (rebalance threshold). The recomputed global fingerprint
-  /// must match the manifest's or the load fails with Corruption.
+  /// The shard count comes from the manifest. The recomputed global
+  /// fingerprint must match the manifest's or the load fails with
+  /// Corruption; a newer manifest version is Unimplemented.
   static Result<std::unique_ptr<ShardedMatchService>> WarmStart(
       const std::string& path,
       const service::MatchServiceOptions& options =
           service::MatchServiceOptions(),
-      const ShardedOptions& shard_options = ShardedOptions(),
       util::io::Env* env = nullptr);
 
-  /// Crash-safe boot: per-shard snapshot load + WAL suffix replay (see
-  /// live::RepositoryManager::Recover), journaling continuing into the same
-  /// per-shard WALs. `report` (may be null) receives the aggregated replay
-  /// accounting; the recovered global generation is the manifest generation
-  /// plus the deepest per-shard replay (a delta touches >= 1 shard, so this
-  /// is a lower bound on the pre-crash counter — content and fingerprints
-  /// are exact regardless).
+  /// Crash-safe boot: loads the checkpoint like WarmStart, replays the
+  /// journal at `wal_path` (live::ReplayJournal) and keeps journaling into
+  /// it, at exactly the checkpoint's generation plus the records replayed.
+  /// `report` (may be null) receives the replay accounting. Per-shard
+  /// journals of the earlier layout (`wal_path + ".shard<i>"`) are refused
+  /// with FailedPrecondition rather than ignored.
   static Result<std::unique_ptr<ShardedMatchService>> Recover(
       util::io::Env* env, const std::string& snapshot_path,
       const std::string& wal_path,
       const service::MatchServiceOptions& options =
           service::MatchServiceOptions(),
-      const ShardedOptions& shard_options = ShardedOptions(),
       live::RecoveryReport* report = nullptr);
 
   ShardedMatchService(const ShardedMatchService&) = delete;
@@ -131,8 +131,6 @@ class ShardedMatchService : public service::Matcher {
   std::vector<service::ShardDescriptor> Shards() const override;
 
   // --- Sharded extras. ----------------------------------------------------
-
-  const ShardedOptions& shard_options() const { return shard_options_; }
 
   /// Per-shard snapshot file written by SaveSnapshot / read by WarmStart:
   /// `prefix + ".shard" + i`. Exposed for tools and tests.
@@ -164,40 +162,27 @@ class ShardedMatchService : public service::Matcher {
       core::MatchObserver* observer) override;
 
  private:
-  ShardedMatchService(
-      std::vector<std::unique_ptr<live::RepositoryManager>> managers,
-      std::shared_ptr<const ShardedPin> pin,
-      const service::MatchServiceOptions& options,
-      const ShardedOptions& shard_options);
+  ShardedMatchService(std::shared_ptr<const ShardedPin> pin,
+                      const service::MatchServiceOptions& options,
+                      util::io::Env* env);
 
   std::shared_ptr<const ShardedPin> CurrentPin() const;
-
-  /// Rebalances shards whose ranges changed under the freshly balanced
-  /// plan (copy-on-write successors; WAL re-attach; re-checkpoint when a
-  /// snapshot prefix is known). Called under apply_mu_ with the post-apply
-  /// shard snapshots; updates `shards` in place.
-  Status MaybeRebalance(
-      std::vector<std::shared_ptr<const service::RepositorySnapshot>>* shards,
-      obs::TraceContext* trace);
-
-  /// Saves every shard + the manifest; caller holds apply_mu_.
-  Result<store::SnapshotFileInfo> SaveLocked(const std::string& path,
-                                             obs::TraceContext* trace) const;
 
   /// Publishes `pin`'s fingerprints in the global (0) and per-shard (1 + s)
   /// cache sets.
   void PublishCaches(const ShardedPin& pin);
 
-  ShardedOptions shard_options_;
-
-  /// Serializes ApplyDelta / SaveSnapshot / AttachWal end to end so a save
-  /// can never interleave shard states from two generations. Mutable:
-  /// SaveSnapshot is logically const.
+  /// Serializes ApplyDelta / SaveSnapshot / AttachWal end to end, so a
+  /// save never interleaves with a delta and the journal sees deltas in
+  /// generation order. Mutable: SaveSnapshot is logically const.
   mutable std::mutex apply_mu_;
-  std::vector<std::unique_ptr<live::RepositoryManager>> managers_;
-  /// Global publication counter: +1 per successful ApplyDelta, whatever
-  /// subset of shards the delta touched.
-  uint64_t generation_ = 0;
+  /// Every durable write (shard files, manifest, journal) goes through
+  /// this Env: the one given to WarmStart, AttachWal or Recover.
+  util::io::Env* env_;
+  std::string wal_path_;
+  /// The tenant journal (null until AttachWal / Recover). Mutable: the
+  /// compaction after a SaveSnapshot replaces it.
+  mutable std::unique_ptr<wal::WalWriter> wal_;
 
   mutable std::mutex pin_mu_;
   std::shared_ptr<const ShardedPin> pin_;
@@ -206,11 +191,6 @@ class ShardedMatchService : public service::Matcher {
   /// query executing on pool() (Submit / RunBatch) can't deadlock waiting
   /// for its own shard tasks.
   std::unique_ptr<ThreadPool> fanout_pool_;
-
-  /// WAL / checkpoint bookkeeping for the rebalance path.
-  util::io::Env* wal_env_ = nullptr;
-  std::string wal_prefix_;
-  mutable std::string snap_prefix_;
 
   obs::Counter* fanouts_ = nullptr;
   obs::Counter* rebalances_ = nullptr;

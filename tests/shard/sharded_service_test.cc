@@ -1,6 +1,6 @@
 // ShardedMatchService behaviour beyond raw result equivalence: shard-count
 // edge cases (K=1, K > trees), delta routing + rebalancing, persistence
-// (manifest + per-shard snapshots), crash recovery over per-shard WALs,
+// (manifest + per-shard snapshots), crash recovery from the tenant journal,
 // the batch metrics contract, and serving through ServeSession.
 #include "shard/sharded_match_service.h"
 
@@ -328,8 +328,8 @@ TEST(ShardedServiceTest, RecoverReplaysPerShardWals) {
   }
 
   live::RecoveryReport report;
-  auto recovered = ShardedMatchService::Recover(
-      env, snap, wal, MatchServiceOptions(), ShardedOptions(), &report);
+  auto recovered = ShardedMatchService::Recover(env, snap, wal,
+                                                MatchServiceOptions(), &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->CurrentGeneration(), acked_generation);
   EXPECT_EQ((*recovered)->Pin()->fingerprint(), acked_fingerprint);

@@ -538,60 +538,6 @@ core::MatchOptions DefaultServiceOptions(const Args& args, bool* ok) {
   return options;
 }
 
-// Parses one query line of the batch/serve format:
-//   SPEC [id=NAME] [delta=D] [top=N] [cluster=tree|kmeans] [join=J]
-//        [threshold=T] [alpha=A]
-Result<service::MatchRequest> ParseQueryLine(
-    const std::string& line, const core::MatchOptions& defaults,
-    size_t index) {
-  std::istringstream stream(line);
-  std::string spec;
-  stream >> spec;
-  if (spec.empty()) {
-    return Status::InvalidArgument("empty query line");
-  }
-
-  service::MatchRequest query;
-  query.id = "q" + std::to_string(index);
-  query.options = defaults;
-  XSM_ASSIGN_OR_RETURN(query.personal, schema::ParseTreeSpec(spec));
-
-  std::string token;
-  while (stream >> token) {
-    size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("expected key=value, got: " + token);
-    }
-    std::string key = token.substr(0, eq);
-    std::string value = token.substr(eq + 1);
-    if (key == "id") {
-      query.id = value;
-    } else if (key == "delta") {
-      query.options.delta = std::atof(value.c_str());
-    } else if (key == "top") {
-      query.options.top_n = static_cast<size_t>(std::atol(value.c_str()));
-    } else if (key == "join") {
-      query.options.kmeans.join_distance =
-          static_cast<int>(std::atol(value.c_str()));
-    } else if (key == "threshold") {
-      query.options.element.threshold = std::atof(value.c_str());
-    } else if (key == "alpha") {
-      query.options.objective.alpha = std::atof(value.c_str());
-    } else if (key == "cluster") {
-      if (value == "tree") {
-        query.options.clustering = core::ClusteringMode::kTreeClusters;
-      } else if (value == "kmeans") {
-        query.options.clustering = core::ClusteringMode::kKMeans;
-      } else {
-        return Status::InvalidArgument("cluster must be tree or kmeans");
-      }
-    } else {
-      return Status::InvalidArgument("unknown query key: " + key);
-    }
-  }
-  return query;
-}
-
 Result<std::unique_ptr<service::Matcher>> MakeService(const Args& args) {
   long threads = args.GetInt("threads", 0);
   if (threads < 0) {
