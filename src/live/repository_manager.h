@@ -138,7 +138,9 @@ class RepositoryManager {
   /// Applies `delta` to the current generation and atomically publishes
   /// the successor. On error (invalid target, failed validation, journal
   /// append failure) nothing is published and the current generation is
-  /// unchanged — an unjournaled delta is never acknowledged. In-flight
+  /// unchanged — an unjournaled delta is never acknowledged. A failed
+  /// append closes the journal: later deltas fail kFailedPrecondition
+  /// until SaveSnapshot re-bases it (see wal::WalWriter::Append). In-flight
   /// readers of the previous generation are never disturbed. `trace`
   /// (may be null) receives per-stage spans: delta_validate,
   /// snapshot_build, wal_fsync, publish.

@@ -53,19 +53,16 @@ class ElementMatcher {
   /// cites for efficient matcher implementations).
   virtual bool name_only() const { return true; }
 
-  /// True if ScoreName is a real implementation. The matching engine then
-  /// scores (personal node, distinct name) pairs through it — with cached
-  /// case-folds, reusable scratch buffers, and threshold pruning — instead
-  /// of the property-based Score.
-  virtual bool has_name_fast_path() const { return false; }
-
-  /// Threshold-aware name scorer. Contract: whenever the true Score of two
-  /// nodes carrying these names is >= threshold, the returned value must be
-  /// bit-identical to that Score; when it is below, any value < threshold
-  /// may be returned (the caller drops the pair either way — this is what
-  /// makes pruning invisible in the results). `scratch` may be null and may
-  /// be reused across calls on one thread. The default forwards to Score on
-  /// name-only property sets; overrides should do better.
+  /// Threshold-aware name scorer; the matching engine scores every
+  /// (personal node, distinct name) pair of a name-only matcher through it.
+  /// Contract: whenever the true Score of two nodes carrying these names is
+  /// >= threshold, the returned value must be bit-identical to that Score;
+  /// when it is below, any value < threshold may be returned (the caller
+  /// drops the pair either way — this is what makes pruning invisible in
+  /// the results). `scratch` may be null and may be reused across calls on
+  /// one thread. The default forwards to Score on name-only property sets;
+  /// overrides use the cached case-folds, the scratch buffers and the
+  /// threshold to do better.
   virtual double ScoreName(const NameView& personal, const NameView& repo,
                            double threshold,
                            sim::EditDistanceScratch* scratch) const;
@@ -80,7 +77,6 @@ class FuzzyNameMatcher final : public ElementMatcher {
   double Score(const schema::NodeProperties& personal,
                const schema::NodeProperties& repo) const override;
   std::string_view name() const override { return "fuzzy-name"; }
-  bool has_name_fast_path() const override { return true; }
   /// Banded, early-abandoning edit distance over the cached case-folds
   /// (raw forms when case-sensitive); pairs whose length difference alone
   /// caps the similarity below the threshold never run the DP.
@@ -101,7 +97,6 @@ class JaroWinklerNameMatcher final : public ElementMatcher {
   double Score(const schema::NodeProperties& personal,
                const schema::NodeProperties& repo) const override;
   std::string_view name() const override { return "jaro-winkler"; }
-  bool has_name_fast_path() const override { return true; }
   /// Runs on the cached case-folds, skipping the two ToLower copies Score
   /// pays per pair.
   double ScoreName(const NameView& personal, const NameView& repo,
@@ -116,7 +111,6 @@ class NgramNameMatcher final : public ElementMatcher {
   double Score(const schema::NodeProperties& personal,
                const schema::NodeProperties& repo) const override;
   std::string_view name() const override { return "ngram"; }
-  bool has_name_fast_path() const override { return true; }
   double ScoreName(const NameView& personal, const NameView& repo,
                    double threshold,
                    sim::EditDistanceScratch* scratch) const override;

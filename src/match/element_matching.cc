@@ -170,7 +170,6 @@ Result<ElementMatchingResult> MatchElements(
       options.control != nullptr ? options.control->trace : nullptr;
   std::optional<obs::ScopedSpan> score_span;
   score_span.emplace(trace, "dict_score");
-  const bool fast = matcher.has_name_fast_path();
   std::vector<double> scores(num_entries * m, 0.0);
   std::vector<uint32_t> entry_masks(num_entries, 0);
   // First stop verdict of any shard (0 = none); other shards bail promptly.
@@ -196,16 +195,10 @@ Result<ElementMatchingResult> MatchElements(
       // attributes are excluded; skip its scores entirely.
       if (!options.match_attributes && entry.element_nodes.empty()) continue;
       const NameView repo_view{entry.name, entry.lower, &entry.signature};
-      const schema::NodeProperties* rep_props =
-          fast ? nullptr : &repo.props(entry.representative);
       uint32_t mask = 0;
       for (size_t i = 0; i < m; ++i) {
-        const double score =
-            fast ? matcher.ScoreName(personal_views[i], repo_view,
-                                     options.threshold, &scratch)
-                 : matcher.Score(
-                       personal.props(static_cast<schema::NodeId>(i)),
-                       *rep_props);
+        const double score = matcher.ScoreName(
+            personal_views[i], repo_view, options.threshold, &scratch);
         if (score >= options.threshold && score > 0.0) {
           scores[d * m + i] = score;
           mask |= uint32_t{1} << i;

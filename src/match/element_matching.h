@@ -5,8 +5,8 @@
 //
 // For name-only matchers the stage runs as a two-stage engine: stage 1
 // scores the m × D matrix of (personal node, distinct repository name)
-// pairs against a NameDictionary — optionally sharded across a ThreadPool
-// and pruned by the matcher's threshold-aware name fast path — and stage 2
+// pairs through the matcher's threshold-aware ScoreName against a
+// NameDictionary — optionally sharded across a ThreadPool — and stage 2
 // broadcasts the qualifying scores to nodes through the dictionary's
 // posting lists. The engine is bit-identical to the retained reference
 // sweep (MatchElementsReference) for any fixed inputs; dictionary, pool,

@@ -44,9 +44,8 @@ class NameDictionary {
     /// kind so ElementMatchingOptions::match_attributes is a list choice.
     std::vector<schema::NodeRef> element_nodes;
     std::vector<schema::NodeRef> attribute_nodes;
-    /// First node carrying the name (in NodeRef order); its properties
-    /// stand in for the whole group when a name-only matcher without a
-    /// dedicated name fast path scores this entry.
+    /// First node carrying the name (in NodeRef order). Part of the
+    /// snapshot format, whose loader checks it.
     schema::NodeRef representative;
 
     size_t num_nodes() const {

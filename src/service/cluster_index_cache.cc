@@ -115,7 +115,7 @@ std::shared_ptr<ClusterIndexCache> ClusterCacheSet::Lookup(uint64_t fingerprint,
                        {fingerprint, cache});
   }
   if (publish) {
-    while (namespaces_.size() > 1 + retained_) {
+    while (namespaces_.size() > 1 + kRetained) {
       // The namespace just published sits at the back, so it is never the
       // one retired.
       ClusterIndexCache::Stats dropped = namespaces_.front().cache->stats();

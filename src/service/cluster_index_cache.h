@@ -92,15 +92,17 @@ class ClusterIndexCache {
 /// built for one content can only ever serve that content, whatever
 /// generations come and go while a query runs. Namespaces are kept in
 /// publication order (most recently published last); besides the current
-/// one, `retained` non-current namespaces survive, so queries pinned to a
-/// recent generation stay warm across small deltas and a delta restoring
-/// earlier content (equal fingerprint) gets its warm cache back.
+/// one, kRetained non-current namespaces survive, so queries pinned to the
+/// previous generation stay warm across a small delta and a delta restoring
+/// that content (equal fingerprint) gets its warm cache back.
 /// Thread-safe.
 class ClusterCacheSet {
  public:
+  /// Non-current namespaces kept beside the current one.
+  static constexpr size_t kRetained = 1;
+
   /// `capacity`: entries per namespace (0 disables caching).
-  ClusterCacheSet(size_t capacity, size_t retained)
-      : capacity_(capacity), retained_(retained) {}
+  explicit ClusterCacheSet(size_t capacity) : capacity_(capacity) {}
 
   /// The query path's namespace for `fingerprint`, created if absent. Never
   /// reorders: a long-queued query pinned to an already-retired generation
@@ -137,7 +139,6 @@ class ClusterCacheSet {
                                             bool publish);
 
   const size_t capacity_;
-  const size_t retained_;
   mutable std::mutex mu_;
   /// Most recently *published* last (query touches never reorder).
   std::vector<Namespace> namespaces_;

@@ -157,8 +157,8 @@ Matcher::Matcher(const MatchServiceOptions& options, size_t num_cache_sets)
     matching_pool_ = std::make_unique<ThreadPool>(options_.matching_threads);
   }
   for (size_t i = 0; i < num_cache_sets; ++i) {
-    cache_sets_.push_back(std::make_unique<ClusterCacheSet>(
-        options_.cluster_cache_capacity, options_.cache_retained_generations));
+    cache_sets_.push_back(
+        std::make_unique<ClusterCacheSet>(options_.cluster_cache_capacity));
   }
 
   // Metric series: registered once, incremented lock-free ever after.
@@ -262,8 +262,8 @@ core::MatchOptions Matcher::EffectiveOptionsOn(const MatchRequest& request,
   // options computes them the same way. Execution plumbing never changes
   // results, so the cluster-state key ignores it and cached states stay
   // shareable across configurations.
-  core::MatchOptions effective = EffectiveRequestOptions(
-      request, {options_.base_seed, options_.derive_seeds});
+  core::MatchOptions effective =
+      EffectiveRequestOptions(request, EffectiveOptionsPolicy{});
   if (effective.element.pool == nullptr && matching_pool_ != nullptr) {
     effective.element.pool = matching_pool_.get();
   }

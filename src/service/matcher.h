@@ -50,7 +50,7 @@ struct MatchRequest {
   /// Stable identity of the request. Labels results and — for randomized
   /// clustering initializations — seeds the per-query RNG, so re-running a
   /// request with the same id reproduces its result exactly regardless of
-  /// concurrency (see MatchServiceOptions::derive_seeds).
+  /// concurrency (see EffectiveOptionsPolicy::derive_seeds).
   std::string id;
   schema::SchemaTree personal;
   core::MatchOptions options;
@@ -132,22 +132,6 @@ struct MatchServiceOptions {
   /// Capacity of each cluster-state cache namespace in entries (distinct
   /// (personal schema, clustering options) keys); 0 disables caching.
   size_t cluster_cache_capacity = 64;
-  /// Cluster caches are namespaced by snapshot fingerprint (repository
-  /// content), so ApplyDelta can never let a stale cluster state serve a
-  /// changed repository. This many *non-current* fingerprints' caches are
-  /// retained alongside the current one: queries pinned to a recent
-  /// generation stay warm across small deltas, and a delta that restores
-  /// earlier content (equal fingerprint) gets its warm cache back.
-  size_t cache_retained_generations = 1;
-  /// Base seed mixed with request ids by SeedForQuery.
-  uint64_t base_seed = 42;
-  /// When a request's clustering consumes randomness (CentroidInit::kRandom
-  /// / kFarthestFirst), replace its k-means seed with
-  /// SeedForQuery(base_seed, request.id) so results are a pure function of
-  /// the request, not of thread interleaving. The default kMinSet
-  /// initialization is deterministic and ignores the seed, so those
-  /// requests share cache entries across ids.
-  bool derive_seeds = true;
   /// Per-query wall-clock deadline in seconds, applied to every request
   /// whose ExecutionControl carries no deadline of its own; 0 disables. The
   /// clock starts when the request is submitted (Submit) or executed
@@ -181,9 +165,16 @@ struct MatchServiceOptions {
 /// run to completion). Backends layer execution plumbing (the snapshot's
 /// name dictionary, the matching pool) on top of this; that plumbing never
 /// changes results, so `!stats`, HTTP and the CLI all report exactly the
-/// options this function returns.
+/// options this function returns. Every backend runs the default policy.
 struct EffectiveOptionsPolicy {
+  /// Base seed mixed with request ids by SeedForQuery.
   uint64_t base_seed = 42;
+  /// When a request's clustering consumes randomness (CentroidInit::kRandom
+  /// / kFarthestFirst), replace its k-means seed with
+  /// SeedForQuery(base_seed, request.id) so results are a pure function of
+  /// the request, not of thread interleaving. The default kMinSet
+  /// initialization is deterministic and ignores the seed, so those
+  /// requests share cache entries across ids.
   bool derive_seeds = true;
 };
 core::MatchOptions EffectiveRequestOptions(const MatchRequest& request,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -177,6 +179,38 @@ void NdjsonIntegrationObserver::OnFinish(
 
 // --- ServeSession ----------------------------------------------------------
 
+namespace {
+
+// Numeric grammar values are strict: the whole token must be one number in
+// strtod / strtoll syntax (the syntax atof / atol read), so "0.5x", "ten"
+// and "" are refused instead of read as a prefix or as 0. A well-formed
+// value means what it always meant; one that overflows is refused too.
+Result<double> ParseReal(const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(parsed)) {
+    return Status::InvalidArgument(key + " must be a finite number, got '" +
+                                   value + "'");
+  }
+  return parsed;
+}
+
+Result<long long> ParseInteger(const std::string& key,
+                               const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      errno == ERANGE) {
+    return Status::InvalidArgument(key + " must be a 64-bit integer, got '" +
+                                   value + "'");
+  }
+  return parsed;
+}
+
+}  // namespace
+
 ServeSession::ServeSession(Matcher* service, ServeSessionOptions options)
     : service_(service), options_(std::move(options)) {}
 
@@ -206,16 +240,25 @@ Result<MatchRequest> ServeSession::ParseQuery(const std::string& line,
     if (key == "id") {
       builder.id(value);
     } else if (key == "delta") {
-      builder.delta(std::atof(value.c_str()));
+      XSM_ASSIGN_OR_RETURN(const double delta, ParseReal(key, value));
+      builder.delta(delta);
     } else if (key == "top") {
-      builder.top_n(static_cast<size_t>(std::atol(value.c_str())));
+      XSM_ASSIGN_OR_RETURN(const long long top, ParseInteger(key, value));
+      builder.top_n(static_cast<size_t>(top));
     } else if (key == "join") {
-      builder.request().options.kmeans.join_distance =
-          static_cast<int>(std::atol(value.c_str()));
+      XSM_ASSIGN_OR_RETURN(const long long join, ParseInteger(key, value));
+      // A wrapped value would pass validation as a different distance.
+      if (join < std::numeric_limits<int>::min() ||
+          join > std::numeric_limits<int>::max()) {
+        return Status::InvalidArgument("join out of range: " + value);
+      }
+      builder.request().options.kmeans.join_distance = static_cast<int>(join);
     } else if (key == "threshold") {
-      builder.threshold(std::atof(value.c_str()));
+      XSM_ASSIGN_OR_RETURN(const double threshold, ParseReal(key, value));
+      builder.threshold(threshold);
     } else if (key == "alpha") {
-      builder.alpha(std::atof(value.c_str()));
+      XSM_ASSIGN_OR_RETURN(const double alpha, ParseReal(key, value));
+      builder.alpha(alpha);
     } else if (key == "cluster") {
       if (value == "tree") {
         builder.clustering(core::ClusteringMode::kTreeClusters);
@@ -350,10 +393,16 @@ Status ServeSession::RunCommand(const std::string& line,
     return source;
   };
 
-  // Parses a tree id, rejecting values a TreeId cannot hold — a silently
-  // wrapped id would target the wrong tree.
-  auto parse_target = [&stream](long* target) {
-    return static_cast<bool>(stream >> *target) && *target >= 0 &&
+  // Parses a tree id as one whole token, rejecting values a TreeId cannot
+  // hold — a prefix read ("0x" as 0) or a silently wrapped id would target
+  // the wrong tree.
+  auto parse_target = [&stream](long long* target) {
+    std::string token;
+    if (!(stream >> token)) return false;
+    auto id = ParseInteger("ID", token);
+    if (!id.ok()) return false;
+    *target = *id;
+    return *target >= 0 &&
            *target <= std::numeric_limits<schema::TreeId>::max();
   };
 
@@ -364,7 +413,7 @@ Status ServeSession::RunCommand(const std::string& line,
   };
 
   if (command == "!ingest" || command == "!replace") {
-    long target = -1;
+    long long target = -1;
     if (command == "!replace" && !parse_target(&target)) {
       return usage("usage: !replace ID SPEC [source=NAME]");
     }
@@ -389,7 +438,7 @@ Status ServeSession::RunCommand(const std::string& line,
     return apply(std::move(builder));
   }
   if (command == "!remove") {
-    long target = -1;
+    long long target = -1;
     if (!parse_target(&target)) {
       return usage("usage: !remove ID");
     }
@@ -496,40 +545,43 @@ Status ServeSession::RunIntegrate(const std::string& args,
                                   const EventSink& sink,
                                   core::ExecutionControl control) {
   integrate::IntegrationOptions options;
-  std::istringstream stream(args);
-  std::string token;
-  while (stream >> token) {
-    size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      Status status = Status::InvalidArgument(
-          "expected key=value, got: " + token);
-      EmitErrorEvent("integrate", status, sink);
-      return status;
-    }
-    std::string key = token.substr(0, eq);
-    std::string value = token.substr(eq + 1);
-    if (key == "threshold") {
-      options.threshold = std::atof(value.c_str());
-    } else if (key == "min_linkage") {
-      options.min_linkage = static_cast<size_t>(std::atol(value.c_str()));
-    } else if (key == "severity") {
-      auto severity = integrate::ParseSeverity(value);
-      if (!severity.ok()) {
-        EmitErrorEvent("integrate", severity.status(), sink);
-        return severity.status();
+  auto parse = [&args, &options]() -> Status {
+    std::istringstream stream(args);
+    std::string token;
+    while (stream >> token) {
+      size_t eq = token.find('=');
+      if (eq == std::string::npos) {
+        return Status::InvalidArgument("expected key=value, got: " + token);
       }
-      options.min_severity = *severity;
-    } else if (key == "strong") {
-      options.strong_confidence = std::atof(value.c_str());
-    } else if (key == "probable") {
-      options.probable_confidence = std::atof(value.c_str());
-    } else if (key == "seed") {
-      options.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
-    } else {
-      Status status = Status::InvalidArgument("unknown integrate key: " + key);
-      EmitErrorEvent("integrate", status, sink);
-      return status;
+      std::string key = token.substr(0, eq);
+      std::string value = token.substr(eq + 1);
+      if (key == "threshold") {
+        XSM_ASSIGN_OR_RETURN(options.threshold, ParseReal(key, value));
+      } else if (key == "min_linkage") {
+        XSM_ASSIGN_OR_RETURN(const long long linkage,
+                             ParseInteger(key, value));
+        options.min_linkage = static_cast<size_t>(linkage);
+      } else if (key == "severity") {
+        XSM_ASSIGN_OR_RETURN(options.min_severity,
+                             integrate::ParseSeverity(value));
+      } else if (key == "strong") {
+        XSM_ASSIGN_OR_RETURN(options.strong_confidence,
+                             ParseReal(key, value));
+      } else if (key == "probable") {
+        XSM_ASSIGN_OR_RETURN(options.probable_confidence,
+                             ParseReal(key, value));
+      } else if (key == "seed") {
+        XSM_ASSIGN_OR_RETURN(const long long seed, ParseInteger(key, value));
+        options.seed = static_cast<uint64_t>(seed);
+      } else {
+        return Status::InvalidArgument("unknown integrate key: " + key);
+      }
     }
+    return Status::OK();
+  };
+  if (Status parsed = parse(); !parsed.ok()) {
+    EmitErrorEvent("integrate", parsed, sink);
+    return parsed;
   }
   obs::TraceContext trace;
   const bool traced = options_.trace_events && control.trace == nullptr;

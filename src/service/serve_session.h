@@ -148,6 +148,10 @@ class ServeSession {
   ///   SPEC [id=NAME] [delta=D] [top=N] [cluster=tree|kmeans] [join=J]
   ///        [threshold=T] [alpha=A]
   /// against the session defaults. `index` numbers the fallback id "q<i>".
+  /// Numbers are strict: D, T and A must each be a whole finite number, N
+  /// a whole 64-bit integer and J a whole int, or the line is
+  /// InvalidArgument ("delta=abc", "threshold=0.5x" and "top=" are refused,
+  /// not read as a prefix or as 0). top=-1 still means no limit.
   Result<MatchRequest> ParseQuery(const std::string& line, size_t index) const;
 
   /// Runs one query to completion, streaming mapping/cluster events to
@@ -181,8 +185,9 @@ class ServeSession {
   ///   !generation                     report the current generation
   ///   !stats                          service counters as one event
   ///   !metrics                        Prometheus exposition as one event
-  /// Every successful mutation emits one "generation" event; failures emit
-  /// typed "error" events. Returns the command's status (already reported
+  /// IDs follow ParseQuery's strict number rule ("!remove 1junk" is an
+  /// error, not tree 1). Every successful mutation emits one "generation"
+  /// event; failures emit typed "error" events. Returns the command's status (already reported
   /// to the sink — callers only need it for transport-level mapping, e.g.
   /// the HTTP response code). `control` bounds long-running commands
   /// (currently !integrate); the default is unlimited.
@@ -194,7 +199,8 @@ class ServeSession {
   /// terminal "mediated" summary to `sink`. `args` is the option grammar
   ///   [threshold=T] [min_linkage=N] [severity=weak|probable|strong]
   ///   [strong=C] [probable=C] [seed=S]
-  /// over integrate::IntegrationOptions defaults. `control`'s cancel token
+  /// over integrate::IntegrationOptions defaults, with ParseQuery's strict
+  /// number rule. `control`'s cancel token
   /// and deadline are honored between slices (the HTTP server wires client
   /// disconnect and admission deadlines to it); an interrupted run still
   /// emits its typed partial "mediated" event and returns OK — only option

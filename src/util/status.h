@@ -28,8 +28,8 @@ enum class StatusCode : int {
   /// internally inconsistent sections). Distinct from kParseError — the
   /// input claimed to be ours and is damaged, rather than malformed text.
   kCorruption = 11,
-  /// The peer is temporarily unable to serve (admission shed, overload,
-  /// retry budget exhausted). Retrying later may succeed; distinct from
+  /// The peer is temporarily unable to serve (admission shed, overload).
+  /// Retrying later may succeed; distinct from
   /// kIOError, which reports a transport-level failure.
   kUnavailable = 12,
 };

@@ -193,8 +193,6 @@ bool Reader::U64Vec(std::vector<uint64_t>* out) {
   return true;
 }
 
-void Reader::Skip(size_t n) { Take(n); }
-
 void Reader::Fail(std::string message) {
   if (status_.ok()) status_ = Status::Corruption(std::move(message));
 }

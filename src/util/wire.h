@@ -87,9 +87,6 @@ class Reader {
   bool I32Vec(std::vector<int32_t>* out);
   bool U64Vec(std::vector<uint64_t>* out);
 
-  /// Skips `n` bytes (section framing).
-  void Skip(size_t n);
-
   size_t remaining() const { return bytes_.size() - pos_; }
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }

@@ -149,6 +149,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
 }
 
 Status WalWriter::Append(RecordType type, std::string_view payload) {
+  XSM_RETURN_NOT_OK(poisoned_);
   std::string frame;
   wire::Writer writer(&frame);
   writer.U32(wire::Crc32c(payload));
@@ -156,9 +157,15 @@ Status WalWriter::Append(RecordType type, std::string_view payload) {
   writer.U64(payload.size());
   // One Append call per record half keeps the torn-prefix geometry simple
   // for the crash sweep; durability comes from the fsync below either way.
-  XSM_RETURN_NOT_OK(file_->Append(frame));
-  XSM_RETURN_NOT_OK(file_->Append(payload));
-  XSM_RETURN_NOT_OK(file_->Sync());
+  Status status = file_->Append(frame);
+  if (status.ok()) status = file_->Append(payload);
+  if (status.ok()) status = file_->Sync();
+  if (!status.ok()) {
+    poisoned_ = Status::FailedPrecondition(
+        "journal closed after a failed append (" + status.ToString() +
+        "); a checkpoint re-bases it");
+    return status;
+  }
   size_bytes_ += frame.size() + payload.size();
   ++records_appended_;
   return Status::OK();

@@ -101,6 +101,14 @@ class WalWriter {
   /// Frames, appends, and fsyncs one record. After OK the record survives
   /// a kill; after an error nothing of the record is considered written
   /// (a torn prefix on disk is dropped by the next recovery).
+  ///
+  /// Fails closed: after any failed write or fsync the file's state is
+  /// unknown (a torn frame may sit where the next record would go, and a
+  /// failed fsync may have dropped dirty pages the page cache still shows),
+  /// so the writer is poisoned. Every later Append returns
+  /// kFailedPrecondition naming the first failure, and a failed fsync is
+  /// never retried on the same file. Only a fresh writer (Create — the
+  /// compaction after a checkpoint) journals again.
   Status Append(RecordType type, std::string_view payload);
 
   const WalInfo& info() const { return info_; }
@@ -117,6 +125,8 @@ class WalWriter {
   WalInfo info_;
   uint64_t size_bytes_;
   size_t records_appended_ = 0;
+  /// OK until an Append fails; then the refusal every later Append returns.
+  Status poisoned_;
 };
 
 /// Serializes a header-only journal (used by Create; exposed for tests).

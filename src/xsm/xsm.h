@@ -43,7 +43,6 @@
 #include "net/http.h"                    // IWYU pragma: export
 #include "net/http_client.h"             // IWYU pragma: export
 #include "net/http_server.h"             // IWYU pragma: export
-#include "net/retrying_client.h"         // IWYU pragma: export
 #include "net/tenant_registry.h"         // IWYU pragma: export
 #include "objective/objective.h"         // IWYU pragma: export
 #include "obs/metrics.h"                 // IWYU pragma: export

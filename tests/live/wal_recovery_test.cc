@@ -368,6 +368,77 @@ TEST_F(WalRecoveryTest, FailedCompactionKeepsJournalingRecoverySkips) {
             ref_->fingerprint.back());
 }
 
+// A journal append that fails after its frame reached the file closes the
+// journal: the next delta would land behind the torn frame, where recovery
+// reads it as corruption, so it is refused typed and publishes nothing.
+// A checkpoint re-bases the journal, and recovery lands on the delta
+// acknowledged after it.
+TEST_F(WalRecoveryTest, FailedPayloadAppendFailsClosedUntilCheckpoint) {
+  service::MatchServiceOptions options;
+  options.num_threads = 1;
+  auto make_service = [&] {
+    auto manager = RepositoryManager::Create(DeepCopy(*base_));
+    EXPECT_TRUE(manager.ok()) << manager.status().ToString();
+    return std::make_unique<service::MatchService>(std::move(*manager),
+                                                   options);
+  };
+
+  // Probe: the appends made before delta 1 is journaled.
+  int64_t before_d1 = 0;
+  {
+    TempDir probe_dir("fail_closed_probe");
+    FaultInjectionEnv probe{FaultPlan{}};
+    auto service = make_service();
+    ASSERT_TRUE(service->SaveSnapshot(probe_dir.File("t.snap")).ok());
+    ASSERT_TRUE(service->AttachWal(&probe, probe_dir.File("t.wal")).ok());
+    ASSERT_TRUE(service->ApplyDelta((*deltas_)[0]).ok());
+    before_d1 = probe.stats().appends;
+    ASSERT_TRUE(service->ApplyDelta((*deltas_)[1]).ok());
+    ASSERT_EQ(probe.stats().appends - before_d1, 2) << "frame + payload";
+  }
+
+  TempDir dir("fail_closed");
+  const std::string snap = dir.File("t.snap");
+  const std::string wal = dir.File("t.wal");
+  // Delta 1's frame lands whole; its payload tears after 4 bytes.
+  FaultPlan plan;
+  plan.fail_append_at = before_d1 + 1;
+  plan.append_persist_bytes = 4;
+  FaultInjectionEnv env(plan);
+  auto service = make_service();
+  ASSERT_TRUE(service->SaveSnapshot(snap).ok());
+  ASSERT_TRUE(service->AttachWal(&env, wal).ok());
+  ASSERT_TRUE(service->ApplyDelta((*deltas_)[0]).ok());
+
+  auto failed = service->ApplyDelta((*deltas_)[1]);
+  ASSERT_FALSE(failed.ok()) << "the injected payload failure must surface";
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  auto refused = service->ApplyDelta((*deltas_)[1]);
+  ASSERT_FALSE(refused.ok()) << "a poisoned journal must refuse appends";
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("injected write failure"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(service->CurrentGeneration(), 1u);
+
+  ASSERT_TRUE(service->SaveSnapshot(snap).ok());
+  auto acked = service->ApplyDelta((*deltas_)[1]);
+  ASSERT_TRUE(acked.ok()) << acked.status().ToString();
+  EXPECT_EQ(acked->generation, 2u);
+  EXPECT_EQ(acked->fingerprint, ref_->fingerprint[2]);
+  service.reset();  // SIGKILL: no final save
+
+  RecoveryReport report;
+  auto recovered = service::MatchService::Recover(Env::Default(), snap, wal,
+                                                  options, &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->CurrentGeneration(), 2u);
+  EXPECT_EQ((*recovered)->CurrentSnapshot()->fingerprint(),
+            ref_->fingerprint[2]);
+  EXPECT_EQ(report.snapshot_generation, 1u);
+  EXPECT_EQ(report.records_replayed, 1u);
+}
+
 // Damage (as opposed to crash artifacts) is refused typed, never served.
 TEST_F(WalRecoveryTest, DamagedJournalsAreRefusedTyped) {
   TempDir dir("damage");

@@ -1,9 +1,7 @@
-// HttpClient deadlines and RetryingHttpClient classification against a
-// scripted misbehaving server: hangs, half-closes mid-response, typed
-// 503 sheds. Connect timeout, read deadline, and retry-budget exhaustion
-// must all surface as typed statuses — never hangs — and the jittered
-// backoff schedule must replay exactly from its seed.
-#include "net/retrying_client.h"
+// HttpClient deadlines against a scripted misbehaving server: hangs and
+// half-closes mid-response. Connect timeout and read deadline must surface
+// as typed statuses, never hangs.
+#include "net/http_client.h"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -12,17 +10,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/http.h"
-#include "net/http_client.h"
 #include "util/status.h"
 
 namespace xsm::net {
@@ -53,8 +49,6 @@ class ScriptedServer {
   enum class Action {
     kHang,       ///< read the request, never answer, hold the socket
     kHalfClose,  ///< answer a truncated response, then close
-    kShed503,    ///< typed retryable shed, like the real server's
-    kPlain503,   ///< 503 *without* the retryable flag
     kOk200,      ///< a well-formed success
   };
 
@@ -151,15 +145,6 @@ class ScriptedServer {
                  "HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\nonly "
                  "this much");
         break;
-      case Action::kShed503:
-        WriteAll(fd, Response(503, "Service Unavailable",
-                              "{\"type\":\"error\",\"code\":\"shed\","
-                              "\"retryable\":true}\n"));
-        break;
-      case Action::kPlain503:
-        WriteAll(fd, Response(503, "Service Unavailable",
-                              "{\"type\":\"error\",\"code\":\"down\"}\n"));
-        break;
       case Action::kOk200:
         WriteAll(fd, Response(200, "OK", "{\"type\":\"ok\"}\n"));
         break;
@@ -233,132 +218,6 @@ TEST(HttpClientDeadlineTest, HalfCloseMidResponseIsTypedIOError) {
       response.status().message().find("before a complete response"),
       std::string::npos)
       << response.status().ToString();
-}
-
-RetryOptions FastRetryOptions(std::vector<double>* recorded = nullptr) {
-  RetryOptions options;
-  options.connect_timeout_seconds = 1.0;
-  options.read_timeout_seconds = 0.3;
-  options.initial_backoff_seconds = 0.05;
-  options.sleeper = [recorded](double seconds) {
-    if (recorded != nullptr) recorded->push_back(seconds);
-  };
-  return options;
-}
-
-TEST(RetryingClientTest, BudgetExhaustionIsTypedUnavailable) {
-  ScriptedServer server(
-      {Action::kShed503, Action::kShed503, Action::kShed503,
-       Action::kShed503});
-  std::vector<double> backoffs;
-  RetryOptions options = FastRetryOptions(&backoffs);
-  options.max_attempts = 4;
-  RetryingHttpClient client("127.0.0.1", server.port(), options);
-  auto response = client.Fetch("POST", "/v1/tenants/t1/match", "query");
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.status().code(), StatusCode::kUnavailable)
-      << response.status().ToString();
-  EXPECT_NE(response.status().message().find("retry budget exhausted"),
-            std::string::npos);
-  EXPECT_NE(response.status().message().find("shed-503"), std::string::npos)
-      << response.status().ToString();
-  EXPECT_EQ(client.stats().attempts, 4);
-  EXPECT_EQ(client.stats().shed_503s, 4);
-  EXPECT_EQ(client.stats().last_failure, FailureClass::kShed503);
-  ASSERT_EQ(backoffs.size(), 3u);
-
-  // The schedule is a pure function of the seed: a fresh client with the
-  // same seed reproduces it draw for draw, and every delay respects the
-  // capped-exponential-with-jitter envelope.
-  RetryingHttpClient replay("127.0.0.1", server.port(), options);
-  for (size_t k = 0; k < backoffs.size(); ++k) {
-    EXPECT_DOUBLE_EQ(replay.NextBackoffSeconds(static_cast<int>(k)),
-                     backoffs[k])
-        << "retry " << k;
-    const double base =
-        std::min(options.initial_backoff_seconds *
-                     std::pow(options.backoff_multiplier, double(k)),
-                 options.max_backoff_seconds);
-    EXPECT_GE(backoffs[k], base * (1.0 - options.jitter_fraction));
-    EXPECT_LE(backoffs[k], base * (1.0 + options.jitter_fraction));
-  }
-
-  // A different seed decorrelates the schedule.
-  RetryOptions other = options;
-  other.seed = options.seed + 1;
-  RetryingHttpClient decorrelated("127.0.0.1", server.port(), other);
-  bool any_different = false;
-  for (size_t k = 0; k < backoffs.size(); ++k) {
-    if (decorrelated.NextBackoffSeconds(static_cast<int>(k)) !=
-        backoffs[k]) {
-      any_different = true;
-    }
-  }
-  EXPECT_TRUE(any_different);
-}
-
-TEST(RetryingClientTest, ShedsThenSuccessWithinBudget) {
-  ScriptedServer server({Action::kShed503, Action::kShed503, Action::kOk200});
-  RetryingHttpClient client("127.0.0.1", server.port(), FastRetryOptions());
-  auto response = client.Fetch("GET", "/v1/stats");
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status_code, 200);
-  EXPECT_EQ(client.stats().attempts, 3);
-  EXPECT_EQ(client.stats().shed_503s, 2);
-  EXPECT_EQ(client.stats().last_failure, FailureClass::kNone);
-}
-
-TEST(RetryingClientTest, Non503RetryableFlagIsHonored) {
-  // A 503 without "retryable":true is the server saying "don't": returned
-  // as-is on the first attempt, no retries burned.
-  ScriptedServer server({Action::kPlain503});
-  RetryingHttpClient client("127.0.0.1", server.port(), FastRetryOptions());
-  auto response = client.Fetch("GET", "/v1/stats");
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status_code, 503);
-  EXPECT_EQ(client.stats().attempts, 1);
-  EXPECT_EQ(client.stats().shed_503s, 0);
-}
-
-TEST(RetryingClientTest, HalfCloseRetriedAsReset) {
-  ScriptedServer server({Action::kHalfClose, Action::kOk200});
-  RetryingHttpClient client("127.0.0.1", server.port(), FastRetryOptions());
-  auto response = client.Fetch("GET", "/flaky");
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status_code, 200);
-  EXPECT_EQ(client.stats().attempts, 2);
-  EXPECT_EQ(client.stats().resets, 1);
-}
-
-TEST(RetryingClientTest, HangRetriedAsResponseTimeout) {
-  ScriptedServer server({Action::kHang, Action::kOk200});
-  RetryingHttpClient client("127.0.0.1", server.port(), FastRetryOptions());
-  auto response = client.Fetch("GET", "/slow");
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->status_code, 200);
-  EXPECT_EQ(client.stats().attempts, 2);
-  EXPECT_EQ(client.stats().response_timeouts, 1);
-  EXPECT_GT(client.stats().backoff_seconds, 0.0);
-}
-
-TEST(RetryingClientTest, ConnectRefusedClassifiedAndExhausted) {
-  // Bind + close to find a port with nothing listening on it.
-  uint16_t port = 0;
-  int fd = ListenOn(&port, 1);
-  ::close(fd);
-
-  RetryOptions options = FastRetryOptions();
-  options.max_attempts = 3;
-  RetryingHttpClient client("127.0.0.1", port, options);
-  auto response = client.Fetch("GET", "/");
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(response.status().message().find("connect-refused"),
-            std::string::npos)
-      << response.status().ToString();
-  EXPECT_EQ(client.stats().attempts, 3);
-  EXPECT_EQ(client.stats().connect_refused, 3);
-  EXPECT_EQ(client.stats().last_failure, FailureClass::kConnectRefused);
 }
 
 }  // namespace

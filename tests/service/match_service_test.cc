@@ -248,10 +248,7 @@ TEST_F(MatchServiceTest, DerivedSeedsAreDeterministicPerQueryId) {
   EXPECT_NE(service->ClusterStateKey(other), service->ClusterStateKey(query));
 
   // With derivation off, the caller's seed is used untouched.
-  MatchServiceOptions raw;
-  raw.derive_seeds = false;
-  auto raw_service = MakeService(raw);
-  EXPECT_EQ(raw_service->EffectiveOptions(query).kmeans.seed,
+  EXPECT_EQ(EffectiveRequestOptions(query, {42, false}).kmeans.seed,
             query.options.kmeans.seed);
 }
 
@@ -484,9 +481,7 @@ TEST_F(MatchServiceTest, RevertedDeltaRevivesWarmCache) {
 }
 
 TEST_F(MatchServiceTest, CacheNamespaceRetentionIsBounded) {
-  MatchServiceOptions options;
-  options.cache_retained_generations = 1;
-  auto service = MakeService(options);
+  auto service = MakeService();
   for (int i = 0; i < 4; ++i) {
     live::DeltaBuilder builder;
     builder.AddTree(*schema::ParseTreeSpec(

@@ -89,7 +89,12 @@ TEST_F(ServeSessionTest, ParseQueryRejectsBadInput) {
   auto session = MakeSession();
   for (const char* bad :
        {"", "   ", "person( id=x", "person(name) top",
-        "person(name) nonsense=1", "person(name) cluster=blob"}) {
+        "person(name) nonsense=1", "person(name) cluster=blob",
+        // Numbers must be whole tokens: no prefix reads, no empty zeros.
+        "person(name) delta=abc", "person(name) threshold=0.5x",
+        "person(name) top=ten", "person(name) alpha=", "person(name) join=x",
+        "person(name) top=1.5", "person(name) delta=nan",
+        "person(name) cluster=kmeans join=4294967297"}) {
     auto query = session->ParseQuery(bad, 0);
     EXPECT_FALSE(query.ok()) << "'" << bad << "'";
   }
@@ -262,6 +267,9 @@ TEST_F(ServeSessionTest, CommandErrorsAreTypedEvents) {
       {"!remove notanumber", StatusCode::kInvalidArgument},
       {"!remove 1000000", StatusCode::kInvalidArgument},  // no such tree
       {"!replace xyz person(name)", StatusCode::kInvalidArgument},
+      // Ids are whole tokens: "1junk" is not tree 1, "0x" not tree 0.
+      {"!remove 1junk", StatusCode::kInvalidArgument},
+      {"!replace 0x person(name)", StatusCode::kInvalidArgument},
       {"!ingest", StatusCode::kInvalidArgument},
       {"!ingest bad((spec", StatusCode::kParseError},
       {"!frobnicate", StatusCode::kInvalidArgument},
@@ -370,7 +378,10 @@ TEST_F(ServeSessionTest, IntegrateBadArgsEmitTypedErrors) {
   auto session = MakeSession();
   for (const char* bad :
        {"!integrate bogus=1", "!integrate threshold",
-        "!integrate severity=medium", "!integrate threshold=2"}) {
+        "!integrate severity=medium", "!integrate threshold=2",
+        "!integrate threshold=0.5x", "!integrate min_linkage=two",
+        "!integrate strong=", "!integrate probable=high",
+        "!integrate seed=7s"}) {
     std::vector<std::string> events;
     Status status = session->RunCommand(bad, Collect(&events));
     EXPECT_FALSE(status.ok()) << bad;

@@ -173,6 +173,12 @@ TEST(ShardedRecoveryTest, FailedJournalAppendPublishesNothing) {
     EXPECT_EQ(after[s].trees, shards[s].trees) << "shard " << s;
   }
 
+  // The failed append closed the journal until a checkpoint re-bases it.
+  auto refused = sharded->ApplyDelta(d3);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(sharded->SaveSnapshot(snap).ok());
+
   // The unsharded chain never saw d2.
   std::vector<RepositoryDelta> acked;
   acked.push_back(d1);
@@ -192,7 +198,78 @@ TEST(ShardedRecoveryTest, FailedJournalAppendPublishesNothing) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->CurrentGeneration(), 2u);
   EXPECT_EQ((*recovered)->Pin()->fingerprint(), reference[2]);
-  EXPECT_EQ(report.records_replayed, 2u);
+  EXPECT_EQ(report.records_replayed, 1u) << "d3, after the checkpoint";
+}
+
+// A journal append that fails after its frame reached the file closes the
+// journal: the next delta is refused typed and publishes nothing (behind
+// the torn frame, recovery would read it as corruption). A checkpoint
+// re-bases the journal, and recovery lands on the delta acknowledged after
+// it, at its exact generation and fingerprint.
+TEST(ShardedRecoveryTest, FailedPayloadAppendFailsClosedUntilCheckpoint) {
+  const schema::SchemaForest forest = MakeCorpus(500, 13);
+  const auto last = static_cast<schema::TreeId>(forest.num_trees() - 1);
+  DeltaBuilder b1;
+  b1.ReplaceTree(0, Spec("vendor(id,name)"), "d1");
+  DeltaBuilder b2;  // first and last tree: two shards
+  b2.ReplaceTree(0, Spec("ledger(entry,amount)"), "d2");
+  b2.ReplaceTree(last, Spec("receipt(total,date)"), "d2");
+  const std::vector<RepositoryDelta> deltas = {Build(std::move(b1)),
+                                               Build(std::move(b2))};
+  const std::vector<uint64_t> reference = ReferenceFingerprints(forest, deltas);
+
+  // Probe: the appends made before d2 is journaled.
+  int64_t before_d2 = 0;
+  {
+    TempDir dir("fail_closed_probe");
+    FaultInjectionEnv probe{FaultPlan{}};
+    auto sharded = MakeSharded(forest);
+    ASSERT_TRUE(sharded->SaveSnapshot(dir.File("r.snap")).ok());
+    ASSERT_TRUE(sharded->AttachWal(&probe, dir.File("r.wal")).ok());
+    ASSERT_TRUE(sharded->ApplyDelta(deltas[0]).ok());
+    before_d2 = probe.stats().appends;
+    ASSERT_TRUE(sharded->ApplyDelta(deltas[1]).ok());
+    ASSERT_EQ(probe.stats().appends - before_d2, 2) << "frame + payload";
+  }
+
+  TempDir dir("fail_closed");
+  const std::string snap = dir.File("r.snap");
+  const std::string wal = dir.File("r.wal");
+  // d2's frame lands whole; its payload tears after 4 bytes.
+  FaultPlan plan;
+  plan.fail_append_at = before_d2 + 1;
+  plan.append_persist_bytes = 4;
+  FaultInjectionEnv env(plan);
+  auto sharded = MakeSharded(forest);
+  ASSERT_TRUE(sharded->SaveSnapshot(snap).ok());
+  ASSERT_TRUE(sharded->AttachWal(&env, wal).ok());
+  ASSERT_TRUE(sharded->ApplyDelta(deltas[0]).ok());
+
+  auto failed = sharded->ApplyDelta(deltas[1]);
+  ASSERT_FALSE(failed.ok()) << "the injected payload failure must surface";
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  auto refused = sharded->ApplyDelta(deltas[1]);
+  ASSERT_FALSE(refused.ok()) << "a poisoned journal must refuse appends";
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(sharded->CurrentGeneration(), 1u);
+  EXPECT_EQ(sharded->Pin()->fingerprint(), reference[1]);
+
+  ASSERT_TRUE(sharded->SaveSnapshot(snap).ok());
+  auto acked = sharded->ApplyDelta(deltas[1]);
+  ASSERT_TRUE(acked.ok()) << acked.status().ToString();
+  EXPECT_EQ(acked->generation, 2u);
+  EXPECT_EQ(acked->fingerprint, reference[2]);
+  sharded.reset();  // SIGKILL: no final save
+
+  live::RecoveryReport report;
+  auto recovered =
+      ShardedMatchService::Recover(Env::Default(), snap, wal, LightOptions(),
+                                   &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->CurrentGeneration(), 2u);
+  EXPECT_EQ((*recovered)->Pin()->fingerprint(), reference[2]);
+  EXPECT_EQ(report.snapshot_generation, 1u);
+  EXPECT_EQ(report.records_replayed, 1u);
 }
 
 // --- one journal, counters once per tenant event ---------------------------

@@ -296,5 +296,36 @@ TEST(WalTest, AppendFailureLeavesRecoverableJournal) {
   EXPECT_EQ(after->dropped_bytes, 3u);
 }
 
+// A failed fsync leaves the file's durable state unknown, so the writer
+// fails closed: it refuses every later append, typed and naming the first
+// failure, and never fsyncs that file again.
+TEST(WalTest, FailedSyncPoisonsTheWriter) {
+  TempDir dir("syncfail");
+  const std::string path = dir.File("j.wal");
+  ASSERT_TRUE(WalWriter::Create(env(), path, 3, 33).ok());
+  auto read = ReadWal(env(), path);
+  ASSERT_TRUE(read.ok());
+
+  util::io::FaultPlan plan;
+  plan.fail_sync_at = 0;
+  util::io::FaultInjectionEnv faulty(plan);
+  auto writer = WalWriter::Open(&faulty, path, *read);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  Status append = (*writer)->Append(RecordType::kDelta, "unsynced");
+  ASSERT_FALSE(append.ok());
+  EXPECT_EQ(append.code(), StatusCode::kIOError);
+  EXPECT_EQ((*writer)->records_appended(), 0u);
+
+  for (int i = 0; i < 2; ++i) {
+    Status refused = (*writer)->Append(RecordType::kDelta, "later");
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(refused.message().find("injected"), std::string::npos)
+        << refused.ToString();
+  }
+  EXPECT_EQ(faulty.stats().syncs, 1) << "a failed fsync is never retried";
+  EXPECT_EQ(faulty.stats().appends, 2) << "refused appends write nothing";
+}
+
 }  // namespace
 }  // namespace xsm::wal
