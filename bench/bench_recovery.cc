@@ -3,7 +3,7 @@
 //
 // Scenario per measured point K:
 //   checkpoint the repository at generation 0, journal K acknowledged
-//   deltas, then "crash" (the manager is dropped with no save) and time
+//   deltas, then "crash" (the service is dropped with no save) and time
 //   live::RepositoryManager::Recover — snapshot load, CRC-verified journal
 //   replay, fingerprint re-verification of every replayed generation, and
 //   journal re-attachment all included; nothing cheats.
@@ -186,26 +186,31 @@ int main(int argc, char** argv) {
   const std::string wal_path = (dir / "journal.wal").string();
 
   // The forest text a cold restart would re-parse (xsm_cli gen/convert
-  // output), saved before the forest is moved into the manager.
+  // output), saved before the forest is moved into the service.
   Status saved_text = schema::SaveForestToFile(*generated, text_path);
   if (!saved_text.ok()) {
     std::fprintf(stderr, "%s\n", saved_text.ToString().c_str());
     return 1;
   }
 
-  auto manager = live::RepositoryManager::Create(std::move(*generated));
-  if (!manager.ok()) {
-    std::fprintf(stderr, "%s\n", manager.status().ToString().c_str());
+  // The journaled chain is the serving one: MatchService's write path
+  // (build, journal append + fsync, publish).
+  service::MatchServiceOptions chain_options;
+  chain_options.num_threads = 1;
+  auto chain = service::MatchService::Create(std::move(*generated),
+                                             chain_options);
+  if (!chain.ok()) {
+    std::fprintf(stderr, "%s\n", chain.status().ToString().c_str());
     return 1;
   }
   const schema::TreeId base_trees =
-      static_cast<schema::TreeId>((*manager)->Current()->num_trees());
-  const size_t base_nodes = (*manager)->Current()->total_nodes();
+      static_cast<schema::TreeId>((*chain)->CurrentSnapshot()->num_trees());
+  const size_t base_nodes = (*chain)->CurrentSnapshot()->total_nodes();
 
   std::printf(
       "recovery: checkpoint + journal replay vs cold rebuild "
       "(%zu elements / %u trees, repeat=%d)\n\n",
-      (*manager)->Current()->total_nodes(),
+      (*chain)->CurrentSnapshot()->total_nodes(),
       static_cast<unsigned>(base_trees), repeats);
 
   // --- Cold restart: parse forest text, rebuild every index. ----------------
@@ -228,20 +233,20 @@ int main(int argc, char** argv) {
     cold_fingerprint = (*snapshot)->fingerprint();
     if (r == 0 || cold_seconds < best_cold) best_cold = cold_seconds;
   }
-  if (cold_fingerprint != (*manager)->Current()->fingerprint()) {
+  if (cold_fingerprint != (*chain)->CurrentSnapshot()->fingerprint()) {
     std::printf("COLD REBUILD FINGERPRINT MISMATCH\n");
     return 1;
   }
 
   // --- Checkpoint + journal, then grow the acknowledged chain. --------------
   Timer save_timer;
-  auto checkpoint = store::SaveSnapshotToFile(*(*manager)->Current(), snap_path);
+  auto checkpoint = store::SaveSnapshotToFile(*(*chain)->CurrentSnapshot(), snap_path);
   double save_seconds = save_timer.ElapsedSeconds();
   if (!checkpoint.ok()) {
     std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
     return 1;
   }
-  Status attached = (*manager)->AttachWal(util::io::Env::Default(), wal_path);
+  Status attached = (*chain)->AttachWal(util::io::Env::Default(), wal_path);
   if (!attached.ok()) {
     std::fprintf(stderr, "%s\n", attached.ToString().c_str());
     return 1;
@@ -254,7 +259,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", reloaded.status().ToString().c_str());
     return 1;
   }
-  auto unjournaled = live::RepositoryManager::Create(std::move(*reloaded));
+  auto unjournaled =
+      service::MatchService::Create(std::move(*reloaded), chain_options);
   if (!unjournaled.ok()) {
     std::fprintf(stderr, "%s\n", unjournaled.status().ToString().c_str());
     return 1;
@@ -264,7 +270,7 @@ int main(int argc, char** argv) {
   // each measured K: every append is fsync'd before acknowledgement, so
   // the copy is exactly the journal a crash at that instant leaves behind.
   std::vector<Acked> acked(max_deltas + 1);
-  acked[0] = {0, (*manager)->Current()->fingerprint()};
+  acked[0] = {0, (*chain)->CurrentSnapshot()->fingerprint()};
   std::vector<std::string> wal_at;
   for (size_t k : points) {
     wal_at.push_back((dir / ("journal_k" + std::to_string(k) + ".wal"))
@@ -285,7 +291,7 @@ int main(int argc, char** argv) {
     if (k == max_deltas) break;
     live::RepositoryDelta delta = MakeDelta(k, base_trees);
     Timer journaled_timer;
-    auto report = (*manager)->Apply(delta);
+    auto report = (*chain)->ApplyDelta(delta);
     journaled_apply_seconds += journaled_timer.ElapsedSeconds();
     if (!report.ok()) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
@@ -293,7 +299,7 @@ int main(int argc, char** argv) {
     }
     acked[k + 1] = {report->generation, report->fingerprint};
     Timer unjournaled_timer;
-    auto twin = (*unjournaled)->Apply(delta);
+    auto twin = (*unjournaled)->ApplyDelta(delta);
     unjournaled_apply_seconds += unjournaled_timer.ElapsedSeconds();
     if (!twin.ok()) {
       std::fprintf(stderr, "%s\n", twin.status().ToString().c_str());
@@ -348,7 +354,7 @@ int main(int argc, char** argv) {
     queries_identical =
         queries_identical &&
         QueryDigest(recovered_final, kQuerySpecs[s]) ==
-            QueryDigest((*manager)->Current(), kQuerySpecs[s]);
+            QueryDigest((*chain)->CurrentSnapshot(), kQuerySpecs[s]);
   }
 
   const double journal_overhead =

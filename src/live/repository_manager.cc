@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "live/delta_codec.h"
+#include "store/snapshot_store.h"
 #include "util/timer.h"
 
 namespace xsm::live {
@@ -27,35 +28,9 @@ RepositoryManager::RepositoryManager(
     std::shared_ptr<const service::RepositorySnapshot> initial)
     : current_(std::move(initial)) {}
 
-Status RepositoryManager::AttachWal(util::io::Env* env,
-                                    const std::string& wal_path) {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  std::shared_ptr<const service::RepositorySnapshot> current =
-      current_.load(std::memory_order_acquire);
-  XSM_ASSIGN_OR_RETURN(
-      std::unique_ptr<wal::WalWriter> writer,
-      wal::WalWriter::Create(env, wal_path, current->generation(),
-                             current->fingerprint()));
-  env_ = env;
-  wal_path_ = wal_path;
-  wal_ = std::move(writer);
-  return Status::OK();
-}
-
-bool RepositoryManager::wal_attached() const {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  return wal_ != nullptr;
-}
-
-Result<ApplyReport> RepositoryManager::Apply(const RepositoryDelta& delta,
-                                             obs::TraceContext* trace) {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  // Writers are serialized, so the snapshot read here is the one the
-  // successor chains from — readers may fetch it concurrently, which is
-  // fine: it is immutable either way.
-  std::shared_ptr<const service::RepositorySnapshot> base =
-      current_.load(std::memory_order_acquire);
-
+Result<ApplyReport> BuildSuccessorSnapshot(
+    const std::shared_ptr<const service::RepositorySnapshot>& base,
+    const RepositoryDelta& delta, obs::TraceContext* trace) {
   Timer timer;
   AppliedDelta applied;
   {
@@ -70,21 +45,6 @@ Result<ApplyReport> RepositoryManager::Apply(const RepositoryDelta& delta,
         service::RepositorySnapshot::CreateSuccessor(
             base, std::move(applied.forest), applied.reuse_map));
   }
-
-  // Write-ahead: the delta must be durable before the generation becomes
-  // visible. If the journal append fails (disk full, fsync failure,
-  // crash), nothing is published and the caller sees the typed error —
-  // an unacknowledged delta may be retried or abandoned, but never
-  // silently half-applied.
-  if (wal_ != nullptr) {
-    obs::ScopedSpan span(trace, "wal_fsync");
-    XSM_RETURN_NOT_OK(wal_->Append(
-        wal::RecordType::kDelta,
-        SerializeJournaledDelta(delta, successor->generation(),
-                                successor->fingerprint())));
-    if (metrics_.wal_appends != nullptr) metrics_.wal_appends->Increment();
-  }
-
   ApplyReport report;
   report.generation = successor->generation();
   report.fingerprint = successor->fingerprint();
@@ -96,57 +56,25 @@ Result<ApplyReport> RepositoryManager::Apply(const RepositoryDelta& delta,
   report.name_entries_copied = stats.name_entries_copied;
   report.name_entries_computed = stats.name_entries_computed;
   report.build_seconds = timer.ElapsedSeconds();
-  report.snapshot = successor;
-
-  // The swap is the publication: new readers see the successor, in-flight
-  // readers keep the base until they drop their shared_ptr.
-  {
-    obs::ScopedSpan span(trace, "publish");
-    current_.store(std::move(successor), std::memory_order_release);
-  }
+  report.snapshot = std::move(successor);
   return report;
 }
 
-Result<store::SnapshotFileInfo> RepositoryManager::SaveSnapshot(
-    const std::string& path, obs::TraceContext* trace) {
+Result<ApplyReport> RepositoryManager::Apply(const RepositoryDelta& delta,
+                                             obs::TraceContext* trace) {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  std::shared_ptr<const service::RepositorySnapshot> snapshot =
-      current_.load(std::memory_order_acquire);
-  store::SnapshotFileInfo info;
-  {
-    obs::ScopedSpan span(trace, "store_save");
-    XSM_ASSIGN_OR_RETURN(
-        info,
-        store::SaveSnapshotToFile(*snapshot, path,
-                                  env_ != nullptr
-                                      ? env_
-                                      : util::io::Env::Default()));
-  }
-  if (metrics_.snapshot_saves != nullptr) {
-    metrics_.snapshot_saves->Increment();
-  }
-  if (wal_ != nullptr) {
-    // Checkpoint compaction: the snapshot at generation G is durable, so
-    // the journal restarts empty, based at G. Create is atomic (tmp +
-    // rename); a crash mid-compaction leaves the old journal, whose
-    // records are all <= G and get skipped on recovery. A compaction
-    // failure keeps journaling into the old file for the same reason.
-    obs::ScopedSpan span(trace, "wal_compact");
-    auto writer = wal::WalWriter::Create(env_, wal_path_,
-                                         snapshot->generation(),
-                                         snapshot->fingerprint());
-    if (!writer.ok()) return writer.status();
-    wal_ = std::move(*writer);
-    if (metrics_.wal_compactions != nullptr) {
-      metrics_.wal_compactions->Increment();
-    }
-  }
-  return info;
-}
-
-void RepositoryManager::SetMetrics(const ManagerMetrics& metrics) {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  metrics_ = metrics;
+  // Writers are serialized, so the snapshot read here is the one the
+  // successor chains from — readers may fetch it concurrently, which is
+  // fine: it is immutable either way.
+  XSM_ASSIGN_OR_RETURN(
+      ApplyReport report,
+      BuildSuccessorSnapshot(current_.load(std::memory_order_acquire), delta,
+                             trace));
+  // The swap is the publication: new readers see the successor, in-flight
+  // readers keep the base until they drop their shared_ptr.
+  obs::ScopedSpan span(trace, "publish");
+  current_.store(report.snapshot, std::memory_order_release);
+  return report;
 }
 
 Result<std::unique_ptr<RepositoryManager>> RepositoryManager::Recover(
@@ -156,19 +84,15 @@ Result<std::unique_ptr<RepositoryManager>> RepositoryManager::Recover(
       std::shared_ptr<const service::RepositorySnapshot> snapshot,
       store::LoadSnapshotFromFile(snapshot_path, env));
   auto manager = std::make_unique<RepositoryManager>(snapshot);
-  XSM_ASSIGN_OR_RETURN(
-      std::unique_ptr<wal::WalWriter> writer,
+  XSM_RETURN_NOT_OK(
       ReplayJournal(
           env, wal_path, snapshot->generation(), snapshot->fingerprint(),
           [&manager](const RepositoryDelta& delta) -> Result<uint64_t> {
             XSM_ASSIGN_OR_RETURN(ApplyReport applied, manager->Apply(delta));
             return applied.fingerprint;
           },
-          report));
-  std::lock_guard<std::mutex> lock(manager->apply_mu_);
-  manager->env_ = env;
-  manager->wal_path_ = wal_path;
-  manager->wal_ = std::move(writer);
+          report)
+          .status());
   return manager;
 }
 

@@ -1,4 +1,4 @@
-// RepositoryManager: the evolving-repository front end. Owns a
+// RepositoryManager: the unjournaled evolving-repository chain. Owns a
 // generation-numbered chain of immutable RepositorySnapshots and applies
 // RepositoryDeltas copy-on-write: untouched trees share their payload,
 // structural index and name-dictionary state between generations; only the
@@ -13,6 +13,9 @@
 // read path, no torn state, no pause in query serving. Writers are
 // serialized: concurrent Apply calls queue on an internal mutex and land
 // as consecutive generations.
+//
+// Durability lives in service::Matcher. This file holds what its backends
+// share: the successor build and the one replay policy (ReplayJournal).
 #ifndef XSM_LIVE_REPOSITORY_MANAGER_H_
 #define XSM_LIVE_REPOSITORY_MANAGER_H_
 
@@ -24,11 +27,9 @@
 #include <string>
 
 #include "live/repository_delta.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "schema/schema_forest.h"
 #include "service/repository_snapshot.h"
-#include "store/snapshot_store.h"
 #include "util/io.h"
 #include "util/status.h"
 #include "wal/wal.h"
@@ -50,16 +51,6 @@ struct ApplyReport {
   std::shared_ptr<const service::RepositorySnapshot> snapshot;
 };
 
-/// Registry counter handles the manager bumps on durability events; any
-/// member may be null (not collected). The owner (MatchService) registers
-/// the series and hands the handles down via SetMetrics, so WAL and
-/// checkpoint activity shows up on the same scrape surface as queries.
-struct ManagerMetrics {
-  obs::Counter* wal_appends = nullptr;      ///< journaled+fsynced deltas
-  obs::Counter* wal_compactions = nullptr;  ///< checkpoint compactions
-  obs::Counter* snapshot_saves = nullptr;   ///< successful SaveSnapshot calls
-};
-
 /// What a Recover rebuilt from disk.
 struct RecoveryReport {
   uint64_t snapshot_generation = 0;   ///< checkpoint the chain resumed from
@@ -78,12 +69,21 @@ struct RecoveryReport {
 /// dropped. A CRC-failing complete record, a generation gap, a fingerprint
 /// divergence or a journal that begins after the checkpoint is
 /// kCorruption. Returns the journal reopened for appending (created fresh
-/// at the checkpoint if missing); `report` (may be null) gets the counts.
+/// at the checkpoint if missing), for the caller to keep journaling into
+/// (service::Matcher::AdoptJournal); `report` (may be null) gets the
+/// counts.
 Result<std::unique_ptr<wal::WalWriter>> ReplayJournal(
     util::io::Env* env, const std::string& wal_path,
     uint64_t checkpoint_generation, uint64_t checkpoint_fingerprint,
     const std::function<Result<uint64_t>(const RepositoryDelta&)>& apply,
     RecoveryReport* report);
+
+/// Validates `delta` against `base` and builds its successor (the report's
+/// `snapshot`), publishing nothing. `trace` (may be null) receives the
+/// delta_validate and snapshot_build spans.
+Result<ApplyReport> BuildSuccessorSnapshot(
+    const std::shared_ptr<const service::RepositorySnapshot>& base,
+    const RepositoryDelta& delta, obs::TraceContext* trace = nullptr);
 
 /// Thread-safe. Readers call Current() from any thread at any time;
 /// writers call Apply() from any thread (serialized internally).
@@ -100,9 +100,15 @@ class RepositoryManager {
   static Result<std::unique_ptr<RepositoryManager>> WarmStart(
       const std::string& path);
 
+  /// Boots from a checkpoint + journal pair: loads the snapshot and
+  /// replays the journal onto it under the ReplayJournal policy. The
+  /// chain keeps no journal: later Apply calls are not journaled.
+  static Result<std::unique_ptr<RepositoryManager>> Recover(
+      util::io::Env* env, const std::string& snapshot_path,
+      const std::string& wal_path, RecoveryReport* report = nullptr);
+
   /// Adopts an existing snapshot (whatever its generation) as the current
-  /// one — the path service::MatchService uses when constructed from a
-  /// snapshot it already has.
+  /// one.
   explicit RepositoryManager(
       std::shared_ptr<const service::RepositorySnapshot> initial);
 
@@ -118,62 +124,19 @@ class RepositoryManager {
 
   uint64_t CurrentGeneration() const { return Current()->generation(); }
 
-  /// Boots from a checkpoint + journal pair: loads the snapshot and
-  /// replays the journal onto it under the ReplayJournal policy, then
-  /// keeps journaling into the same file.
-  static Result<std::unique_ptr<RepositoryManager>> Recover(
-      util::io::Env* env, const std::string& snapshot_path,
-      const std::string& wal_path, RecoveryReport* report = nullptr);
-
-  /// Attaches a write-ahead journal at `wal_path` (created fresh, based
-  /// at the current generation): every subsequent successful Apply
-  /// appends its delta — fsync'd — *before* publication, so acknowledged
-  /// deltas survive a kill. The caller should persist (or have persisted)
-  /// a checkpoint at or before the current generation; Recover needs one
-  /// to replay onto.
-  Status AttachWal(util::io::Env* env, const std::string& wal_path);
-
-  bool wal_attached() const;
-
   /// Applies `delta` to the current generation and atomically publishes
-  /// the successor. On error (invalid target, failed validation, journal
-  /// append failure) nothing is published and the current generation is
-  /// unchanged — an unjournaled delta is never acknowledged. A failed
-  /// append closes the journal: later deltas fail kFailedPrecondition
-  /// until SaveSnapshot re-bases it (see wal::WalWriter::Append). In-flight
+  /// the successor. On error (invalid target, failed validation) nothing
+  /// is published and the current generation is unchanged. In-flight
   /// readers of the previous generation are never disturbed. `trace`
   /// (may be null) receives per-stage spans: delta_validate,
-  /// snapshot_build, wal_fsync, publish.
+  /// snapshot_build, publish.
   Result<ApplyReport> Apply(const RepositoryDelta& delta,
                             obs::TraceContext* trace = nullptr);
 
-  /// Persists the current snapshot (atomic write; see
-  /// store::SaveSnapshotToFile). With a journal attached this is the
-  /// checkpoint: once the snapshot is durable, the journal is compacted
-  /// to a fresh one based at the saved generation (writers are held out
-  /// for the duration, so no acknowledged delta can fall between the
-  /// checkpoint and the new journal). If compaction itself fails the old
-  /// journal stays — recovery then skips its pre-checkpoint records.
-  /// `trace` (may be null) receives store_save / wal_compact spans.
-  Result<store::SnapshotFileInfo> SaveSnapshot(
-      const std::string& path, obs::TraceContext* trace = nullptr);
-
-  /// Installs registry counter handles for durability events (see
-  /// ManagerMetrics); pass {} to detach. Handles must outlive the manager
-  /// (registry series do — they live as long as the registry).
-  void SetMetrics(const ManagerMetrics& metrics);
-
  private:
-  /// Serializes writers so generations form a chain, never a fork, and
-  /// guards the journal writer.
-  mutable std::mutex apply_mu_;
+  /// Serializes writers so generations form a chain, never a fork.
+  std::mutex apply_mu_;
   std::atomic<std::shared_ptr<const service::RepositorySnapshot>> current_;
-  // Journal state (all under apply_mu_; null when journaling is off).
-  util::io::Env* env_ = nullptr;
-  std::string wal_path_;
-  std::unique_ptr<wal::WalWriter> wal_;
-  /// Durability-event counter handles (under apply_mu_; null = off).
-  ManagerMetrics metrics_;
 };
 
 }  // namespace xsm::live

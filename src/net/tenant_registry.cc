@@ -12,20 +12,6 @@ namespace xsm::net {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-// A sharded tenant's snapshot is a shard manifest, not a store snapshot;
-// warm starts sniff this prefix so the boot path follows the on-disk
-// format rather than the registry's current `shards` setting.
-bool LooksLikeShardManifest(util::io::Env* env, const std::string& path) {
-  auto contents = env->ReadFileToString(path);
-  if (!contents.ok()) return false;
-  constexpr std::string_view kMagic = "xsm-shard-manifest";
-  return contents.value().compare(0, kMagic.size(), kMagic) == 0;
-}
-
-}  // namespace
-
 bool TenantRegistry::ValidTenantName(std::string_view name) {
   if (name.empty() || name.size() > 64 || name.front() == '.') return false;
   return std::all_of(name.begin(), name.end(), [](unsigned char c) {
@@ -84,22 +70,33 @@ util::io::Env* TenantRegistry::env() const {
   return options_.env != nullptr ? options_.env : util::io::Env::Default();
 }
 
-Result<Tenant*> TenantRegistry::Insert(
-    const std::string& name,
-    std::unique_ptr<service::Matcher> service) {
-  auto tenant = std::make_unique<Tenant>();
-  tenant->name = name;
-  tenant->service = std::move(service);
-  tenant->session = std::make_unique<service::ServeSession>(
-      tenant->service.get(), options_.session);
+Status TenantRegistry::Reserve(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = tenants_.emplace(name, std::move(tenant));
-  if (!inserted) {
+  if (tenants_.count(name) != 0 || !reserved_.insert(name).second) {
     return Status::FailedPrecondition("tenant '" + name +
                                       "' already exists");
   }
+  return Status::OK();
+}
+
+Result<Tenant*> TenantRegistry::Admit(
+    const std::string& name,
+    Result<std::unique_ptr<service::Matcher>> service) {
+  std::unique_ptr<Tenant> tenant;
+  if (service.ok()) {
+    tenant = std::make_unique<Tenant>();
+    tenant->name = name;
+    tenant->service = std::move(*service);
+    tenant->session = std::make_unique<service::ServeSession>(
+        tenant->service.get(), options_.session);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  reserved_.erase(name);
+  if (tenant == nullptr) return service.status();
+  Tenant* admitted = tenant.get();
+  tenants_.emplace(name, std::move(tenant));
   tenants_gauge_->Set(static_cast<double>(tenants_.size()));
-  return it->second.get();
+  return admitted;
 }
 
 Result<Tenant*> TenantRegistry::Create(const std::string& name,
@@ -109,36 +106,26 @@ Result<Tenant*> TenantRegistry::Create(const std::string& name,
                                    "' (want 1-64 of [A-Za-z0-9_.-], not "
                                    "starting with '.')");
   }
-  std::string wal_path = WalPathFor(name);
-  if (!wal_path.empty() && Find(name) != nullptr) {
-    // Refuse before touching the state dir: the checkpoint below must
-    // never clobber an existing tenant's snapshot with a newborn one.
-    return Status::FailedPrecondition("tenant '" + name +
-                                      "' already exists");
-  }
-  std::unique_ptr<service::Matcher> service;
-  if (options_.shards > 1) {
+  // Taken before the state dir is touched: a concurrent creation of the
+  // same name must never clobber this one's checkpoint or journal.
+  XSM_RETURN_NOT_OK(Reserve(name));
+  auto build = [&]() -> Result<std::unique_ptr<service::Matcher>> {
     XSM_ASSIGN_OR_RETURN(
-        service,
-        shard::ShardedMatchService::Create(
-            std::move(forest), ServiceOptionsFor(name),
-            shard::ShardedOptions{options_.shards}));
-  } else {
-    XSM_ASSIGN_OR_RETURN(
-        service,
-        service::MatchService::Create(std::move(forest),
-                                      ServiceOptionsFor(name)));
-  }
-  if (!wal_path.empty()) {
-    // Checkpoint-then-journal, in that order: Recover replays the journal
-    // onto a base snapshot, so a journaled tenant without one would be
-    // unrecoverable. Both are durable before the tenant serves traffic.
-    std::error_code ec;
-    fs::create_directories(options_.state_dir, ec);  // best effort
-    XSM_RETURN_NOT_OK(service->SaveSnapshot(SnapshotPathFor(name)).status());
-    XSM_RETURN_NOT_OK(service->AttachWal(env(), wal_path));
-  }
-  return Insert(name, std::move(service));
+        std::unique_ptr<service::Matcher> service,
+        shard::CreateMatcher(std::move(forest), ServiceOptionsFor(name),
+                             options_.shards));
+    const std::string wal_path = WalPathFor(name);
+    if (!wal_path.empty()) {
+      // Checkpoint, then journal: recovery replays the journal onto a base
+      // snapshot. Both are durable before the tenant serves traffic.
+      std::error_code ec;
+      fs::create_directories(options_.state_dir, ec);  // best effort
+      XSM_RETURN_NOT_OK(service->SaveSnapshot(SnapshotPathFor(name)).status());
+      XSM_RETURN_NOT_OK(service->AttachWal(env(), wal_path));
+    }
+    return service;
+  };
+  return Admit(name, build());
 }
 
 Result<Tenant*> TenantRegistry::WarmStart(const std::string& name,
@@ -151,45 +138,23 @@ Result<Tenant*> TenantRegistry::WarmStart(const std::string& name,
     return Status::FailedPrecondition(
         "tenant persistence disabled (no state directory)");
   }
-  std::string wal_path = WalPathFor(name);
-  // The on-disk format, not the registry's current `shards` knob, decides
-  // the boot path: a registry reconfigured between runs still boots every
-  // tenant exactly as it was saved.
-  bool sharded = LooksLikeShardManifest(env(), path);
-  if (!wal_path.empty()) {
-    live::RecoveryReport local;
-    std::unique_ptr<service::Matcher> service;
-    if (sharded) {
-      XSM_ASSIGN_OR_RETURN(
-          service,
-          shard::ShardedMatchService::Recover(env(), path, wal_path,
-                                              ServiceOptionsFor(name),
-                                              &local));
-    } else {
-      XSM_ASSIGN_OR_RETURN(
-          service,
-          service::MatchService::Recover(env(), path, wal_path,
-                                         ServiceOptionsFor(name), &local));
-    }
+  // Taken before the journal is replayed and reopened, as in Create.
+  XSM_RETURN_NOT_OK(Reserve(name));
+  // The checkpoint's format, not the registry's current `shards` knob,
+  // picks the backend: a registry reconfigured between runs still boots
+  // every tenant exactly as it was saved.
+  const std::string wal_path = WalPathFor(name);
+  live::RecoveryReport local;
+  Result<std::unique_ptr<service::Matcher>> service = shard::OpenMatcher(
+      env(), path, wal_path, ServiceOptionsFor(name), &local);
+  if (service.ok() && !wal_path.empty()) {
     wal_recoveries_->Increment();
     wal_records_replayed_->Increment(local.records_replayed);
     wal_records_skipped_->Increment(local.records_skipped);
     if (local.torn_tail) wal_torn_tail_truncations_->Increment();
     if (report != nullptr) *report = local;
-    return Insert(name, std::move(service));
   }
-  std::unique_ptr<service::Matcher> service;
-  if (sharded) {
-    XSM_ASSIGN_OR_RETURN(
-        service,
-        shard::ShardedMatchService::WarmStart(path, ServiceOptionsFor(name),
-                                              env()));
-  } else {
-    XSM_ASSIGN_OR_RETURN(
-        service,
-        service::MatchService::WarmStart(path, ServiceOptionsFor(name)));
-  }
-  return Insert(name, std::move(service));
+  return Admit(name, std::move(service));
 }
 
 Tenant* TenantRegistry::Find(const std::string& name) const {

@@ -1,26 +1,23 @@
 // TenantRegistry: the multi-tenant heart of the xsm::net front end. Each
-// named tenant owns a full serving stack — its own Matcher backend (a
-// single-snapshot MatchService, or a ShardedMatchService when
-// TenantRegistryOptions::shards > 1; either way a live generation chain
-// and cluster-cache namespaces) plus a ServeSession exposing the NDJSON
-// surface — so tenants evolve, cache and persist independently: a delta
-// ingested into one tenant can never touch another's snapshots or warm
-// caches.
+// named tenant owns a full serving stack — its own Matcher backend (booted
+// by shard::CreateMatcher / shard::OpenMatcher: a MatchService, or a
+// ShardedMatchService when TenantRegistryOptions::shards > 1) plus a
+// ServeSession exposing the NDJSON surface — so tenants evolve, cache and
+// persist independently.
 //
-// Persistence: when constructed with a state directory, each tenant maps
-// to `<state_dir>/<name>.snap` via xsm::store. SaveAll() persists every
-// tenant (the drain path), WarmStartAll() boots every *.snap found (the
-// restart path), and because warm starts continue the generation chain,
-// a kill + warm restart resumes each tenant at its pre-drain generation.
+// Persistence: with a state directory, each tenant maps to
+// `<state_dir>/<name>.snap`. SaveAll() persists every tenant (the drain
+// path), WarmStartAll() boots every *.snap found (the restart path), and
+// warm starts continue the generation chain.
 //
 // Crash safety: with journaling on (the default when a state directory is
-// set), each tenant additionally owns `<state_dir>/<name>.wal`. Create()
+// set), each tenant also owns `<state_dir>/<name>.wal`. Create()
 // checkpoints the newborn tenant and attaches the journal, so every
-// acknowledged delta from then on is fsync'd into the WAL before its
-// generation publishes; WarmStartAll() boots through
-// MatchService::Recover — load checkpoint, replay journal suffix — so a
-// SIGKILL'd server warm-restarts with zero acknowledged-delta loss, not
-// just whatever the last explicit save happened to capture.
+// acknowledged delta is fsync'd into it before its generation publishes;
+// warm starts replay it onto the checkpoint, so a SIGKILL'd server loses
+// no acknowledged delta. A name is reserved while Create or WarmStart
+// boots it, so two concurrent boots of one name never both touch its
+// files.
 //
 // Thread-safety: all methods are safe to call concurrently. Tenants are
 // created and never destroyed while the registry lives, so the pointers
@@ -32,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,8 +91,8 @@ class TenantRegistry {
   explicit TenantRegistry(TenantRegistryOptions options);
 
   /// Creates tenant `name` over `forest` (validated + indexed once).
-  /// FailedPrecondition if the name is taken, InvalidArgument if
-  /// malformed. With journaling on, the newborn tenant is checkpointed to
+  /// FailedPrecondition if the name is taken or being booted,
+  /// InvalidArgument if malformed. With journaling on, the newborn tenant is checkpointed to
   /// the state dir and its WAL attached before it becomes visible — a
   /// journaled tenant always has a base snapshot to recover onto.
   Result<Tenant*> Create(const std::string& name,
@@ -156,8 +154,14 @@ class TenantRegistry {
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  Result<Tenant*> Insert(const std::string& name,
-                         std::unique_ptr<service::Matcher> service);
+  /// Takes `name` for a Create or WarmStart in progress: FailedPrecondition
+  /// when a tenant of that name exists or is being booted.
+  Status Reserve(const std::string& name);
+
+  /// Ends the reservation of `name`: registers the booted `service` as the
+  /// tenant, or, when the boot failed, releases the name and returns why.
+  Result<Tenant*> Admit(const std::string& name,
+                        Result<std::unique_ptr<service::Matcher>> service);
 
   /// A copy of options_.service stamped with the shared registry and the
   /// tenant label — what every tenant's backend is constructed with.
@@ -177,6 +181,8 @@ class TenantRegistry {
   mutable std::mutex mu_;
   /// Values are never erased; map node stability keeps Tenant* valid.
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
+  /// Names a Create or WarmStart is booting (see Reserve).
+  std::set<std::string> reserved_;
 };
 
 }  // namespace xsm::net

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "live/repository_manager.h"
 #include "store/snapshot_store.h"
 
 namespace xsm::service {
@@ -24,25 +25,30 @@ Result<std::unique_ptr<MatchService>> MatchService::Recover(
     util::io::Env* env, const std::string& snapshot_path,
     const std::string& wal_path, const MatchServiceOptions& options,
     live::RecoveryReport* report) {
+  XSM_ASSIGN_OR_RETURN(std::shared_ptr<const RepositorySnapshot> snapshot,
+                       store::LoadSnapshotFromFile(snapshot_path, env));
   XSM_ASSIGN_OR_RETURN(
-      std::unique_ptr<live::RepositoryManager> manager,
-      live::RepositoryManager::Recover(env, snapshot_path, wal_path, report));
-  return std::make_unique<MatchService>(std::move(manager), options);
+      std::unique_ptr<wal::WalWriter> journal,
+      live::ReplayJournal(
+          env, wal_path, snapshot->generation(), snapshot->fingerprint(),
+          [&snapshot](const live::RepositoryDelta& delta) -> Result<uint64_t> {
+            XSM_ASSIGN_OR_RETURN(live::ApplyReport applied,
+                                 live::BuildSuccessorSnapshot(snapshot, delta));
+            snapshot = std::move(applied.snapshot);
+            return snapshot->fingerprint();
+          },
+          report));
+  auto service = std::make_unique<MatchService>(std::move(snapshot), options);
+  service->AdoptJournal(env, wal_path, std::move(journal));
+  return service;
 }
 
 MatchService::MatchService(std::shared_ptr<const RepositorySnapshot> snapshot,
                            const MatchServiceOptions& options)
-    : MatchService(
-          std::make_unique<live::RepositoryManager>(std::move(snapshot)),
-          options) {}
-
-MatchService::MatchService(std::unique_ptr<live::RepositoryManager> manager,
-                           const MatchServiceOptions& options)
-    : Matcher(options, /*num_cache_sets=*/1), manager_(std::move(manager)) {
-  manager_->SetMetrics(manager_metrics());
+    : Matcher(options, /*num_cache_sets=*/1), current_(std::move(snapshot)) {
   // Materialize the initial generation's cache namespace so the first
   // queries don't race to create it.
-  cache_set(0).Publish(manager_->Current()->fingerprint());
+  cache_set(0).Publish(CurrentSnapshot()->fingerprint());
   StartServing();
 }
 
@@ -79,21 +85,29 @@ Result<core::MatchResult> MatchService::Generate(
       personal, state, effective, control, observer);
 }
 
-Result<live::ApplyReport> MatchService::ApplyDelta(
+Result<Matcher::Successor> MatchService::BuildSuccessor(
     const live::RepositoryDelta& delta, obs::TraceContext* trace) {
-  // One critical section across publication *and* cache registration:
-  // the manager serializes concurrent Apply calls on its own, but without
-  // this lock two ApplyDelta callers could register their namespaces in
-  // the opposite order, leaving a superseded generation in the
-  // most-recently-published slot and trimming the current one.
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  XSM_ASSIGN_OR_RETURN(live::ApplyReport report,
-                       manager_->Apply(delta, trace));
-  CountDelta();
-  // Materialize (or revive) the new generation's cache namespace and let
-  // the retention policy retire the oldest ones.
-  cache_set(0).Publish(report.fingerprint);
-  return report;
+  XSM_ASSIGN_OR_RETURN(
+      live::ApplyReport report,
+      live::BuildSuccessorSnapshot(CurrentSnapshot(), delta, trace));
+  RepositoryPinPtr pin = report.snapshot;
+  return Successor{std::move(pin), std::move(report)};
+}
+
+void MatchService::Publish(RepositoryPinPtr pin) {
+  // The swap is the publication (in-flight readers keep their pins); the
+  // cache set then opens the namespace and retires the oldest ones.
+  const uint64_t fingerprint = pin->fingerprint();
+  current_.store(std::static_pointer_cast<const RepositorySnapshot>(pin),
+                 std::memory_order_release);
+  cache_set(0).Publish(fingerprint);
+}
+
+Result<store::SnapshotFileInfo> MatchService::WriteCheckpoint(
+    const RepositoryPin& pin, const std::string& path,
+    util::io::Env* env) const {
+  return store::SaveSnapshotToFile(static_cast<const RepositorySnapshot&>(pin),
+                                   path, env);
 }
 
 }  // namespace xsm::service

@@ -33,22 +33,24 @@
 // core/match_observer.h. MatchServiceOptions::default_deadline_seconds
 // bounds every request that doesn't bring its own deadline.
 //
-// Evolving repositories: the service fronts a live::RepositoryManager, so
-// the repository can change while queries are being served. ApplyDelta
-// publishes the next generation atomically; every request runs against the
-// snapshot it was pinned to (Run pins at entry, Submit takes the caller's
-// pin, RunBatch pins once for the batch) — a swap mid-flight never changes,
-// tears, or aborts a running query. Cluster caches are namespaced by
-// snapshot fingerprint (ClusterCacheSet), so a stale cluster state can never
-// serve a different repository content.
+// Evolving repositories: the service holds its current snapshot and
+// builds each delta's successor copy-on-write (live::BuildSuccessorSnapshot),
+// so the repository can change while queries are being served. ApplyDelta
+// (service::Matcher's one write path: build, journal, publish) swaps in the
+// next generation atomically; every request runs against the snapshot it
+// was pinned to (Run pins at entry, Submit takes the caller's pin, RunBatch
+// pins once for the batch) — a swap mid-flight never changes, tears, or
+// aborts a running query. Cluster caches are namespaced by snapshot
+// fingerprint (ClusterCacheSet), so a stale cluster state can never serve a
+// different repository content. Checkpoints are store snapshot files
+// (store::SaveSnapshotToFile).
 #ifndef XSM_SERVICE_MATCH_SERVICE_H_
 #define XSM_SERVICE_MATCH_SERVICE_H_
 
+#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 
-#include "live/repository_manager.h"
 #include "schema/schema_forest.h"
 #include "service/matcher.h"
 #include "service/repository_snapshot.h"
@@ -76,10 +78,10 @@ class MatchService : public Matcher {
                                    MatchServiceOptions());
 
   /// Crash-safe boot: loads the snapshot, replays the delta journal's
-  /// post-checkpoint suffix (live::RepositoryManager::Recover), and keeps
-  /// journaling into the same WAL — the recovered chain is fingerprint-
-  /// identical to the uninterrupted one. `report` (may be null) receives
-  /// the replay accounting.
+  /// post-checkpoint suffix (live::ReplayJournal), and keeps journaling
+  /// into the same WAL — the recovered chain is fingerprint-identical to
+  /// the uninterrupted one. `report` (may be null) receives the replay
+  /// accounting.
   static Result<std::unique_ptr<MatchService>> Recover(
       util::io::Env* env, const std::string& snapshot_path,
       const std::string& wal_path,
@@ -89,57 +91,35 @@ class MatchService : public Matcher {
   MatchService(std::shared_ptr<const RepositorySnapshot> snapshot,
                const MatchServiceOptions& options = MatchServiceOptions());
 
-  /// Adopts an already-built generation chain (e.g. one produced by
-  /// live::RepositoryManager::Recover, WAL attached and all).
-  MatchService(std::unique_ptr<live::RepositoryManager> manager,
-               const MatchServiceOptions& options = MatchServiceOptions());
-
   ~MatchService() override;
 
   /// The current snapshot is the pin: no translation layer, the snapshot
   /// class implements RepositoryPin directly.
-  RepositoryPinPtr Pin() const override { return manager_->Current(); }
+  RepositoryPinPtr Pin() const override { return CurrentSnapshot(); }
 
   /// Generation number of the current snapshot (0 until the first delta).
   uint64_t CurrentGeneration() const override {
-    return manager_->CurrentGeneration();
+    return CurrentSnapshot()->generation();
   }
 
   /// The current snapshot. Hold the returned shared_ptr while touching the
   /// forest/dictionary it exposes — a concurrent ApplyDelta retires the
   /// snapshot once the last holder lets go.
   std::shared_ptr<const RepositorySnapshot> CurrentSnapshot() const {
-    return manager_->Current();
+    return current_.load(std::memory_order_acquire);
   }
-
-  /// Applies a validated delta to the repository and atomically publishes
-  /// the successor generation. `trace` (may be null) receives the
-  /// per-stage spans (delta_validate / snapshot_build / wal_fsync /
-  /// publish).
-  Result<live::ApplyReport> ApplyDelta(
-      const live::RepositoryDelta& delta,
-      obs::TraceContext* trace = nullptr) override;
-
-  /// Persists the current snapshot for a later WarmStart (atomic write;
-  /// see store::SaveSnapshotToFile). Safe alongside concurrent queries and
-  /// deltas: the snapshot pinned at entry is saved, whole and consistent.
-  /// `trace` (may be null) receives store_save / wal_compact spans.
-  Result<store::SnapshotFileInfo> SaveSnapshot(
-      const std::string& path,
-      obs::TraceContext* trace = nullptr) const override {
-    return manager_->SaveSnapshot(path, trace);
-  }
-
-  /// Write-ahead journals every subsequent ApplyDelta into `wal_path`
-  /// (created fresh, based at the current generation); SaveSnapshot then
-  /// compacts the journal. See live::RepositoryManager::AttachWal.
-  Status AttachWal(util::io::Env* env, const std::string& wal_path) override {
-    return manager_->AttachWal(env, wal_path);
-  }
-
-  bool wal_attached() const override { return manager_->wal_attached(); }
 
  protected:
+  /// The successor snapshot, copy-on-write from the current one.
+  Result<Successor> BuildSuccessor(const live::RepositoryDelta& delta,
+                                   obs::TraceContext* trace) override;
+  /// Swaps in `pin` and opens its cache namespace.
+  void Publish(RepositoryPinPtr pin) override;
+  /// One store snapshot file (store::SaveSnapshotToFile).
+  Result<store::SnapshotFileInfo> WriteCheckpoint(
+      const RepositoryPin& pin, const std::string& path,
+      util::io::Env* env) const override;
+
   bool OwnsPin(const RepositoryPin& pin) const override;
   /// Injects the pinned snapshot's name dictionary (unless the request
   /// brought its own).
@@ -156,10 +136,7 @@ class MatchService : public Matcher {
       core::MatchObserver* observer) override;
 
  private:
-  std::unique_ptr<live::RepositoryManager> manager_;
-  /// Serializes ApplyDelta end to end (publication + cache registration),
-  /// so the cache set's publication order always matches generation order.
-  std::mutex apply_mu_;
+  std::atomic<std::shared_ptr<const RepositorySnapshot>> current_;
 };
 
 }  // namespace xsm::service

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "live/delta_codec.h"
 #include "obs/trace.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -149,10 +150,12 @@ Result<MatchOutcome> Matcher::Run(const MatchRequest& request,
   return outcome;
 }
 
-Matcher::Matcher(const MatchServiceOptions& options, size_t num_cache_sets)
+Matcher::Matcher(const MatchServiceOptions& options, size_t num_cache_sets,
+                 util::io::Env* env)
     : options_(options),
       pool_(options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                     : options.num_threads) {
+                                     : options.num_threads),
+      env_(env != nullptr ? env : util::io::Env::Default()) {
   if (options_.matching_threads > 0) {
     matching_pool_ = std::make_unique<ThreadPool>(options_.matching_threads);
   }
@@ -193,16 +196,13 @@ Matcher::Matcher(const MatchServiceOptions& options, size_t num_cache_sets)
   query_latency_ms_ = metrics_->RegisterHistogram(
       "xsm_query_duration_ms", "wall-clock query latency in milliseconds",
       obs::DefaultLatencyBoundsMs(), labels_);
-  // Durability events (WAL appends, checkpoint compactions, snapshot
-  // saves) are counted by the backends' durability paths via these
-  // handles, once per tenant event.
-  manager_metrics_.wal_appends = metrics_->RegisterCounter(
+  wal_appends_ = metrics_->RegisterCounter(
       "xsm_wal_appends_total", "deltas journaled and fsynced before publish",
       labels_);
-  manager_metrics_.wal_compactions = metrics_->RegisterCounter(
+  wal_compactions_ = metrics_->RegisterCounter(
       "xsm_wal_compactions_total",
       "journal compactions after a durable checkpoint", labels_);
-  manager_metrics_.snapshot_saves = metrics_->RegisterCounter(
+  snapshot_saves_ = metrics_->RegisterCounter(
       "xsm_snapshot_saves_total", "snapshots persisted to disk", labels_);
 }
 
@@ -253,6 +253,78 @@ void Matcher::StopServing() {
     scrape_hook_id_ = 0;
   }
   pool_.Wait();
+}
+
+Result<live::ApplyReport> Matcher::ApplyDelta(
+    const live::RepositoryDelta& delta, obs::TraceContext* trace) {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  XSM_ASSIGN_OR_RETURN(Successor next, BuildSuccessor(delta, trace));
+  // Write-ahead: the whole delta is durable, once, before any of it is
+  // visible; a failed append publishes nothing.
+  if (wal_ != nullptr) {
+    obs::ScopedSpan span(trace, "wal_fsync");
+    XSM_RETURN_NOT_OK(wal_->Append(
+        wal::RecordType::kDelta,
+        live::SerializeJournaledDelta(delta, next.pin->generation(),
+                                      next.pin->fingerprint())));
+    wal_appends_->Increment();
+  }
+  live::ApplyReport report = std::move(next.report);
+  report.generation = next.pin->generation();
+  report.fingerprint = next.pin->fingerprint();
+  report.trees_total = next.pin->num_trees();
+  {
+    obs::ScopedSpan span(trace, "publish");
+    Publish(std::move(next.pin));
+  }
+  deltas_applied_->Increment();
+  return report;
+}
+
+Result<store::SnapshotFileInfo> Matcher::SaveSnapshot(
+    const std::string& path, obs::TraceContext* trace) const {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  RepositoryPinPtr pin = Pin();
+  store::SnapshotFileInfo info;
+  {
+    obs::ScopedSpan span(trace, "store_save");
+    XSM_ASSIGN_OR_RETURN(info, WriteCheckpoint(*pin, path, env_));
+  }
+  snapshot_saves_->Increment();
+  if (wal_ != nullptr) {
+    // Compaction: G is durable, so the journal restarts empty at G. A
+    // failed Create leaves the old journal, whose records <= G are skipped.
+    obs::ScopedSpan span(trace, "wal_compact");
+    XSM_ASSIGN_OR_RETURN(wal_, wal::WalWriter::Create(env_, wal_path_,
+                                                      pin->generation(),
+                                                      pin->fingerprint()));
+    wal_compactions_->Increment();
+  }
+  return info;
+}
+
+Status Matcher::AttachWal(util::io::Env* env, const std::string& wal_path) {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  RepositoryPinPtr pin = Pin();
+  XSM_ASSIGN_OR_RETURN(wal_, wal::WalWriter::Create(env, wal_path,
+                                                    pin->generation(),
+                                                    pin->fingerprint()));
+  env_ = env;
+  wal_path_ = wal_path;
+  return Status::OK();
+}
+
+bool Matcher::wal_attached() const {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  return wal_ != nullptr;
+}
+
+void Matcher::AdoptJournal(util::io::Env* env, const std::string& wal_path,
+                           std::unique_ptr<wal::WalWriter> journal) {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  env_ = env;
+  wal_path_ = wal_path;
+  wal_ = std::move(journal);
 }
 
 core::MatchOptions Matcher::EffectiveOptionsOn(const MatchRequest& request,

@@ -14,11 +14,14 @@
 // Everything both backends do identically lives here: the query and
 // matching pools, the shared metric families and their scrape hook, the
 // per-query envelope (validation, deadlines, the cluster-cache lookup and
-// its trace span, terminal and latency accounting), Submit / RunBatch and
-// the fingerprint-namespaced cluster caches. A backend supplies its
-// repository chain (pins, deltas, persistence) and four hooks: which pins
-// it owns, its execution plumbing, how it builds a cluster state, and how
-// it runs generation against one.
+// its trace span, terminal and latency accounting), Submit / RunBatch, the
+// fingerprint-namespaced cluster caches, and the one durable write path
+// (ApplyDelta: build → journal → publish → count; SaveSnapshot: checkpoint
+// → count → re-base the journal). A backend supplies its repository chain
+// through three write hooks (build a delta's successor pin, publish it,
+// write a checkpoint in its format) and four read hooks (which pins it
+// owns, its execution plumbing, how it builds a cluster state, and how it
+// runs generation against one).
 #ifndef XSM_SERVICE_MATCHER_H_
 #define XSM_SERVICE_MATCHER_H_
 
@@ -26,6 +29,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,8 +44,10 @@
 #include "service/cluster_index_cache.h"
 #include "service/repository_pin.h"
 #include "store/snapshot_store.h"
+#include "util/io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "wal/wal.h"
 
 namespace xsm::service {
 
@@ -285,29 +291,36 @@ class Matcher {
   virtual uint64_t CurrentGeneration() const = 0;
 
   /// Applies a validated delta and atomically publishes the successor
-  /// generation. In-flight requests finish against their pins; requests
+  /// generation, journaled (appended + fsync'd) first when a journal is
+  /// attached. In-flight requests finish against their pins; requests
   /// entering after this returns see the new generation. Serialized with
-  /// concurrent ApplyDelta calls; on error nothing changes. `trace` (may
-  /// be null) receives the per-stage spans.
-  virtual Result<live::ApplyReport> ApplyDelta(
-      const live::RepositoryDelta& delta,
-      obs::TraceContext* trace = nullptr) = 0;
+  /// ApplyDelta / SaveSnapshot; on error nothing is published, and a failed
+  /// append closes the journal until SaveSnapshot re-bases it (see
+  /// wal::WalWriter::Append). `trace` (may be null) receives the spans
+  /// delta_validate, snapshot_build, wal_fsync and publish.
+  Result<live::ApplyReport> ApplyDelta(const live::RepositoryDelta& delta,
+                                       obs::TraceContext* trace = nullptr);
 
-  /// Persists the current repository for a later warm start (atomic write).
-  /// Sharded backends fan this out into per-shard files plus a manifest
-  /// under `path`; the returned info aggregates over every file written.
-  virtual Result<store::SnapshotFileInfo> SaveSnapshot(
-      const std::string& path, obs::TraceContext* trace = nullptr) const = 0;
+  /// Persists the current repository for a later warm start (atomic write;
+  /// a sharded backend writes per-shard files plus a manifest at `path`,
+  /// and the info aggregates over them). With a journal attached this is
+  /// the checkpoint: the journal then restarts empty, based at the saved
+  /// generation, with writers held out throughout. On any failure the old
+  /// journal stays in place and journaling; recovery skips its records up
+  /// to the checkpoint. `trace` (may be null) receives store_save /
+  /// wal_compact spans.
+  Result<store::SnapshotFileInfo> SaveSnapshot(
+      const std::string& path, obs::TraceContext* trace = nullptr) const;
 
   /// Write-ahead journals every subsequent ApplyDelta into one journal at
-  /// `wal_path` (a sharded backend too): appended + fsync'd before the new
-  /// generation is published, so an acknowledged delta survives a crash.
-  /// Every later durable write of the backend goes through `env`.
-  virtual Status AttachWal(util::io::Env* env,
-                           const std::string& wal_path) = 0;
+  /// `wal_path` (created fresh at the current generation; a sharded backend
+  /// too), so an acknowledged delta survives a crash. Every later durable
+  /// write goes through `env`. Recovery replays onto a checkpoint at or
+  /// before the current generation; the caller persists one.
+  Status AttachWal(util::io::Env* env, const std::string& wal_path);
 
   /// Whether deltas are currently being journaled.
-  virtual bool wal_attached() const = 0;
+  bool wal_attached() const;
 
   /// The backend's shard layout: one descriptor per shard, in shard order.
   /// The default (unsharded) implementation reports a single shard covering
@@ -396,10 +409,41 @@ class Matcher {
  protected:
   /// Builds the pools and registers the shared counters and the latency
   /// histogram. Creates `num_cache_sets` fingerprint-namespaced cache sets;
-  /// set 0 holds the cluster states the query path serves.
-  Matcher(const MatchServiceOptions& options, size_t num_cache_sets);
+  /// set 0 holds the cluster states the query path serves. Checkpoints go
+  /// through `env` (null: the real one) until AttachWal names another.
+  Matcher(const MatchServiceOptions& options, size_t num_cache_sets,
+          util::io::Env* env = nullptr);
 
-  // --- Backend hooks. ----------------------------------------------------
+  // --- Backend hooks: the write side. ------------------------------------
+
+  /// A delta's successor generation (pin) and its build accounting, built
+  /// but not yet visible.
+  struct Successor {
+    RepositoryPinPtr pin;
+    live::ApplyReport report;
+  };
+
+  /// Validates `delta` against the current pin and builds its successor,
+  /// publishing nothing. Called under the write lock.
+  virtual Result<Successor> BuildSuccessor(const live::RepositoryDelta& delta,
+                                           obs::TraceContext* trace) = 0;
+
+  /// Makes a BuildSuccessor pin current and opens its cache namespaces.
+  /// Called under the write lock, once the pin is durable.
+  virtual void Publish(RepositoryPinPtr pin) = 0;
+
+  /// Writes `pin` at `path` through `env` in the backend's checkpoint
+  /// format; a failure leaves the previous checkpoint loadable.
+  virtual Result<store::SnapshotFileInfo> WriteCheckpoint(
+      const RepositoryPin& pin, const std::string& path,
+      util::io::Env* env) const = 0;
+
+  /// For a backend's Recover: journals into `journal` (the writer
+  /// live::ReplayJournal reopened at `wal_path`), writing through `env`.
+  void AdoptJournal(util::io::Env* env, const std::string& wal_path,
+                    std::unique_ptr<wal::WalWriter> journal);
+
+  // --- Backend hooks: the read side. -------------------------------------
 
   /// Whether `pin` comes from this backend's chain.
   virtual bool OwnsPin(const RepositoryPin& pin) const = 0;
@@ -437,11 +481,6 @@ class Matcher {
   ClusterCacheSet& cache_set(size_t i) { return *cache_sets_[i]; }
   /// Labels every series of this backend carries (the tenant).
   const obs::LabelSet& metric_labels() const { return labels_; }
-  /// Durability counters the backend bumps once per tenant event.
-  const live::ManagerMetrics& manager_metrics() const {
-    return manager_metrics_;
-  }
-  void CountDelta() { deltas_applied_->Increment(); }
 
  private:
   /// Fills in the backend default deadline when `control` has none.
@@ -490,8 +529,19 @@ class Matcher {
   obs::Counter* deltas_applied_ = nullptr;
   obs::Counter* slow_queries_ = nullptr;
   obs::Histogram* query_latency_ms_ = nullptr;
-  live::ManagerMetrics manager_metrics_;
+  // Durability events, counted once per tenant event.
+  obs::Counter* wal_appends_ = nullptr;
+  obs::Counter* wal_compactions_ = nullptr;
+  obs::Counter* snapshot_saves_ = nullptr;
   uint64_t scrape_hook_id_ = 0;
+
+  /// Serializes the write side, so generations form a chain and the
+  /// journal sees them in order. Mutable with the journal: SaveSnapshot is
+  /// logically const.
+  mutable std::mutex write_mu_;
+  util::io::Env* env_;  ///< every durable write goes through it
+  std::string wal_path_;
+  mutable std::unique_ptr<wal::WalWriter> wal_;  ///< null: not journaling
 };
 
 /// The canonical cluster-cache key (exposed so every backend and test

@@ -8,9 +8,9 @@
 
 #include "generate/top_n_floor.h"
 #include "label/tree_index.h"
-#include "live/delta_codec.h"
 #include "match/element_matching.h"
 #include "obs/trace.h"
+#include "service/match_service.h"
 #include "store/snapshot_store.h"
 #include "util/io.h"
 #include "util/timer.h"
@@ -69,6 +69,15 @@ Result<Manifest> ParseManifest(const std::string& text) {
   return m;
 }
 
+/// Whether the checkpoint at `path` is a shard manifest. Only a file
+/// small enough to be one (a store snapshot is megabytes) is read.
+bool IsShardManifest(util::io::Env* env, const std::string& path) {
+  auto size = env->FileSize(path);
+  if (!size.ok() || *size > 4096) return false;
+  auto text = env->ReadFileToString(path);
+  return text.ok() && text->rfind(kManifestMagic, 0) == 0;
+}
+
 /// The plan a shard set implies: its shards' tree counts, in order.
 ShardPlan PlanOf(const ShardSnapshots& shards) {
   std::vector<size_t> counts;
@@ -123,11 +132,15 @@ int StatusRank(core::ExecutionStatus status) {
 
 class ShardedMatchService::ShardedPin : public service::RepositoryPin {
  public:
+  /// `rebalanced`: the delta that built this pin moved trees between
+  /// shards (counted when the pin is published).
   static std::shared_ptr<const ShardedPin> Build(ShardSnapshots shards,
-                                                 uint64_t generation) {
+                                                 uint64_t generation,
+                                                 bool rebalanced = false) {
     auto pin = std::shared_ptr<ShardedPin>(new ShardedPin());
     pin->shards_ = std::move(shards);
     pin->generation_ = generation;
+    pin->rebalanced_ = rebalanced;
     pin->plan_ = PlanOf(pin->shards_);
     const size_t total_trees = pin->plan_.num_trees();
     std::vector<std::shared_ptr<const label::TreeIndex>> parts;
@@ -165,6 +178,7 @@ class ShardedMatchService::ShardedPin : public service::RepositoryPin {
     return shards_[s];
   }
   const core::Bellflower& matcher() const { return *matcher_; }
+  bool rebalanced() const { return rebalanced_; }
 
  private:
   ShardedPin() = default;
@@ -176,6 +190,7 @@ class ShardedMatchService::ShardedPin : public service::RepositoryPin {
   std::vector<uint64_t> tree_fps_;
   uint64_t generation_ = 0;
   uint64_t fingerprint_ = 0;
+  bool rebalanced_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -453,8 +468,7 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Recover(
   auto service = std::unique_ptr<ShardedMatchService>(new ShardedMatchService(
       ShardedPin::Build(std::move(shards), local.recovered_generation),
       options, env));
-  service->wal_path_ = wal_path;
-  service->wal_ = std::move(writer);
+  service->AdoptJournal(env, wal_path, std::move(writer));
   if (report != nullptr) *report = local;
   return service;
 }
@@ -466,8 +480,7 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Recover(
 ShardedMatchService::ShardedMatchService(
     std::shared_ptr<const ShardedPin> pin,
     const service::MatchServiceOptions& options, util::io::Env* env)
-    : Matcher(options, /*num_cache_sets=*/1 + pin->num_shards()),
-      env_(env),
+    : Matcher(options, /*num_cache_sets=*/1 + pin->num_shards(), env),
       pin_(std::move(pin)) {
   const size_t k = pin_->num_shards();
   fanout_pool_ = std::make_unique<ThreadPool>(
@@ -496,7 +509,7 @@ ShardedMatchService::ShardedMatchService(
   }
 
   // Materialize the initial cache namespaces.
-  PublishCaches(*pin_);
+  Publish(pin_);
   StartServing([this, shard_trees, shard_nodes, shard_generations]() {
     std::shared_ptr<const ShardedPin> pin = CurrentPin();
     for (size_t i = 0; i < pin->num_shards(); ++i) {
@@ -509,13 +522,6 @@ ShardedMatchService::ShardedMatchService(
 }
 
 ShardedMatchService::~ShardedMatchService() { StopServing(); }
-
-void ShardedMatchService::PublishCaches(const ShardedPin& pin) {
-  cache_set(0).Publish(pin.fingerprint());
-  for (size_t s = 0; s < pin.num_shards(); ++s) {
-    cache_set(1 + s).Publish(pin.shard(s)->fingerprint());
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Pin plumbing.
@@ -828,112 +834,111 @@ Result<core::MatchResult> ShardedMatchService::Generate(
 // Deltas.
 // ---------------------------------------------------------------------------
 
-Result<live::ApplyReport> ShardedMatchService::ApplyDelta(
+Result<service::Matcher::Successor> ShardedMatchService::BuildSuccessor(
     const live::RepositoryDelta& delta, obs::TraceContext* trace) {
-  std::lock_guard<std::mutex> lock(apply_mu_);
   std::shared_ptr<const ShardedPin> pin = CurrentPin();
   ShardSnapshots shards = pin->shards();
-  live::ApplyReport report;
+  Successor next;
   XSM_ASSIGN_OR_RETURN(const bool rebalanced,
-                       ApplyToShards(&shards, delta, &report, trace));
-  auto new_pin = ShardedPin::Build(std::move(shards), pin->generation() + 1);
-
-  // Write-ahead: the whole delta is durable, once, before any of it is
-  // visible. A failed append publishes nothing.
-  if (wal_ != nullptr) {
-    obs::ScopedSpan span(trace, "wal_fsync");
-    XSM_RETURN_NOT_OK(wal_->Append(
-        wal::RecordType::kDelta,
-        live::SerializeJournaledDelta(delta, new_pin->generation(),
-                                      new_pin->fingerprint())));
-    manager_metrics().wal_appends->Increment();
-  }
-  {
-    obs::ScopedSpan span(trace, "publish");
-    std::lock_guard<std::mutex> pin_lock(pin_mu_);
-    pin_ = new_pin;
-  }
-  PublishCaches(*new_pin);
-  if (rebalanced) rebalances_->Increment();
-  CountDelta();
-
-  report.generation = new_pin->generation();
-  report.fingerprint = new_pin->fingerprint();
-  report.trees_total = new_pin->forest().num_trees();
+                       ApplyToShards(&shards, delta, &next.report, trace));
   // report.snapshot stays null: there is no single snapshot object for the
   // federated view; callers read the scalar fields.
-  return report;
+  next.pin = ShardedPin::Build(std::move(shards), pin->generation() + 1,
+                               rebalanced);
+  return next;
+}
+
+void ShardedMatchService::Publish(service::RepositoryPinPtr pin) {
+  auto sharded = std::static_pointer_cast<const ShardedPin>(std::move(pin));
+  {
+    std::lock_guard<std::mutex> pin_lock(pin_mu_);
+    pin_ = sharded;
+  }
+  cache_set(0).Publish(sharded->fingerprint());
+  for (size_t s = 0; s < sharded->num_shards(); ++s) {
+    cache_set(1 + s).Publish(sharded->shard(s)->fingerprint());
+  }
+  if (sharded->rebalanced()) rebalances_->Increment();
 }
 
 // ---------------------------------------------------------------------------
 // Persistence.
 // ---------------------------------------------------------------------------
 
-Result<store::SnapshotFileInfo> ShardedMatchService::SaveSnapshot(
-    const std::string& path, obs::TraceContext* trace) const {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  std::shared_ptr<const ShardedPin> pin = CurrentPin();
-  const size_t k = pin->num_shards();
+Result<store::SnapshotFileInfo> ShardedMatchService::WriteCheckpoint(
+    const service::RepositoryPin& global, const std::string& path,
+    util::io::Env* env) const {
+  const auto& pin = static_cast<const ShardedPin&>(global);
+  const size_t k = pin.num_shards();
+  // Stage every shard file, commit the manifest, then move the staged
+  // files into place. The manifest is the commit point: a crash before it
+  // leaves the previous checkpoint whole, and LoadCheckpoint finishes a
+  // move that a crash interrupted after it.
   store::SnapshotFileInfo aggregate;
-  {
-    // Stage every shard file, commit the manifest, then move the staged
-    // files into place. The manifest is the commit point: a crash before
-    // it leaves the previous checkpoint whole, and LoadCheckpoint finishes
-    // a move that a crash interrupted after it.
-    obs::ScopedSpan span(trace, "store_save");
-    for (size_t s = 0; s < k; ++s) {
-      XSM_ASSIGN_OR_RETURN(store::SnapshotFileInfo info,
-                           store::SaveSnapshotToFile(
-                               *pin->shard(s), StagedShardPath(path, s), env_));
-      aggregate.format_version = info.format_version;
-      aggregate.trees += info.trees;
-      aggregate.total_nodes += info.total_nodes;
-      aggregate.total_bytes += info.total_bytes;
-    }
-    Manifest manifest;
-    manifest.shards = k;
-    manifest.generation = pin->generation();
-    manifest.fingerprint = pin->fingerprint();
-    XSM_RETURN_NOT_OK(util::io::AtomicFileWriter::WriteFileAtomic(
-        env_, path, EncodeManifest(manifest)));
-    for (size_t s = 0; s < k; ++s) {
-      XSM_RETURN_NOT_OK(
-          env_->RenameFile(StagedShardPath(path, s), ShardFilePath(path, s)));
-    }
-    (void)env_->SyncDir(util::io::DirnameOf(path));
+  for (size_t s = 0; s < k; ++s) {
+    XSM_ASSIGN_OR_RETURN(
+        store::SnapshotFileInfo info,
+        store::SaveSnapshotToFile(*pin.shard(s), StagedShardPath(path, s),
+                                  env));
+    aggregate.format_version = info.format_version;
+    aggregate.trees += info.trees;
+    aggregate.total_nodes += info.total_nodes;
+    aggregate.total_bytes += info.total_bytes;
   }
-  aggregate.generation = pin->generation();
-  aggregate.fingerprint = pin->fingerprint();
-  manager_metrics().snapshot_saves->Increment();
-  if (wal_ != nullptr) {
-    // Checkpoint compaction, as in RepositoryManager::SaveSnapshot: the
-    // journal restarts empty, based at the saved generation. A failure
-    // keeps the old journal, whose records up to here replay as skips.
-    obs::ScopedSpan span(trace, "wal_compact");
-    XSM_ASSIGN_OR_RETURN(wal_,
-                         wal::WalWriter::Create(env_, wal_path_,
-                                                pin->generation(),
-                                                pin->fingerprint()));
-    manager_metrics().wal_compactions->Increment();
+  Manifest manifest;
+  manifest.shards = k;
+  manifest.generation = pin.generation();
+  manifest.fingerprint = pin.fingerprint();
+  XSM_RETURN_NOT_OK(util::io::AtomicFileWriter::WriteFileAtomic(
+      env, path, EncodeManifest(manifest)));
+  for (size_t s = 0; s < k; ++s) {
+    XSM_RETURN_NOT_OK(
+        env->RenameFile(StagedShardPath(path, s), ShardFilePath(path, s)));
   }
+  (void)env->SyncDir(util::io::DirnameOf(path));
+  aggregate.generation = pin.generation();
+  aggregate.fingerprint = pin.fingerprint();
   return aggregate;
 }
 
-Status ShardedMatchService::AttachWal(util::io::Env* env,
-                                      const std::string& wal_path) {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  std::shared_ptr<const ShardedPin> pin = CurrentPin();
-  XSM_ASSIGN_OR_RETURN(wal_, wal::WalWriter::Create(env, wal_path,
-                                                    pin->generation(),
-                                                    pin->fingerprint()));
-  env_ = env;
-  wal_path_ = wal_path;
-  return Status::OK();
+Result<std::unique_ptr<service::Matcher>> CreateMatcher(
+    schema::SchemaForest repository,
+    const service::MatchServiceOptions& options, size_t num_shards) {
+  std::unique_ptr<service::Matcher> matcher;
+  if (num_shards > 1) {
+    XSM_ASSIGN_OR_RETURN(
+        matcher, ShardedMatchService::Create(std::move(repository), options,
+                                             ShardedOptions{num_shards}));
+  } else {
+    XSM_ASSIGN_OR_RETURN(matcher, service::MatchService::Create(
+                                      std::move(repository), options));
+  }
+  return matcher;
 }
 
-bool ShardedMatchService::wal_attached() const {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  return wal_ != nullptr;
+Result<std::unique_ptr<service::Matcher>> OpenMatcher(
+    util::io::Env* env, const std::string& snapshot_path,
+    const std::string& wal_path, const service::MatchServiceOptions& options,
+    live::RecoveryReport* report) {
+  std::unique_ptr<service::Matcher> matcher;
+  if (IsShardManifest(env, snapshot_path)) {
+    if (wal_path.empty()) {
+      XSM_ASSIGN_OR_RETURN(
+          matcher, ShardedMatchService::WarmStart(snapshot_path, options, env));
+    } else {
+      XSM_ASSIGN_OR_RETURN(
+          matcher, ShardedMatchService::Recover(env, snapshot_path, wal_path,
+                                                options, report));
+    }
+  } else if (wal_path.empty()) {
+    XSM_ASSIGN_OR_RETURN(
+        matcher, service::MatchService::WarmStart(snapshot_path, options));
+  } else {
+    XSM_ASSIGN_OR_RETURN(
+        matcher, service::MatchService::Recover(env, snapshot_path, wal_path,
+                                                options, report));
+  }
+  return matcher;
 }
 
 }  // namespace xsm::shard

@@ -30,13 +30,12 @@
 // baseline) execute generation unscattered on the global view — still
 // exact, just not fanned out.
 //
-// Deltas: ApplyDelta routes ops to owning shards (adds go to the last
-// shard), builds every touched shard's successor and any rebalance, then
-// journals the delta once and publishes one pin: it lands whole or not at
-// all. Persistence: SaveSnapshot writes K shard files at
-// `path + ".shard<i>"` and a manifest at `path`; AttachWal journals into
-// one file at `wal_path`. Recover loads both and lands on the exact
-// acknowledged generation.
+// Deltas and persistence run through service::Matcher's one write path, so
+// a delta touching many shards is journaled once and published as one pin.
+// A checkpoint is K shard files at `path + ".shard<i>"` plus a manifest at
+// `path`; Recover replays the one journal onto it, to the exact
+// acknowledged generation. CreateMatcher / OpenMatcher (end of this file)
+// pick the backend by shard count, or by the checkpoint's own format.
 #ifndef XSM_SHARD_SHARDED_MATCH_SERVICE_H_
 #define XSM_SHARD_SHARDED_MATCH_SERVICE_H_
 
@@ -59,7 +58,6 @@
 #include "util/io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
-#include "wal/wal.h"
 
 namespace xsm::shard {
 
@@ -117,17 +115,6 @@ class ShardedMatchService : public service::Matcher {
   service::RepositoryPinPtr Pin() const override;
   uint64_t CurrentGeneration() const override;
 
-  Result<live::ApplyReport> ApplyDelta(
-      const live::RepositoryDelta& delta,
-      obs::TraceContext* trace = nullptr) override;
-
-  Result<store::SnapshotFileInfo> SaveSnapshot(
-      const std::string& path,
-      obs::TraceContext* trace = nullptr) const override;
-
-  Status AttachWal(util::io::Env* env, const std::string& wal_path) override;
-  bool wal_attached() const override;
-
   std::vector<service::ShardDescriptor> Shards() const override;
 
   // --- Sharded extras. ----------------------------------------------------
@@ -141,6 +128,19 @@ class ShardedMatchService : public service::Matcher {
   class ShardedPin;
 
  protected:
+  /// Routes the delta's ops to their owning shards (adds go to the last
+  /// shard), builds the touched shards' successors and any rebalance.
+  Result<Successor> BuildSuccessor(const live::RepositoryDelta& delta,
+                                   obs::TraceContext* trace) override;
+  /// Swaps in `pin`, opens its namespaces in the global (0) and per-shard
+  /// (1 + s) cache sets, and counts its delta's rebalance.
+  void Publish(service::RepositoryPinPtr pin) override;
+  /// K shard files at `path + ".shard<i>"` plus a manifest at `path`:
+  /// staged, then committed by the manifest, then moved into place.
+  Result<store::SnapshotFileInfo> WriteCheckpoint(
+      const service::RepositoryPin& pin, const std::string& path,
+      util::io::Env* env) const override;
+
   bool OwnsPin(const service::RepositoryPin& pin) const override;
   /// No global dictionary exists (each shard owns one, and the element
   /// matching scatter injects them per shard): nothing to add.
@@ -168,22 +168,6 @@ class ShardedMatchService : public service::Matcher {
 
   std::shared_ptr<const ShardedPin> CurrentPin() const;
 
-  /// Publishes `pin`'s fingerprints in the global (0) and per-shard (1 + s)
-  /// cache sets.
-  void PublishCaches(const ShardedPin& pin);
-
-  /// Serializes ApplyDelta / SaveSnapshot / AttachWal end to end, so a
-  /// save never interleaves with a delta and the journal sees deltas in
-  /// generation order. Mutable: SaveSnapshot is logically const.
-  mutable std::mutex apply_mu_;
-  /// Every durable write (shard files, manifest, journal) goes through
-  /// this Env: the one given to WarmStart, AttachWal or Recover.
-  util::io::Env* env_;
-  std::string wal_path_;
-  /// The tenant journal (null until AttachWal / Recover). Mutable: the
-  /// compaction after a SaveSnapshot replaces it.
-  mutable std::unique_ptr<wal::WalWriter> wal_;
-
   mutable std::mutex pin_mu_;
   std::shared_ptr<const ShardedPin> pin_;
 
@@ -195,6 +179,24 @@ class ShardedMatchService : public service::Matcher {
   obs::Counter* fanouts_ = nullptr;
   obs::Counter* rebalances_ = nullptr;
 };
+
+// --- Booting either backend. -------------------------------------------------
+
+/// Serves `repository` from a MatchService when `num_shards` is 1, or from
+/// a ShardedMatchService with that many node-balanced shards.
+Result<std::unique_ptr<service::Matcher>> CreateMatcher(
+    schema::SchemaForest repository,
+    const service::MatchServiceOptions& options, size_t num_shards);
+
+/// Boots the checkpoint at `snapshot_path` on the backend its format names
+/// (a shard manifest: ShardedMatchService; a store snapshot:
+/// MatchService), reading through `env`. With a `wal_path` the journal
+/// there is replayed and kept (`report`, may be null, gets the counts);
+/// empty, none is attached.
+Result<std::unique_ptr<service::Matcher>> OpenMatcher(
+    util::io::Env* env, const std::string& snapshot_path,
+    const std::string& wal_path, const service::MatchServiceOptions& options,
+    live::RecoveryReport* report = nullptr);
 
 }  // namespace xsm::shard
 

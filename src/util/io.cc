@@ -212,7 +212,7 @@ Status AtomicFileWriter::Append(std::string_view data) {
   return pending_;
 }
 
-Status AtomicFileWriter::Commit() {
+Status AtomicFileWriter::Commit(std::unique_ptr<WritableFile>* keep_open) {
   if (!pending_.ok()) {
     Status first = pending_;
     Abort();
@@ -234,7 +234,7 @@ Status AtomicFileWriter::Commit() {
   // loss after an unsynced rename can leave the final name pointing at
   // zero-length data while the previous file is already gone.
   Status status = file_->Sync();
-  if (status.ok()) status = file_->Close();
+  if (status.ok() && keep_open == nullptr) status = file_->Close();
   if (status.ok()) status = env_->RenameFile(tmp_path_, final_path_);
   if (!status.ok()) {
     pending_ = status;
@@ -242,7 +242,11 @@ Status AtomicFileWriter::Commit() {
     return status;
   }
   committed_ = true;
-  file_.reset();
+  if (keep_open != nullptr) {
+    *keep_open = std::move(file_);
+  } else {
+    file_.reset();
+  }
   // Directory durability is best-effort: the rename already published
   // atomically; a directory-fsync refusal must not un-publish it.
   (void)env_->SyncDir(DirnameOf(final_path_));

@@ -99,8 +99,10 @@ class AtomicFileWriter {
 
   /// fsync + rename + directory fsync. After OK the final name durably
   /// holds exactly the appended bytes. After an error the final name is
-  /// whatever it was before (the tmp file is cleaned up).
-  Status Commit();
+  /// whatever it was before (the tmp file is cleaned up). With `keep_open`
+  /// the staged file stays open and its handle — now on the final name —
+  /// is handed over, so no reopen can fail after the rename.
+  Status Commit(std::unique_ptr<WritableFile>* keep_open = nullptr);
 
   /// Removes the staged tmp file; idempotent, called by the destructor.
   void Abort();

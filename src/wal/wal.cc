@@ -120,19 +120,20 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(
   // The fresh journal replaces any predecessor atomically: stage the
   // header under a tmp name, fsync, rename. A crash mid-Create leaves the
   // old journal intact (its records are all <= the just-checkpointed
-  // generation, so recovery skips them).
+  // generation, so recovery skips them). The staged file's handle is kept
+  // across the rename, so every failure leaves the old journal in place.
   const std::string header =
       SerializeWalHeader(base_generation, base_fingerprint);
-  XSM_RETURN_NOT_OK(
-      util::io::AtomicFileWriter::WriteFileAtomic(env, path, header));
-  XSM_ASSIGN_OR_RETURN(std::unique_ptr<util::io::WritableFile> file,
-                       env->NewWritableFile(path, /*truncate=*/false));
+  util::io::AtomicFileWriter staged(env, path);
+  XSM_RETURN_NOT_OK(staged.Append(header));
+  std::unique_ptr<util::io::WritableFile> file;
+  XSM_RETURN_NOT_OK(staged.Commit(&file));
   WalInfo info;
   info.format_version = kWalFormatVersion;
   info.base_generation = base_generation;
   info.base_fingerprint = base_fingerprint;
   return std::unique_ptr<WalWriter>(
-      new WalWriter(std::move(file), info, header.size()));
+      new WalWriter(env, path, std::move(file), info, header.size()));
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
@@ -145,7 +146,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   XSM_ASSIGN_OR_RETURN(std::unique_ptr<util::io::WritableFile> file,
                        env->NewWritableFile(path, /*truncate=*/false));
   return std::unique_ptr<WalWriter>(
-      new WalWriter(std::move(file), read.info, read.valid_bytes));
+      new WalWriter(env, path, std::move(file), read.info, read.valid_bytes));
 }
 
 Status WalWriter::Append(RecordType type, std::string_view payload) {
@@ -159,11 +160,16 @@ Status WalWriter::Append(RecordType type, std::string_view payload) {
   // for the crash sweep; durability comes from the fsync below either way.
   Status status = file_->Append(frame);
   if (status.ok()) status = file_->Append(payload);
-  if (status.ok()) status = file_->Sync();
+  const bool written = status.ok();
+  if (written) status = file_->Sync();
   if (!status.ok()) {
     poisoned_ = Status::FailedPrecondition(
         "journal closed after a failed append (" + status.ToString() +
         "); a checkpoint re-bases it");
+    // The caller refuses this record's delta. A torn record is dropped by
+    // recovery, but one whose fsync failed is whole in the file and would
+    // be replayed: cut it off.
+    if (written) (void)env_->TruncateFile(path_, size_bytes_);
     return status;
   }
   size_bytes_ += frame.size() + payload.size();

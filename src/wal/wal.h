@@ -7,7 +7,7 @@
 // validated repository delta is appended here — framed, checksummed, and
 // fsync'd — *before* its generation is published, so an acknowledged delta
 // is always recoverable. Warm-start boot becomes "load snapshot, replay
-// journal suffix" (live::RepositoryManager::Recover), provably
+// journal suffix" (live::ReplayJournal), provably
 // fingerprint- and query-identical to an uninterrupted chain.
 //
 // File format (magic "XSMWAL0\0", little-endian, format version 1):
@@ -79,14 +79,15 @@ struct WalReadResult {
   uint64_t dropped_bytes = 0;
 };
 
-/// Append handle over one journal file. Not thread-safe; callers
-/// (RepositoryManager) serialize appends with their write lock.
+/// Append handle over one journal file. Not thread-safe; its owner
+/// (service::Matcher) serializes appends with its write lock.
 class WalWriter {
  public:
   /// Atomically replaces `path` with a fresh, empty journal based at
   /// (base_generation, base_fingerprint) — the compaction step after a
   /// successful checkpoint. A crash during Create leaves either the old
-  /// journal or the new one, never a hybrid.
+  /// journal or the new one, never a hybrid; an error leaves the old one
+  /// (the staged file's handle is kept, so nothing fails after the rename).
   static Result<std::unique_ptr<WalWriter>> Create(
       util::io::Env* env, const std::string& path, uint64_t base_generation,
       uint64_t base_fingerprint);
@@ -108,7 +109,9 @@ class WalWriter {
   /// so the writer is poisoned. Every later Append returns
   /// kFailedPrecondition naming the first failure, and a failed fsync is
   /// never retried on the same file. Only a fresh writer (Create — the
-  /// compaction after a checkpoint) journals again.
+  /// compaction after a checkpoint) journals again. A record written whole
+  /// whose fsync failed is truncated away (best effort) so recovery cannot
+  /// replay a refused delta; recovery drops a torn one as a torn tail.
   Status Append(RecordType type, std::string_view payload);
 
   const WalInfo& info() const { return info_; }
@@ -117,10 +120,14 @@ class WalWriter {
   size_t records_appended() const { return records_appended_; }
 
  private:
-  WalWriter(std::unique_ptr<util::io::WritableFile> file, WalInfo info,
+  WalWriter(util::io::Env* env, std::string path,
+            std::unique_ptr<util::io::WritableFile> file, WalInfo info,
             uint64_t size_bytes)
-      : file_(std::move(file)), info_(info), size_bytes_(size_bytes) {}
+      : env_(env), path_(std::move(path)), file_(std::move(file)),
+        info_(info), size_bytes_(size_bytes) {}
 
+  util::io::Env* env_;
+  std::string path_;
   std::unique_ptr<util::io::WritableFile> file_;
   WalInfo info_;
   uint64_t size_bytes_;

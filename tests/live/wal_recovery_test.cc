@@ -150,6 +150,17 @@ Reference BuildReference(const schema::SchemaForest& base,
   return ref;
 }
 
+/// A single-threaded service over a copy of `base`: the journaled chain
+/// every script drives.
+std::unique_ptr<service::MatchService> MakeService(
+    const schema::SchemaForest& base) {
+  service::MatchServiceOptions options;
+  options.num_threads = 1;
+  auto service = service::MatchService::Create(DeepCopy(base), options);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  return std::move(*service);
+}
+
 /// What one faulted run of the workload acknowledged before it "died".
 struct ScriptOutcome {
   uint64_t acked_generation = 0;  ///< highest generation Apply returned OK
@@ -164,17 +175,16 @@ ScriptOutcome RunScript(Env* env, const schema::SchemaForest& base,
                         const std::string& snap_path,
                         const std::string& wal_path) {
   ScriptOutcome outcome;
-  auto manager = RepositoryManager::Create(DeepCopy(base));
-  EXPECT_TRUE(manager.ok());
-  if (!store::SaveSnapshotToFile(*(*manager)->Current(), snap_path, env)
+  auto service = MakeService(base);
+  if (!store::SaveSnapshotToFile(*service->CurrentSnapshot(), snap_path, env)
            .ok()) {
     return outcome;
   }
   outcome.initial_save_ok = true;
-  if (!(*manager)->AttachWal(env, wal_path).ok()) return outcome;
+  if (!service->AttachWal(env, wal_path).ok()) return outcome;
   for (size_t i = 0; i < deltas.size(); ++i) {
-    if (i == 3 && !(*manager)->SaveSnapshot(snap_path).ok()) return outcome;
-    auto report = (*manager)->Apply(deltas[i]);
+    if (i == 3 && !service->SaveSnapshot(snap_path).ok()) return outcome;
+    auto report = service->ApplyDelta(deltas[i]);
     if (!report.ok()) return outcome;
     outcome.acked_generation = report->generation;
   }
@@ -336,15 +346,14 @@ TEST_F(WalRecoveryTest, FailedCompactionKeepsJournalingRecoverySkips) {
   plan.fail_rename_at = 3;
   FaultInjectionEnv env(plan);
 
-  auto manager = RepositoryManager::Create(DeepCopy(*base_));
-  ASSERT_TRUE(manager.ok());
+  auto service = MakeService(*base_);
   ASSERT_TRUE(
-      store::SaveSnapshotToFile(*(*manager)->Current(), snap, &env).ok());
-  ASSERT_TRUE((*manager)->AttachWal(&env, wal).ok());
+      store::SaveSnapshotToFile(*service->CurrentSnapshot(), snap, &env).ok());
+  ASSERT_TRUE(service->AttachWal(&env, wal).ok());
   for (size_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*manager)->Apply((*deltas_)[i]).ok());
+    ASSERT_TRUE(service->ApplyDelta((*deltas_)[i]).ok());
   }
-  auto saved = (*manager)->SaveSnapshot(snap);
+  auto saved = service->SaveSnapshot(snap);
   ASSERT_FALSE(saved.ok()) << "compaction rename was supposed to fail";
   EXPECT_NE(saved.status().message().find("injected rename failure"),
             std::string::npos)
@@ -352,9 +361,9 @@ TEST_F(WalRecoveryTest, FailedCompactionKeepsJournalingRecoverySkips) {
   // The snapshot itself IS durable (its rename preceded the failure) and
   // the old journal keeps accepting acknowledged deltas.
   for (size_t i = 3; i < deltas_->size(); ++i) {
-    ASSERT_TRUE((*manager)->Apply((*deltas_)[i]).ok());
+    ASSERT_TRUE(service->ApplyDelta((*deltas_)[i]).ok());
   }
-  manager->reset();  // SIGKILL: no final save
+  service.reset();  // SIGKILL: no final save
 
   RecoveryReport report;
   auto recovered =
@@ -377,10 +386,9 @@ TEST_F(WalRecoveryTest, FailedPayloadAppendFailsClosedUntilCheckpoint) {
   service::MatchServiceOptions options;
   options.num_threads = 1;
   auto make_service = [&] {
-    auto manager = RepositoryManager::Create(DeepCopy(*base_));
-    EXPECT_TRUE(manager.ok()) << manager.status().ToString();
-    return std::make_unique<service::MatchService>(std::move(*manager),
-                                                   options);
+    auto service = service::MatchService::Create(DeepCopy(*base_), options);
+    EXPECT_TRUE(service.ok()) << service.status().ToString();
+    return std::move(*service);
   };
 
   // Probe: the appends made before delta 1 is journaled.
@@ -543,7 +551,7 @@ TEST_F(WalRecoveryTest, RecoveredServiceAnswersQueriesIdentically) {
   for (size_t i = 0; i < gen; ++i) {
     ASSERT_TRUE((*reference_manager)->Apply((*deltas_)[i]).ok());
   }
-  service::MatchService reference(std::move(*reference_manager), options);
+  service::MatchService reference((*reference_manager)->Current(), options);
 
   const char* kQuerySpecs[] = {
       "name(address,email)",

@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,6 +71,63 @@ live::RepositoryDelta MakeAddDelta(const std::string& spec,
   return std::move(*delta);
 }
 
+/// Passes everything to the real filesystem, except that the first file
+/// open waits until the test releases it.
+class GatingEnv : public util::io::Env {
+ public:
+  Result<std::unique_ptr<util::io::WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!gated_) {
+        gated_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    return base_->NewWritableFile(path, truncate);
+  }
+  Result<std::string> ReadFileToString(const std::string& path) override {
+    return base_->ReadFileToString(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return base_->TruncateFile(path, size);
+  }
+  Status SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+
+  /// Blocks until some call is held at the gate.
+  void WaitUntilGated() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return gated_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  util::io::Env* base_ = util::io::Env::Default();
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool gated_ = false;
+  bool released_ = false;
+};
+
 TenantRegistryOptions StateOptions(const std::string& state_dir,
                                    util::io::Env* env = nullptr) {
   TenantRegistryOptions options;
@@ -118,6 +177,57 @@ TEST(TenantWalTest, KilledRegistryWarmRestartsWithZeroAcknowledgedLoss) {
   auto stale = amnesiac.WarmStart("t1");
   ASSERT_TRUE(stale.ok()) << stale.status().ToString();
   EXPECT_EQ((*stale)->service->CurrentGeneration(), 0u);
+}
+
+// Two concurrent creations of one name (a client retrying PUT
+// /v1/tenants/x) must not let the loser overwrite the winner's checkpoint
+// or journal: the name is taken before either touches the state dir.
+TEST(TenantWalTest, ConcurrentCreateOfOneNameLosesNoAcknowledgedDelta) {
+  TempDir dir("create_race");
+  GatingEnv gate;
+  uint64_t acked_generation = 0;
+  uint64_t acked_fingerprint = 0;
+  {
+    TenantRegistry registry(StateOptions(dir.path(), &gate));
+    Result<Tenant*> first = Status::Internal("not run");
+    std::thread creator(
+        [&] { first = registry.Create("x", MakeCorpus(150, 7)); });
+    gate.WaitUntilGated();  // the first creation is mid-way
+
+    auto second = registry.Create("x", MakeCorpus(150, 7));
+    if (second.ok()) {
+      auto report = (*second)->service->ApplyDelta(
+          MakeAddDelta("late(a,b)", "feed://late"));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      acked_generation = report->generation;
+      acked_fingerprint = report->fingerprint;
+    } else {
+      EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition)
+          << second.status().ToString();
+    }
+    gate.Release();
+    creator.join();
+    EXPECT_NE(first.ok(), second.ok())
+        << "exactly one creation of 'x' may succeed";
+
+    if (first.ok()) {
+      auto report = (*first)->service->ApplyDelta(
+          MakeAddDelta("late(a,b)", "feed://late"));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      acked_generation = report->generation;
+      acked_fingerprint = report->fingerprint;
+    }
+    ASSERT_EQ(acked_generation, 1u);
+    // SIGKILL: no save after the delta.
+  }
+
+  TenantRegistry restarted(StateOptions(dir.path()));
+  live::RecoveryReport report;
+  auto tenant = restarted.WarmStart("x", &report);
+  ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+  EXPECT_EQ((*tenant)->service->CurrentGeneration(), acked_generation);
+  EXPECT_EQ((*tenant)->service->Pin()->fingerprint(), acked_fingerprint);
+  EXPECT_EQ(report.records_replayed, 1u);
 }
 
 TEST(TenantWalTest, ShardedTenantRestartsAtTheAckedGeneration) {

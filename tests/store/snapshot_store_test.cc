@@ -277,7 +277,7 @@ TEST(SnapshotStoreTest, SaveLoadApplyDeltaMatchesUninterruptedChain) {
 
     const std::string path = testing::TempDir() + "/xsm_store_chain_" +
                              std::to_string(seed) + ".snap";
-    auto saved = (*cold_manager)->SaveSnapshot(path);
+    auto saved = store::SaveSnapshotToFile(*(*cold_manager)->Current(), path);
     ASSERT_TRUE(saved.ok()) << saved.status().ToString();
     EXPECT_EQ(saved->generation, saved_generation);
 

@@ -54,7 +54,7 @@
 //            Interactive loop: read one query line (same format as batch)
 //            from stdin per request, stream its NDJSON mapping events.
 //            Lines starting with '!' evolve the repository while serving
-//            (copy-on-write generations; see live::RepositoryManager):
+//            (copy-on-write generations; see service::Matcher::ApplyDelta):
 //              !ingest SPEC [source=NAME]      add one tree
 //              !replace ID SPEC [source=NAME]  swap tree ID's payload
 //              !remove ID                      retire tree ID
@@ -90,7 +90,11 @@
 // instead of --forest/--repo-dir/--synthetic. The snapshot written by
 // `save` (or serve-mode `!save`) is loaded whole — no re-parsing, no
 // re-indexing — and serve/batch continue delta ingestion from the
-// persisted generation.
+// persisted generation. For batch/serve/http the checkpoint also decides
+// the backend: a sharded `!save` writes a shard manifest, which boots
+// sharded again; --shards, if given, must agree with the checkpoint's
+// shard count (InvalidArgument otherwise). stats/match read store
+// snapshots only.
 //
 // Streaming flags (match/batch/serve):
 //   --deadline-ms MS   per-query wall-clock deadline; an expired query
@@ -231,7 +235,9 @@ int Usage() {
       "stats/match/batch/serve also accept --warm-start FILE.snap (a file\n"
       "written by `save` or `!save`) as the repository source: the\n"
       "snapshot loads whole, nothing is re-parsed or re-indexed, and the\n"
-      "generation chain continues where it was persisted.\n");
+      "generation chain continues where it was persisted. For batch/serve\n"
+      "the checkpoint picks the backend; a --shards that disagrees with it\n"
+      "is an error.\n");
   return 2;
 }
 
@@ -553,24 +559,33 @@ Result<std::unique_ptr<service::Matcher>> MakeService(const Args& args) {
   // clock starts at Submit, so pool queue wait counts against it.
   options.default_deadline_seconds = args.GetDouble("deadline-ms", 0) / 1e3;
   options.slow_query_ms = args.GetDouble("slow-query-ms", 0);
-  // Warm start included: LoadSnapshot dispatches on --warm-start, and the
-  // service then continues delta ingestion from the loaded generation.
-  XSM_ASSIGN_OR_RETURN(
-      std::shared_ptr<const service::RepositorySnapshot> snapshot,
-      LoadSnapshot(args));
-  if (shards > 1) {
-    // Sharded backend: repartition the loaded forest (results stay
-    // byte-identical to the unsharded backend — see src/shard).
-    shard::ShardedOptions shard_options;
-    shard_options.num_shards = static_cast<size_t>(shards);
-    XSM_ASSIGN_OR_RETURN(
-        std::unique_ptr<shard::ShardedMatchService> sharded,
-        shard::ShardedMatchService::Create(snapshot->forest(), options,
-                                           shard_options));
-    return std::unique_ptr<service::Matcher>(std::move(sharded));
+  if (!args.Has("warm-start")) {
+    XSM_ASSIGN_OR_RETURN(schema::SchemaForest forest, LoadRepository(args));
+    return shard::CreateMatcher(std::move(forest), options,
+                                static_cast<size_t>(shards));
   }
-  return std::unique_ptr<service::Matcher>(
-      std::make_unique<service::MatchService>(std::move(snapshot), options));
+  // The checkpoint decides the backend (a store snapshot or a shard
+  // manifest, as `save` and `!save` write them), and the service continues
+  // delta ingestion from the saved generation.
+  const std::string path = args.Get("warm-start");
+  XSM_ASSIGN_OR_RETURN(
+      std::unique_ptr<service::Matcher> matcher,
+      shard::OpenMatcher(util::io::Env::Default(), path, /*wal_path=*/"",
+                         options));
+  const size_t saved_shards = matcher->Shards().size();
+  if (args.Has("shards") && static_cast<size_t>(shards) != saved_shards) {
+    return Status::InvalidArgument(
+        "--shards " + std::to_string(shards) + " disagrees with " + path +
+        ", a checkpoint of " + std::to_string(saved_shards) + " shard(s)");
+  }
+  service::RepositoryPinPtr pin = matcher->Pin();
+  std::fprintf(stderr,
+               "warm start: %zu trees / %zu elements in %zu shard(s) at "
+               "generation %llu (fingerprint %016llx)\n",
+               pin->num_trees(), pin->total_nodes(), saved_shards,
+               static_cast<unsigned long long>(pin->generation()),
+               static_cast<unsigned long long>(pin->fingerprint()));
+  return matcher;
 }
 
 // --- NDJSON event streaming (batch / serve / http) -------------------------
