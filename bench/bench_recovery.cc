@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
     return 1;
   }
-  Status attached = (*chain)->AttachWal(util::io::Env::Default(), wal_path);
+  Status attached = (*chain)->AttachWal(wal_path);
   if (!attached.ok()) {
     std::fprintf(stderr, "%s\n", attached.ToString().c_str());
     return 1;

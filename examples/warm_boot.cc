@@ -7,9 +7,10 @@
 //      fingerprints), serve a query,
 //   2. save-on-shutdown: SaveSnapshot writes the versioned, checksummed
 //      snapshot file atomically,
-//   3. "second boot": WarmStart loads every derived structure back without
-//      rebuilding anything, continues the generation chain with a delta,
-//      and serves identical results,
+//   3. "second boot": shard::OpenMatcher (the one boot path for a
+//      checkpoint, on whichever backend wrote it) loads every derived
+//      structure back without rebuilding anything, continues the generation
+//      chain with a delta, and serves identical results,
 //   4. damage detection: a flipped byte makes the load fail with a typed
 //      Corruption error instead of booting on bad state.
 //
@@ -24,8 +25,8 @@ using namespace xsm;
 
 namespace {
 
-int Run(service::MatchService* service, const char* label) {
-  auto snapshot = service->CurrentSnapshot();
+int Run(service::Matcher* service, const char* label) {
+  service::RepositoryPinPtr snapshot = service->Pin();
   service::MatchRequest query;
   query.id = "boot-probe";
   query.personal = *schema::ParseTreeSpec("name(address,email)");
@@ -83,7 +84,10 @@ int main() {
 
   // --- Second boot: load, don't rebuild. ------------------------------------
   Timer warm_timer;
-  auto warm = service::MatchService::WarmStart(path);
+  // No journal to replay: the checkpoint alone, at its saved generation.
+  auto warm = shard::OpenMatcher(util::io::Env::Default(), path,
+                                 /*wal_path=*/"",
+                                 service::MatchServiceOptions());
   double warm_seconds = warm_timer.ElapsedSeconds();
   if (!warm.ok()) {
     std::fprintf(stderr, "%s\n", warm.status().ToString().c_str());
@@ -119,7 +123,8 @@ int main() {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  auto damaged = service::MatchService::WarmStart(path);
+  auto damaged = shard::OpenMatcher(util::io::Env::Default(), path, "",
+                                    service::MatchServiceOptions());
   std::printf("corrupted file refused: %s\n",
               damaged.ok() ? "NOT REFUSED (bug!)"
                            : damaged.status().ToString().c_str());

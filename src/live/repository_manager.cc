@@ -16,14 +16,6 @@ Result<std::unique_ptr<RepositoryManager>> RepositoryManager::Create(
   return std::make_unique<RepositoryManager>(std::move(snapshot));
 }
 
-Result<std::unique_ptr<RepositoryManager>> RepositoryManager::WarmStart(
-    const std::string& path) {
-  XSM_ASSIGN_OR_RETURN(
-      std::shared_ptr<const service::RepositorySnapshot> snapshot,
-      store::LoadSnapshotFromFile(path));
-  return std::make_unique<RepositoryManager>(std::move(snapshot));
-}
-
 RepositoryManager::RepositoryManager(
     std::shared_ptr<const service::RepositorySnapshot> initial)
     : current_(std::move(initial)) {}
@@ -77,23 +69,36 @@ Result<ApplyReport> RepositoryManager::Apply(const RepositoryDelta& delta,
   return report;
 }
 
+Result<RecoveredSnapshot> RecoverSnapshot(util::io::Env* env,
+                                          const std::string& snapshot_path,
+                                          const std::string& wal_path,
+                                          RecoveryReport* report) {
+  if (env == nullptr) env = util::io::Env::Default();
+  RecoveredSnapshot recovered;
+  XSM_ASSIGN_OR_RETURN(recovered.snapshot,
+                       store::LoadSnapshotFromFile(snapshot_path, env));
+  XSM_ASSIGN_OR_RETURN(
+      recovered.journal,
+      ReplayJournal(
+          env, wal_path, recovered.snapshot->generation(),
+          recovered.snapshot->fingerprint(),
+          [&recovered](const RepositoryDelta& delta) -> Result<uint64_t> {
+            XSM_ASSIGN_OR_RETURN(
+                ApplyReport applied,
+                BuildSuccessorSnapshot(recovered.snapshot, delta));
+            recovered.snapshot = std::move(applied.snapshot);
+            return recovered.snapshot->fingerprint();
+          },
+          report));
+  return recovered;
+}
+
 Result<std::unique_ptr<RepositoryManager>> RepositoryManager::Recover(
     util::io::Env* env, const std::string& snapshot_path,
     const std::string& wal_path, RecoveryReport* report) {
-  XSM_ASSIGN_OR_RETURN(
-      std::shared_ptr<const service::RepositorySnapshot> snapshot,
-      store::LoadSnapshotFromFile(snapshot_path, env));
-  auto manager = std::make_unique<RepositoryManager>(snapshot);
-  XSM_RETURN_NOT_OK(
-      ReplayJournal(
-          env, wal_path, snapshot->generation(), snapshot->fingerprint(),
-          [&manager](const RepositoryDelta& delta) -> Result<uint64_t> {
-            XSM_ASSIGN_OR_RETURN(ApplyReport applied, manager->Apply(delta));
-            return applied.fingerprint;
-          },
-          report)
-          .status());
-  return manager;
+  XSM_ASSIGN_OR_RETURN(RecoveredSnapshot recovered,
+                       RecoverSnapshot(env, snapshot_path, wal_path, report));
+  return std::make_unique<RepositoryManager>(std::move(recovered.snapshot));
 }
 
 Result<std::unique_ptr<wal::WalWriter>> ReplayJournal(
@@ -104,6 +109,10 @@ Result<std::unique_ptr<wal::WalWriter>> ReplayJournal(
   RecoveryReport local;
   local.snapshot_generation = checkpoint_generation;
   local.recovered_generation = checkpoint_generation;
+  if (wal_path.empty()) {
+    if (report != nullptr) *report = local;
+    return std::unique_ptr<wal::WalWriter>();
+  }
 
   auto read = wal::ReadWal(env, wal_path);
   if (!read.ok() && read.status().code() == StatusCode::kNotFound) {

@@ -71,12 +71,29 @@ struct RecoveryReport {
 /// kCorruption. Returns the journal reopened for appending (created fresh
 /// at the checkpoint if missing), for the caller to keep journaling into
 /// (service::Matcher::AdoptJournal); `report` (may be null) gets the
-/// counts.
+/// counts. An empty `wal_path` means no journal: nothing is replayed or
+/// created, and the returned writer is null.
 Result<std::unique_ptr<wal::WalWriter>> ReplayJournal(
     util::io::Env* env, const std::string& wal_path,
     uint64_t checkpoint_generation, uint64_t checkpoint_fingerprint,
     const std::function<Result<uint64_t>(const RepositoryDelta&)>& apply,
     RecoveryReport* report);
+
+/// A store snapshot checkpoint with its journal replayed onto it.
+struct RecoveredSnapshot {
+  std::shared_ptr<const service::RepositorySnapshot> snapshot;
+  /// The journal reopened for appending; null without a `wal_path`.
+  std::unique_ptr<wal::WalWriter> journal;
+};
+
+/// The load-and-replay routine of every single-snapshot chain: loads the
+/// store snapshot at `snapshot_path` through `env` and replays the journal
+/// at `wal_path` (empty: none) onto it under the ReplayJournal policy.
+/// A null `env` is util::io::Env::Default().
+Result<RecoveredSnapshot> RecoverSnapshot(util::io::Env* env,
+                                          const std::string& snapshot_path,
+                                          const std::string& wal_path,
+                                          RecoveryReport* report);
 
 /// Validates `delta` against `base` and builds its successor (the report's
 /// `snapshot`), publishing nothing. `trace` (may be null) receives the
@@ -93,16 +110,11 @@ class RepositoryManager {
   static Result<std::unique_ptr<RepositoryManager>> Create(
       schema::SchemaForest initial);
 
-  /// Boots from a persisted snapshot (store::SaveSnapshotToFile output):
-  /// no re-parsing or re-indexing, and the generation chain continues
-  /// where it left off — the first Apply after a warm start publishes
-  /// the loaded generation + 1.
-  static Result<std::unique_ptr<RepositoryManager>> WarmStart(
-      const std::string& path);
-
-  /// Boots from a checkpoint + journal pair: loads the snapshot and
-  /// replays the journal onto it under the ReplayJournal policy. The
-  /// chain keeps no journal: later Apply calls are not journaled.
+  /// Boots from a checkpoint + journal pair (RecoverSnapshot): the
+  /// snapshot loads whole, with no re-parsing or re-indexing, the journal
+  /// at `wal_path` (empty: none) is replayed onto it, and the generation
+  /// chain continues where it left off. The chain keeps no journal: later
+  /// Apply calls are not journaled.
   static Result<std::unique_ptr<RepositoryManager>> Recover(
       util::io::Env* env, const std::string& snapshot_path,
       const std::string& wal_path, RecoveryReport* report = nullptr);

@@ -113,7 +113,7 @@ Result<Tenant*> TenantRegistry::Create(const std::string& name,
     XSM_ASSIGN_OR_RETURN(
         std::unique_ptr<service::Matcher> service,
         shard::CreateMatcher(std::move(forest), ServiceOptionsFor(name),
-                             options_.shards));
+                             options_.shards, env()));
     const std::string wal_path = WalPathFor(name);
     if (!wal_path.empty()) {
       // Checkpoint, then journal: recovery replays the journal onto a base
@@ -121,7 +121,7 @@ Result<Tenant*> TenantRegistry::Create(const std::string& name,
       std::error_code ec;
       fs::create_directories(options_.state_dir, ec);  // best effort
       XSM_RETURN_NOT_OK(service->SaveSnapshot(SnapshotPathFor(name)).status());
-      XSM_RETURN_NOT_OK(service->AttachWal(env(), wal_path));
+      XSM_RETURN_NOT_OK(service->AttachWal(wal_path));
     }
     return service;
   };

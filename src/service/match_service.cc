@@ -8,44 +8,31 @@
 namespace xsm::service {
 
 Result<std::unique_ptr<MatchService>> MatchService::Create(
-    schema::SchemaForest repository, const MatchServiceOptions& options) {
+    schema::SchemaForest repository, const MatchServiceOptions& options,
+    util::io::Env* env) {
   XSM_ASSIGN_OR_RETURN(std::shared_ptr<const RepositorySnapshot> snapshot,
                        RepositorySnapshot::Create(std::move(repository)));
-  return std::make_unique<MatchService>(std::move(snapshot), options);
-}
-
-Result<std::unique_ptr<MatchService>> MatchService::WarmStart(
-    const std::string& path, const MatchServiceOptions& options) {
-  XSM_ASSIGN_OR_RETURN(std::shared_ptr<const RepositorySnapshot> snapshot,
-                       store::LoadSnapshotFromFile(path));
-  return std::make_unique<MatchService>(std::move(snapshot), options);
+  return std::make_unique<MatchService>(std::move(snapshot), options, env);
 }
 
 Result<std::unique_ptr<MatchService>> MatchService::Recover(
     util::io::Env* env, const std::string& snapshot_path,
     const std::string& wal_path, const MatchServiceOptions& options,
     live::RecoveryReport* report) {
-  XSM_ASSIGN_OR_RETURN(std::shared_ptr<const RepositorySnapshot> snapshot,
-                       store::LoadSnapshotFromFile(snapshot_path, env));
   XSM_ASSIGN_OR_RETURN(
-      std::unique_ptr<wal::WalWriter> journal,
-      live::ReplayJournal(
-          env, wal_path, snapshot->generation(), snapshot->fingerprint(),
-          [&snapshot](const live::RepositoryDelta& delta) -> Result<uint64_t> {
-            XSM_ASSIGN_OR_RETURN(live::ApplyReport applied,
-                                 live::BuildSuccessorSnapshot(snapshot, delta));
-            snapshot = std::move(applied.snapshot);
-            return snapshot->fingerprint();
-          },
-          report));
-  auto service = std::make_unique<MatchService>(std::move(snapshot), options);
-  service->AdoptJournal(env, wal_path, std::move(journal));
+      live::RecoveredSnapshot recovered,
+      live::RecoverSnapshot(env, snapshot_path, wal_path, report));
+  auto service = std::make_unique<MatchService>(std::move(recovered.snapshot),
+                                                options, env);
+  service->AdoptJournal(wal_path, std::move(recovered.journal));
   return service;
 }
 
 MatchService::MatchService(std::shared_ptr<const RepositorySnapshot> snapshot,
-                           const MatchServiceOptions& options)
-    : Matcher(options, /*num_cache_sets=*/1), current_(std::move(snapshot)) {
+                           const MatchServiceOptions& options,
+                           util::io::Env* env)
+    : Matcher(options, /*num_cache_sets=*/1, env),
+      current_(std::move(snapshot)) {
   // Materialize the initial generation's cache namespace so the first
   // queries don't race to create it.
   cache_set(0).Publish(CurrentSnapshot()->fingerprint());

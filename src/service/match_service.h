@@ -63,25 +63,22 @@ namespace xsm::service {
 class MatchService : public Matcher {
  public:
   /// Convenience: snapshots `repository` (validating it, building the
-  /// index once) and wraps it in a service.
+  /// index once) and wraps it in a service whose reads and durable writes
+  /// go through `env` (null: the real filesystem).
   static Result<std::unique_ptr<MatchService>> Create(
-      schema::SchemaForest repository, const MatchServiceOptions& options =
-                                           MatchServiceOptions());
+      schema::SchemaForest repository,
+      const MatchServiceOptions& options = MatchServiceOptions(),
+      util::io::Env* env = nullptr);
 
-  /// Boots a service from a snapshot persisted by SaveSnapshot /
-  /// store::SaveSnapshotToFile: the forest, structural index, name
-  /// dictionary and fingerprints are loaded, not rebuilt, and the
-  /// generation chain continues delta ingestion from the loaded
-  /// generation (the first ApplyDelta publishes it + 1).
-  static Result<std::unique_ptr<MatchService>> WarmStart(
-      const std::string& path, const MatchServiceOptions& options =
-                                   MatchServiceOptions());
-
-  /// Crash-safe boot: loads the snapshot, replays the delta journal's
-  /// post-checkpoint suffix (live::ReplayJournal), and keeps journaling
-  /// into the same WAL — the recovered chain is fingerprint-identical to
-  /// the uninterrupted one. `report` (may be null) receives the replay
-  /// accounting.
+  /// Boots a service from a checkpoint written by SaveSnapshot /
+  /// store::SaveSnapshotToFile (live::RecoverSnapshot, through `env`): the
+  /// forest, structural index, name dictionary and fingerprints are
+  /// loaded, not rebuilt. With a `wal_path` the journal's post-checkpoint
+  /// suffix is replayed (live::ReplayJournal) and journaling continues
+  /// into it — the recovered chain is fingerprint-identical to the
+  /// uninterrupted one; empty, no journal is attached. Either way delta
+  /// ingestion continues from the recovered generation. `report` (may be
+  /// null) receives the replay accounting.
   static Result<std::unique_ptr<MatchService>> Recover(
       util::io::Env* env, const std::string& snapshot_path,
       const std::string& wal_path,
@@ -89,7 +86,8 @@ class MatchService : public Matcher {
       live::RecoveryReport* report = nullptr);
 
   MatchService(std::shared_ptr<const RepositorySnapshot> snapshot,
-               const MatchServiceOptions& options = MatchServiceOptions());
+               const MatchServiceOptions& options = MatchServiceOptions(),
+               util::io::Env* env = nullptr);
 
   ~MatchService() override;
 

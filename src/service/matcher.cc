@@ -303,13 +303,12 @@ Result<store::SnapshotFileInfo> Matcher::SaveSnapshot(
   return info;
 }
 
-Status Matcher::AttachWal(util::io::Env* env, const std::string& wal_path) {
+Status Matcher::AttachWal(const std::string& wal_path) {
   std::lock_guard<std::mutex> lock(write_mu_);
   RepositoryPinPtr pin = Pin();
-  XSM_ASSIGN_OR_RETURN(wal_, wal::WalWriter::Create(env, wal_path,
+  XSM_ASSIGN_OR_RETURN(wal_, wal::WalWriter::Create(env_, wal_path,
                                                     pin->generation(),
                                                     pin->fingerprint()));
-  env_ = env;
   wal_path_ = wal_path;
   return Status::OK();
 }
@@ -319,10 +318,9 @@ bool Matcher::wal_attached() const {
   return wal_ != nullptr;
 }
 
-void Matcher::AdoptJournal(util::io::Env* env, const std::string& wal_path,
+void Matcher::AdoptJournal(const std::string& wal_path,
                            std::unique_ptr<wal::WalWriter> journal) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  env_ = env;
   wal_path_ = wal_path;
   wal_ = std::move(journal);
 }

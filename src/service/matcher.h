@@ -314,10 +314,11 @@ class Matcher {
 
   /// Write-ahead journals every subsequent ApplyDelta into one journal at
   /// `wal_path` (created fresh at the current generation; a sharded backend
-  /// too), so an acknowledged delta survives a crash. Every later durable
-  /// write goes through `env`. Recovery replays onto a checkpoint at or
-  /// before the current generation; the caller persists one.
-  Status AttachWal(util::io::Env* env, const std::string& wal_path);
+  /// too), so an acknowledged delta survives a crash. The journal goes
+  /// through the backend's Env, like every other durable write. Recovery
+  /// replays onto a checkpoint at or before the current generation; the
+  /// caller persists one.
+  Status AttachWal(const std::string& wal_path);
 
   /// Whether deltas are currently being journaled.
   bool wal_attached() const;
@@ -409,8 +410,8 @@ class Matcher {
  protected:
   /// Builds the pools and registers the shared counters and the latency
   /// histogram. Creates `num_cache_sets` fingerprint-namespaced cache sets;
-  /// set 0 holds the cluster states the query path serves. Checkpoints go
-  /// through `env` (null: the real one) until AttachWal names another.
+  /// set 0 holds the cluster states the query path serves. Every read and
+  /// durable write of the backend goes through `env` (null: the real one).
   Matcher(const MatchServiceOptions& options, size_t num_cache_sets,
           util::io::Env* env = nullptr);
 
@@ -439,8 +440,8 @@ class Matcher {
       util::io::Env* env) const = 0;
 
   /// For a backend's Recover: journals into `journal` (the writer
-  /// live::ReplayJournal reopened at `wal_path`), writing through `env`.
-  void AdoptJournal(util::io::Env* env, const std::string& wal_path,
+  /// live::ReplayJournal reopened at `wal_path`).
+  void AdoptJournal(const std::string& wal_path,
                     std::unique_ptr<wal::WalWriter> journal);
 
   // --- Backend hooks: the read side. -------------------------------------
@@ -539,7 +540,7 @@ class Matcher {
   /// journal sees them in order. Mutable with the journal: SaveSnapshot is
   /// logically const.
   mutable std::mutex write_mu_;
-  util::io::Env* env_;  ///< every durable write goes through it
+  util::io::Env* const env_;  ///< every durable write goes through it
   std::string wal_path_;
   mutable std::unique_ptr<wal::WalWriter> wal_;  ///< null: not journaling
 };

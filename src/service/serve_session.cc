@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -178,38 +176,6 @@ void NdjsonIntegrationObserver::OnFinish(
 }
 
 // --- ServeSession ----------------------------------------------------------
-
-namespace {
-
-// Numeric grammar values are strict: the whole token must be one number in
-// strtod / strtoll syntax (the syntax atof / atol read), so "0.5x", "ten"
-// and "" are refused instead of read as a prefix or as 0. A well-formed
-// value means what it always meant; one that overflows is refused too.
-Result<double> ParseReal(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      !std::isfinite(parsed)) {
-    return Status::InvalidArgument(key + " must be a finite number, got '" +
-                                   value + "'");
-  }
-  return parsed;
-}
-
-Result<long long> ParseInteger(const std::string& key,
-                               const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      errno == ERANGE) {
-    return Status::InvalidArgument(key + " must be a 64-bit integer, got '" +
-                                   value + "'");
-  }
-  return parsed;
-}
-
-}  // namespace
 
 ServeSession::ServeSession(Matcher* service, ServeSessionOptions options)
     : service_(service), options_(std::move(options)) {}

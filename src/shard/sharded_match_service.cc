@@ -320,7 +320,7 @@ Result<ShardSnapshots> LoadShards(util::io::Env* env,
   return shards;
 }
 
-/// The one checkpoint loader of WarmStart and Recover: the manifest at
+/// The checkpoint loader of Recover: the manifest at
 /// `path` (into `*manifest`) plus the shard files it names.
 Result<ShardSnapshots> LoadCheckpoint(util::io::Env* env,
                                       const std::string& path,
@@ -369,7 +369,7 @@ std::string ShardedMatchService::ShardFilePath(const std::string& prefix,
 Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Create(
     schema::SchemaForest repository,
     const service::MatchServiceOptions& options,
-    const ShardedOptions& shard_options) {
+    const ShardedOptions& shard_options, util::io::Env* env) {
   if (shard_options.num_shards == 0 ||
       shard_options.num_shards > kMaxShards) {
     return Status::InvalidArgument("num_shards must be in [1, " +
@@ -422,20 +422,7 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Create(
   XSM_RETURN_NOT_OK(first_error);
 
   return std::unique_ptr<ShardedMatchService>(new ShardedMatchService(
-      ShardedPin::Build(std::move(shards), /*generation=*/0), options,
-      util::io::Env::Default()));
-}
-
-Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::WarmStart(
-    const std::string& path, const service::MatchServiceOptions& options,
-    util::io::Env* env) {
-  if (env == nullptr) env = util::io::Env::Default();
-  Manifest manifest;
-  XSM_ASSIGN_OR_RETURN(ShardSnapshots shards,
-                       LoadCheckpoint(env, path, &manifest));
-  return std::unique_ptr<ShardedMatchService>(new ShardedMatchService(
-      ShardedPin::Build(std::move(shards), manifest.generation), options,
-      env));
+      ShardedPin::Build(std::move(shards), /*generation=*/0), options, env));
 }
 
 Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Recover(
@@ -443,7 +430,7 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Recover(
     const std::string& wal_path, const service::MatchServiceOptions& options,
     live::RecoveryReport* report) {
   if (env == nullptr) env = util::io::Env::Default();
-  if (env->FileExists(ShardFilePath(wal_path, 0))) {
+  if (!wal_path.empty() && env->FileExists(ShardFilePath(wal_path, 0))) {
     return Status::FailedPrecondition(
         ShardFilePath(wal_path, 0) + " is a per-shard journal; this build "
         "keeps one journal per tenant. To migrate, recover and SaveSnapshot "
@@ -468,7 +455,7 @@ Result<std::unique_ptr<ShardedMatchService>> ShardedMatchService::Recover(
   auto service = std::unique_ptr<ShardedMatchService>(new ShardedMatchService(
       ShardedPin::Build(std::move(shards), local.recovered_generation),
       options, env));
-  service->AdoptJournal(env, wal_path, std::move(writer));
+  service->AdoptJournal(wal_path, std::move(writer));
   if (report != nullptr) *report = local;
   return service;
 }
@@ -903,15 +890,16 @@ Result<store::SnapshotFileInfo> ShardedMatchService::WriteCheckpoint(
 
 Result<std::unique_ptr<service::Matcher>> CreateMatcher(
     schema::SchemaForest repository,
-    const service::MatchServiceOptions& options, size_t num_shards) {
+    const service::MatchServiceOptions& options, size_t num_shards,
+    util::io::Env* env) {
   std::unique_ptr<service::Matcher> matcher;
   if (num_shards > 1) {
     XSM_ASSIGN_OR_RETURN(
         matcher, ShardedMatchService::Create(std::move(repository), options,
-                                             ShardedOptions{num_shards}));
+                                             ShardedOptions{num_shards}, env));
   } else {
     XSM_ASSIGN_OR_RETURN(matcher, service::MatchService::Create(
-                                      std::move(repository), options));
+                                      std::move(repository), options, env));
   }
   return matcher;
 }
@@ -920,19 +908,12 @@ Result<std::unique_ptr<service::Matcher>> OpenMatcher(
     util::io::Env* env, const std::string& snapshot_path,
     const std::string& wal_path, const service::MatchServiceOptions& options,
     live::RecoveryReport* report) {
+  if (env == nullptr) env = util::io::Env::Default();
   std::unique_ptr<service::Matcher> matcher;
   if (IsShardManifest(env, snapshot_path)) {
-    if (wal_path.empty()) {
-      XSM_ASSIGN_OR_RETURN(
-          matcher, ShardedMatchService::WarmStart(snapshot_path, options, env));
-    } else {
-      XSM_ASSIGN_OR_RETURN(
-          matcher, ShardedMatchService::Recover(env, snapshot_path, wal_path,
-                                                options, report));
-    }
-  } else if (wal_path.empty()) {
     XSM_ASSIGN_OR_RETURN(
-        matcher, service::MatchService::WarmStart(snapshot_path, options));
+        matcher, ShardedMatchService::Recover(env, snapshot_path, wal_path,
+                                              options, report));
   } else {
     XSM_ASSIGN_OR_RETURN(
         matcher, service::MatchService::Recover(env, snapshot_path, wal_path,

@@ -75,26 +75,22 @@ inline constexpr size_t kMaxShards = 4096;
 class ShardedMatchService : public service::Matcher {
  public:
   /// Partitions `repository` into shard_options.num_shards node-balanced
-  /// shards (snapshots built in parallel) and serves it.
+  /// shards (snapshots built in parallel) and serves it; every read and
+  /// durable write goes through `env` (null: the real filesystem).
   static Result<std::unique_ptr<ShardedMatchService>> Create(
       schema::SchemaForest repository,
       const service::MatchServiceOptions& options =
           service::MatchServiceOptions(),
-      const ShardedOptions& shard_options = ShardedOptions());
-
-  /// Boots from a manifest + per-shard snapshots written by SaveSnapshot.
-  /// The shard count comes from the manifest. The recomputed global
-  /// fingerprint must match the manifest's or the load fails with
-  /// Corruption; a newer manifest version is Unimplemented.
-  static Result<std::unique_ptr<ShardedMatchService>> WarmStart(
-      const std::string& path,
-      const service::MatchServiceOptions& options =
-          service::MatchServiceOptions(),
+      const ShardedOptions& shard_options = ShardedOptions(),
       util::io::Env* env = nullptr);
 
-  /// Crash-safe boot: loads the checkpoint like WarmStart, replays the
-  /// journal at `wal_path` (live::ReplayJournal) and keeps journaling into
-  /// it, at exactly the checkpoint's generation plus the records replayed.
+  /// Boots from a manifest + per-shard snapshots written by SaveSnapshot,
+  /// read through `env`. The shard count comes from the manifest. The
+  /// recomputed global fingerprint must match the manifest's or the load
+  /// fails with Corruption; a newer manifest version is Unimplemented.
+  /// With a `wal_path` the journal there is replayed (live::ReplayJournal)
+  /// and journaling continues into it, at exactly the checkpoint's
+  /// generation plus the records replayed; empty, no journal is attached.
   /// `report` (may be null) receives the replay accounting. Per-shard
   /// journals of the earlier layout (`wal_path + ".shard<i>"`) are refused
   /// with FailedPrecondition rather than ignored.
@@ -119,7 +115,7 @@ class ShardedMatchService : public service::Matcher {
 
   // --- Sharded extras. ----------------------------------------------------
 
-  /// Per-shard snapshot file written by SaveSnapshot / read by WarmStart:
+  /// Per-shard snapshot file written by SaveSnapshot / read by Recover:
   /// `prefix + ".shard" + i`. Exposed for tools and tests.
   static std::string ShardFilePath(const std::string& prefix, size_t shard);
 
@@ -183,16 +179,18 @@ class ShardedMatchService : public service::Matcher {
 // --- Booting either backend. -------------------------------------------------
 
 /// Serves `repository` from a MatchService when `num_shards` is 1, or from
-/// a ShardedMatchService with that many node-balanced shards.
+/// a ShardedMatchService with that many node-balanced shards, with every
+/// read and durable write through `env` (null: the real filesystem).
 Result<std::unique_ptr<service::Matcher>> CreateMatcher(
     schema::SchemaForest repository,
-    const service::MatchServiceOptions& options, size_t num_shards);
+    const service::MatchServiceOptions& options, size_t num_shards,
+    util::io::Env* env = nullptr);
 
 /// Boots the checkpoint at `snapshot_path` on the backend its format names
 /// (a shard manifest: ShardedMatchService; a store snapshot:
-/// MatchService), reading through `env`. With a `wal_path` the journal
-/// there is replayed and kept (`report`, may be null, gets the counts);
-/// empty, none is attached.
+/// MatchService), through `env` from then on. With a `wal_path` the
+/// journal there is replayed and kept (`report`, may be null, gets the
+/// counts); empty, none is attached.
 Result<std::unique_ptr<service::Matcher>> OpenMatcher(
     util::io::Env* env, const std::string& snapshot_path,
     const std::string& wal_path, const service::MatchServiceOptions& options,

@@ -1,8 +1,11 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace xsm {
 
@@ -110,6 +113,30 @@ std::string StringPrintf(const char* fmt, ...) {
   }
   va_end(ap2);
   return out;
+}
+
+Result<double> ParseReal(const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(parsed)) {
+    return Status::InvalidArgument(key + " must be a finite number, got '" +
+                                   value + "'");
+  }
+  return parsed;
+}
+
+Result<long long> ParseInteger(const std::string& key,
+                               const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      errno == ERANGE) {
+    return Status::InvalidArgument(key + " must be a 64-bit integer, got '" +
+                                   value + "'");
+  }
+  return parsed;
 }
 
 }  // namespace xsm

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace xsm {
 
 /// ASCII lowercase copy.
@@ -31,6 +33,15 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// PascalCase, snake_case, kebab-case, dotted and digit boundaries all
 /// separate tokens. "authorName-2" -> {"author", "name", "2"}.
 std::vector<std::string> TokenizeIdentifier(std::string_view ident);
+
+/// Strict numbers: the whole of `value` must be one number in strtod /
+/// strtoll syntax (the syntax atof / atol read), so "0.5x", "ten" and ""
+/// are InvalidArgument naming `key` instead of read as a prefix or as 0. A
+/// well-formed value means what it always meant; one that overflows (or a
+/// real that is not finite) is refused too.
+Result<double> ParseReal(const std::string& key, const std::string& value);
+Result<long long> ParseInteger(const std::string& key,
+                               const std::string& value);
 
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)

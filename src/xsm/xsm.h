@@ -56,6 +56,7 @@
 #include "service/match_service.h"        // IWYU pragma: export
 #include "service/repository_snapshot.h"  // IWYU pragma: export
 #include "service/serve_session.h"        // IWYU pragma: export
+#include "shard/sharded_match_service.h"   // IWYU pragma: export
 #include "sim/string_similarity.h"       // IWYU pragma: export
 #include "sim/synonym_dictionary.h"      // IWYU pragma: export
 #include "store/snapshot_store.h"        // IWYU pragma: export

@@ -153,10 +153,10 @@ Reference BuildReference(const schema::SchemaForest& base,
 /// A single-threaded service over a copy of `base`: the journaled chain
 /// every script drives.
 std::unique_ptr<service::MatchService> MakeService(
-    const schema::SchemaForest& base) {
+    const schema::SchemaForest& base, Env* env) {
   service::MatchServiceOptions options;
   options.num_threads = 1;
-  auto service = service::MatchService::Create(DeepCopy(base), options);
+  auto service = service::MatchService::Create(DeepCopy(base), options, env);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return std::move(*service);
 }
@@ -175,13 +175,13 @@ ScriptOutcome RunScript(Env* env, const schema::SchemaForest& base,
                         const std::string& snap_path,
                         const std::string& wal_path) {
   ScriptOutcome outcome;
-  auto service = MakeService(base);
+  auto service = MakeService(base, env);
   if (!store::SaveSnapshotToFile(*service->CurrentSnapshot(), snap_path, env)
            .ok()) {
     return outcome;
   }
   outcome.initial_save_ok = true;
-  if (!service->AttachWal(env, wal_path).ok()) return outcome;
+  if (!service->AttachWal(wal_path).ok()) return outcome;
   for (size_t i = 0; i < deltas.size(); ++i) {
     if (i == 3 && !service->SaveSnapshot(snap_path).ok()) return outcome;
     auto report = service->ApplyDelta(deltas[i]);
@@ -346,10 +346,10 @@ TEST_F(WalRecoveryTest, FailedCompactionKeepsJournalingRecoverySkips) {
   plan.fail_rename_at = 3;
   FaultInjectionEnv env(plan);
 
-  auto service = MakeService(*base_);
+  auto service = MakeService(*base_, &env);
   ASSERT_TRUE(
       store::SaveSnapshotToFile(*service->CurrentSnapshot(), snap, &env).ok());
-  ASSERT_TRUE(service->AttachWal(&env, wal).ok());
+  ASSERT_TRUE(service->AttachWal(wal).ok());
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(service->ApplyDelta((*deltas_)[i]).ok());
   }
@@ -385,8 +385,9 @@ TEST_F(WalRecoveryTest, FailedCompactionKeepsJournalingRecoverySkips) {
 TEST_F(WalRecoveryTest, FailedPayloadAppendFailsClosedUntilCheckpoint) {
   service::MatchServiceOptions options;
   options.num_threads = 1;
-  auto make_service = [&] {
-    auto service = service::MatchService::Create(DeepCopy(*base_), options);
+  auto make_service = [&](Env* env) {
+    auto service =
+        service::MatchService::Create(DeepCopy(*base_), options, env);
     EXPECT_TRUE(service.ok()) << service.status().ToString();
     return std::move(*service);
   };
@@ -396,9 +397,9 @@ TEST_F(WalRecoveryTest, FailedPayloadAppendFailsClosedUntilCheckpoint) {
   {
     TempDir probe_dir("fail_closed_probe");
     FaultInjectionEnv probe{FaultPlan{}};
-    auto service = make_service();
+    auto service = make_service(&probe);
     ASSERT_TRUE(service->SaveSnapshot(probe_dir.File("t.snap")).ok());
-    ASSERT_TRUE(service->AttachWal(&probe, probe_dir.File("t.wal")).ok());
+    ASSERT_TRUE(service->AttachWal(probe_dir.File("t.wal")).ok());
     ASSERT_TRUE(service->ApplyDelta((*deltas_)[0]).ok());
     before_d1 = probe.stats().appends;
     ASSERT_TRUE(service->ApplyDelta((*deltas_)[1]).ok());
@@ -413,9 +414,9 @@ TEST_F(WalRecoveryTest, FailedPayloadAppendFailsClosedUntilCheckpoint) {
   plan.fail_append_at = before_d1 + 1;
   plan.append_persist_bytes = 4;
   FaultInjectionEnv env(plan);
-  auto service = make_service();
+  auto service = make_service(&env);
   ASSERT_TRUE(service->SaveSnapshot(snap).ok());
-  ASSERT_TRUE(service->AttachWal(&env, wal).ok());
+  ASSERT_TRUE(service->AttachWal(wal).ok());
   ASSERT_TRUE(service->ApplyDelta((*deltas_)[0]).ok());
 
   auto failed = service->ApplyDelta((*deltas_)[1]);

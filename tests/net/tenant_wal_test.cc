@@ -305,15 +305,77 @@ TEST(TenantWalTest, WarmStartAllRecoversEveryTenant) {
   }
 }
 
+// Every write of a tenant goes through the registry's Env, from the
+// creation checkpoint on: a failure there is typed and admits no tenant.
+TEST(TenantWalTest, CreationCheckpointGoesThroughTheRegistryEnv) {
+  TempDir dir("create_env");
+  FaultPlan plan;
+  plan.fail_rename_at = 0;  // the creation checkpoint's rename
+  FaultInjectionEnv env(plan);
+  TenantRegistry registry(StateOptions(dir.path(), &env));
+
+  auto failed = registry.Create("t", MakeCorpus(150, 40));
+  ASSERT_FALSE(failed.ok()) << "the injected rename failure must surface";
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError)
+      << failed.status().ToString();
+  EXPECT_NE(failed.status().message().find("injected rename failure"),
+            std::string::npos)
+      << failed.status().ToString();
+  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_EQ(registry.Find("t"), nullptr);
+  EXPECT_EQ(env.stats().renames, 1) << "nothing was written past the failure";
+  EXPECT_FALSE(fs::exists(fs::path(dir.path()) / "t.snap"))
+      << "the checkpoint bypassed the registry's env";
+
+  // The failed creation released the name: the next one goes through, its
+  // checkpoint and its journal both through the registry's env.
+  auto retried = registry.Create("t", MakeCorpus(150, 40));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_TRUE((*retried)->service->wal_attached());
+  EXPECT_EQ(env.stats().renames, 3);
+}
+
+// A tenant without a journal — created, or warm-started from its
+// checkpoint — saves through the registry's Env too.
+TEST(TenantWalTest, UnjournaledTenantSavesThroughTheRegistryEnv) {
+  TempDir dir("nowal_env");
+  FaultPlan plan;
+  plan.fail_rename_at = 0;
+  FaultInjectionEnv env(plan);
+  TenantRegistryOptions options = StateOptions(dir.path(), &env);
+  options.enable_wal = false;
+  TenantRegistry registry(options);
+
+  auto created = registry.Create("a", MakeCorpus(150, 41));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_FALSE((*created)->service->wal_attached());
+  EXPECT_EQ(env.stats().renames, 0) << "no journal, so no creation write";
+  auto failed = registry.Save("a");
+  ASSERT_FALSE(failed.ok()) << "the save must go through the injected env";
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError)
+      << failed.status().ToString();
+  ASSERT_TRUE(registry.Save("a").ok()) << "only rename #0 was scripted";
+
+  // Warm-started from that checkpoint, the tenant still writes through it.
+  const int64_t renames = env.stats().renames;
+  TenantRegistry restarted(options);
+  auto warm = restarted.WarmStart("a");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_FALSE((*warm)->service->wal_attached());
+  ASSERT_TRUE(restarted.Save("a").ok());
+  EXPECT_EQ(env.stats().renames, renames + 1)
+      << "the warm-started tenant's save bypassed the registry's env";
+}
+
 TEST(TenantWalTest, SaveAllSurvivesOneTenantsFailure) {
   TempDir dir("saveall");
-  // Rename ordinals on the injected env: tenant creation checkpoints go
-  // through the default env (the WAL is not attached yet), so the first
-  // injected renames are the three AttachWal journal Creates (#0-#2).
-  // SaveAll then saves alphabetically — t0 snapshot #3, t0 compaction #4,
-  // t1 snapshot #5 — so failing rename #5 fails exactly t1's save.
+  // Rename ordinals on the injected env, which every tenant write goes
+  // through: each Create writes its checkpoint, then its journal's Create
+  // (t0 #0-#1, t1 #2-#3, t2 #4-#5). SaveAll then saves alphabetically —
+  // t0 snapshot #6, t0 compaction #7, t1 snapshot #8 — so failing rename
+  // #8 fails exactly t1's save.
   FaultPlan plan;
-  plan.fail_rename_at = 5;
+  plan.fail_rename_at = 8;
   FaultInjectionEnv env(plan);
 
   TenantRegistry registry(StateOptions(dir.path(), &env));
@@ -354,7 +416,7 @@ TEST(TenantWalTest, SaveAllSurvivesOneTenantsFailure) {
 TEST(TenantWalTest, DrainReportsSaveFailuresAndFinishes) {
   TempDir dir("drain");
   FaultPlan plan;
-  plan.fail_rename_at = 5;  // same geometry as above: t1's drain save
+  plan.fail_rename_at = 8;  // same geometry as above: t1's drain save
   FaultInjectionEnv env(plan);
 
   auto registry =

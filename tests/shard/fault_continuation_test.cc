@@ -178,7 +178,7 @@ MatchServiceOptions LightOptions() {
 /// One backend under test: how to create it and how to recover it.
 struct Backend {
   std::string name;
-  std::function<std::unique_ptr<Matcher>(const schema::SchemaForest&)>
+  std::function<std::unique_ptr<Matcher>(const schema::SchemaForest&, Env*)>
       create;
   std::function<Result<std::unique_ptr<Matcher>>(
       const std::string& snap, const std::string& wal)>
@@ -187,8 +187,10 @@ struct Backend {
 
 Backend Unsharded() {
   return {"unsharded",
-          [](const schema::SchemaForest& base) -> std::unique_ptr<Matcher> {
-            auto service = service::MatchService::Create(base, LightOptions());
+          [](const schema::SchemaForest& base,
+             Env* env) -> std::unique_ptr<Matcher> {
+            auto service =
+                service::MatchService::Create(base, LightOptions(), env);
             EXPECT_TRUE(service.ok()) << service.status().ToString();
             return std::move(*service);
           },
@@ -204,9 +206,10 @@ Backend Unsharded() {
 
 Backend Sharded() {
   return {"sharded",
-          [](const schema::SchemaForest& base) -> std::unique_ptr<Matcher> {
+          [](const schema::SchemaForest& base,
+             Env* env) -> std::unique_ptr<Matcher> {
             auto service = ShardedMatchService::Create(
-                base, LightOptions(), ShardedOptions{3});
+                base, LightOptions(), ShardedOptions{3}, env);
             EXPECT_TRUE(service.ok()) << service.status().ToString();
             return std::move(*service);
           },
@@ -234,14 +237,14 @@ ScriptOutcome RunScript(const Backend& backend, Env* env,
                         const std::vector<RepositoryDelta>& deltas,
                         const std::string& snap, const std::string& wal) {
   ScriptOutcome outcome;
-  std::unique_ptr<Matcher> matcher = backend.create(base);
+  std::unique_ptr<Matcher> matcher = backend.create(base, env);
   outcome.acked_fingerprint = matcher->Pin()->fingerprint();
   // A tenant serves only once its journal and base checkpoint exist, so
   // each is retried once (one fault per run).
   auto twice = [](const std::function<bool()>& step) {
     return step() || step();
   };
-  if (!twice([&] { return matcher->AttachWal(env, wal).ok(); }) ||
+  if (!twice([&] { return matcher->AttachWal(wal).ok(); }) ||
       !twice([&] { return matcher->SaveSnapshot(snap).ok(); })) {
     return outcome;
   }

@@ -90,7 +90,7 @@ void ExpectBoots(size_t num_shards) {
   auto saved = matcher->SaveSnapshot(snap);
   ASSERT_TRUE(saved.ok()) << saved.status().ToString();
   ASSERT_EQ(saved->generation, 2u);
-  ASSERT_TRUE(matcher->AttachWal(Env::Default(), wal).ok());
+  ASSERT_TRUE(matcher->AttachWal(wal).ok());
   auto acked = matcher->ApplyDelta(AddDelta(2));
   ASSERT_TRUE(acked.ok()) << acked.status().ToString();
   matcher.reset();  // no save after the journaled delta

@@ -89,10 +89,11 @@ MatchServiceOptions LightOptions() {
 
 std::unique_ptr<ShardedMatchService> MakeSharded(
     const schema::SchemaForest& forest,
-    MatchServiceOptions options = LightOptions()) {
+    MatchServiceOptions options = LightOptions(), Env* env = nullptr) {
   ShardedOptions shard_options;
   shard_options.num_shards = kShards;
-  auto sharded = ShardedMatchService::Create(forest, options, shard_options);
+  auto sharded =
+      ShardedMatchService::Create(forest, options, shard_options, env);
   EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
   return std::move(*sharded);
 }
@@ -135,9 +136,9 @@ TEST(ShardedRecoveryTest, FailedJournalAppendPublishesNothing) {
   {
     TempDir dir("atomic_probe");
     FaultInjectionEnv probe{FaultPlan{}};
-    auto sharded = MakeSharded(forest);
+    auto sharded = MakeSharded(forest, LightOptions(), &probe);
     ASSERT_TRUE(sharded->SaveSnapshot(dir.File("r.snap")).ok());
-    ASSERT_TRUE(sharded->AttachWal(&probe, dir.File("r.wal")).ok());
+    ASSERT_TRUE(sharded->AttachWal(dir.File("r.wal")).ok());
     ASSERT_TRUE(sharded->ApplyDelta(d1).ok());
     before_d2 = probe.stats().appends;
     ASSERT_TRUE(sharded->ApplyDelta(d2).ok());
@@ -152,9 +153,9 @@ TEST(ShardedRecoveryTest, FailedJournalAppendPublishesNothing) {
   FaultPlan plan;
   plan.fail_append_at = before_d2 + d2_appends - 2;
   FaultInjectionEnv env(plan);
-  auto sharded = MakeSharded(forest);
+  auto sharded = MakeSharded(forest, LightOptions(), &env);
   ASSERT_TRUE(sharded->SaveSnapshot(snap).ok());
-  ASSERT_TRUE(sharded->AttachWal(&env, wal).ok());
+  ASSERT_TRUE(sharded->AttachWal(wal).ok());
   ASSERT_TRUE(sharded->ApplyDelta(d1).ok());
 
   const uint64_t generation = sharded->CurrentGeneration();
@@ -223,9 +224,9 @@ TEST(ShardedRecoveryTest, FailedPayloadAppendFailsClosedUntilCheckpoint) {
   {
     TempDir dir("fail_closed_probe");
     FaultInjectionEnv probe{FaultPlan{}};
-    auto sharded = MakeSharded(forest);
+    auto sharded = MakeSharded(forest, LightOptions(), &probe);
     ASSERT_TRUE(sharded->SaveSnapshot(dir.File("r.snap")).ok());
-    ASSERT_TRUE(sharded->AttachWal(&probe, dir.File("r.wal")).ok());
+    ASSERT_TRUE(sharded->AttachWal(dir.File("r.wal")).ok());
     ASSERT_TRUE(sharded->ApplyDelta(deltas[0]).ok());
     before_d2 = probe.stats().appends;
     ASSERT_TRUE(sharded->ApplyDelta(deltas[1]).ok());
@@ -240,9 +241,9 @@ TEST(ShardedRecoveryTest, FailedPayloadAppendFailsClosedUntilCheckpoint) {
   plan.fail_append_at = before_d2 + 1;
   plan.append_persist_bytes = 4;
   FaultInjectionEnv env(plan);
-  auto sharded = MakeSharded(forest);
+  auto sharded = MakeSharded(forest, LightOptions(), &env);
   ASSERT_TRUE(sharded->SaveSnapshot(snap).ok());
-  ASSERT_TRUE(sharded->AttachWal(&env, wal).ok());
+  ASSERT_TRUE(sharded->AttachWal(wal).ok());
   ASSERT_TRUE(sharded->ApplyDelta(deltas[0]).ok());
 
   auto failed = sharded->ApplyDelta(deltas[1]);
@@ -287,7 +288,7 @@ TEST(ShardedRecoveryTest, OneJournalAndDurabilityCountersOncePerEvent) {
   const schema::SchemaForest forest = MakeCorpus(400, 3);
   const auto last = static_cast<schema::TreeId>(forest.num_trees() - 1);
   auto sharded = MakeSharded(forest, options);
-  ASSERT_TRUE(sharded->AttachWal(Env::Default(), wal).ok());
+  ASSERT_TRUE(sharded->AttachWal(wal).ok());
   ASSERT_TRUE(sharded->SaveSnapshot(snap).ok());
   DeltaBuilder builder;  // touches every shard
   builder.ReplaceTree(0, Spec("alpha(a,b)"), "x");
@@ -357,12 +358,12 @@ ScriptOutcome RunScript(Env* env, const schema::SchemaForest& base,
   MatchServiceOptions options = LightOptions();
   options.metrics = &registry;
   options.metrics_tenant = "t";
-  auto sharded = MakeSharded(base, options);
+  auto sharded = MakeSharded(base, options, env);
   auto count_rebalances = [&] {
     outcome.rebalances = registry.CounterValue("xsm_shard_rebalances_total",
                                                {{"tenant", "t"}});
   };
-  if (!sharded->AttachWal(env, wal).ok()) return outcome;
+  if (!sharded->AttachWal(wal).ok()) return outcome;
   if (!sharded->SaveSnapshot(snap).ok()) return outcome;
   for (size_t i = 0; i < deltas.size(); ++i) {
     if (i == 3 && !sharded->SaveSnapshot(snap).ok()) break;
@@ -445,14 +446,16 @@ TEST(ShardedRecoveryTest, LoadFinishesASaveInterruptedAfterItsManifest) {
   const std::string wal = dir.File("r.wal");
   const schema::SchemaForest forest = MakeCorpus(400, 3);
   const auto last = static_cast<schema::TreeId>(forest.num_trees() - 1);
-  auto sharded = MakeSharded(forest);
-  ASSERT_TRUE(sharded->SaveSnapshot(snap).ok());
-  // Renames through the injected env: #0 the journal's Create, #1-#3 the
-  // staged shard files, #4 the manifest, #5-#7 the moves into place.
+  ASSERT_TRUE(MakeSharded(forest)->SaveSnapshot(snap).ok());
+  // Renames through the injected env: #0 the journal's Create (the boot
+  // finds none to replay), #1-#3 the staged shard files, #4 the manifest,
+  // #5-#7 the moves into place.
   FaultPlan plan;
   plan.fail_rename_at = 6;
   FaultInjectionEnv env(plan);
-  ASSERT_TRUE(sharded->AttachWal(&env, wal).ok());
+  auto booted = ShardedMatchService::Recover(&env, snap, wal, LightOptions());
+  ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+  std::unique_ptr<ShardedMatchService> sharded = std::move(*booted);
   DeltaBuilder builder;  // touches every shard
   builder.ReplaceTree(0, Spec("alpha(a,b)"), "x");
   builder.ReplaceTree(last / 2, Spec("beta(c,d)"), "x");
@@ -501,7 +504,8 @@ TEST(ShardedRecoveryTest, DamagedManifestsAreRefusedTyped) {
 
   // A shard count no allocation should trust: Corruption, not an abort.
   rewrite("shards 3", "shards 1000000000000000");
-  auto huge = ShardedMatchService::WarmStart(snap, LightOptions());
+  auto huge = ShardedMatchService::Recover(Env::Default(), snap,
+                                          /*wal_path=*/"", LightOptions());
   ASSERT_FALSE(huge.ok());
   EXPECT_EQ(huge.status().code(), StatusCode::kCorruption)
       << huge.status().ToString();
@@ -515,7 +519,8 @@ TEST(ShardedRecoveryTest, DamagedManifestsAreRefusedTyped) {
 
   // A newer manifest version is Unimplemented, like the store and WAL.
   rewrite("xsm-shard-manifest 1", "xsm-shard-manifest 2");
-  auto newer = ShardedMatchService::WarmStart(snap, LightOptions());
+  auto newer = ShardedMatchService::Recover(Env::Default(), snap,
+                                           /*wal_path=*/"", LightOptions());
   ASSERT_FALSE(newer.ok());
   EXPECT_EQ(newer.status().code(), StatusCode::kUnimplemented)
       << newer.status().ToString();

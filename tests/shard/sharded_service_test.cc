@@ -280,7 +280,8 @@ TEST(ShardedServiceTest, SaveAndWarmStartRoundTripsManifestAndShards) {
         << "shard " << s;
   }
 
-  auto warm = ShardedMatchService::WarmStart(path);
+  auto warm = ShardedMatchService::Recover(util::io::Env::Default(), path,
+                                          /*wal_path=*/"");
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ((*warm)->Shards().size(), 4u);
   EXPECT_EQ((*warm)->Pin()->fingerprint(), sharded->Pin()->fingerprint());
@@ -294,7 +295,8 @@ TEST(ShardedServiceTest, SaveAndWarmStartRoundTripsManifestAndShards) {
   fs::copy_file(ShardedMatchService::ShardFilePath(tampered, 0),
                 ShardedMatchService::ShardFilePath(tampered, 1),
                 fs::copy_options::overwrite_existing);
-  auto refused = ShardedMatchService::WarmStart(tampered);
+  auto refused = ShardedMatchService::Recover(util::io::Env::Default(),
+                                             tampered, /*wal_path=*/"");
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kCorruption)
       << refused.status().ToString();
@@ -312,7 +314,7 @@ TEST(ShardedServiceTest, RecoverReplaysPerShardWals) {
   {
     auto sharded = MakeSharded(forest, 3);
     ASSERT_TRUE(sharded->SaveSnapshot(snap).ok());
-    ASSERT_TRUE(sharded->AttachWal(env, wal).ok());
+    ASSERT_TRUE(sharded->AttachWal(wal).ok());
     ASSERT_TRUE(sharded->wal_attached());
     for (int i = 0; i < 3; ++i) {
       live::DeltaBuilder b;

@@ -21,6 +21,7 @@
 #include "schema/schema_tree.h"
 #include "service/match_service.h"
 #include "service/repository_snapshot.h"
+#include "util/io.h"
 #include "util/random.h"
 
 namespace xsm::store {
@@ -281,7 +282,8 @@ TEST(SnapshotStoreTest, SaveLoadApplyDeltaMatchesUninterruptedChain) {
     ASSERT_TRUE(saved.ok()) << saved.status().ToString();
     EXPECT_EQ(saved->generation, saved_generation);
 
-    auto warm_manager = live::RepositoryManager::WarmStart(path);
+    auto warm_manager = live::RepositoryManager::Recover(
+        util::io::Env::Default(), path, /*wal_path=*/"");
     ASSERT_TRUE(warm_manager.ok()) << warm_manager.status().ToString();
     EXPECT_EQ((*warm_manager)->CurrentGeneration(), saved_generation);
     ExpectRoundTripEquivalent((*warm_manager)->Current(),
@@ -326,8 +328,8 @@ TEST(SnapshotStoreTest, SaveLoadApplyDeltaMatchesUninterruptedChain) {
   }
 }
 
-// MatchService-level warm boot: SaveSnapshot on one service, WarmStart a
-// second one from the file, and both serve identical results; the warm
+// MatchService-level warm boot: SaveSnapshot on one service, boot a second
+// one from the file (Recover without a journal), and both serve identical results; the warm
 // service keeps ingesting deltas from the persisted generation.
 TEST(SnapshotStoreTest, MatchServiceWarmStartServesIdenticalResults) {
   auto cold = MatchService::Create(MakeCorpus(400, 61));
@@ -337,7 +339,8 @@ TEST(SnapshotStoreTest, MatchServiceWarmStartServesIdenticalResults) {
   auto saved = (*cold)->SaveSnapshot(path);
   ASSERT_TRUE(saved.ok()) << saved.status().ToString();
 
-  auto warm = MatchService::WarmStart(path);
+  auto warm = MatchService::Recover(util::io::Env::Default(), path,
+                                   /*wal_path=*/"");
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ((*warm)->CurrentGeneration(), 0u);
   EXPECT_EQ((*warm)->CurrentSnapshot()->fingerprint(),

@@ -5,19 +5,22 @@
 //            Generate a synthetic repository and save it.
 //   convert  --repo-dir DIR --out FILE
 //            Import .dtd/.xsd files and save the forest snapshot.
-//   save     (--forest FILE | --repo-dir DIR | --synthetic N[:seed])
-//            --out FILE.snap
+//   save     (--forest FILE | --repo-dir DIR | --synthetic N[:seed]
+//            | --warm-start FILE.snap) [--shards K] --out FILE.snap
 //            Build the full repository snapshot (index, dictionary,
 //            fingerprints) and persist it as a versioned, checksummed
-//            binary (xsm::store) for --warm-start boots.
+//            binary (xsm::store) for --warm-start boots; with --shards K
+//            (or a sharded checkpoint) a shard manifest plus K shard files.
 //   stats    (--forest FILE | --repo-dir DIR | --synthetic N[:seed]
 //            | --warm-start FILE.snap)
 //            Print corpus statistics.
-//   match    (--forest FILE | --repo-dir DIR | --synthetic N[:seed])
+//   match    (--forest FILE | --repo-dir DIR | --synthetic N[:seed]
+//            | --warm-start FILE.snap)
 //            --personal SPEC [--delta D] [--alpha A] [--threshold T]
 //            [--cluster tree|kmeans] [--join J] [--top N] [--partial]
 //            [--structural] [--query XPATH]
-//            Run the matcher and print the ranked mappings.
+//            Run the matcher (service::Matcher, the backend batch and serve
+//            use) and print the ranked mappings.
 //   batch    (--forest FILE | --repo-dir DIR | --synthetic N[:seed])
 //            --queries FILE [--threads N] [--delta D] [--top N]
 //            [--cluster tree|kmeans] [--join J] [--threshold T] [--alpha A]
@@ -87,19 +90,25 @@
 //
 // Warm starts: every command that loads a repository also accepts
 //   --warm-start FILE.snap
-// instead of --forest/--repo-dir/--synthetic. The snapshot written by
-// `save` (or serve-mode `!save`) is loaded whole — no re-parsing, no
-// re-indexing — and serve/batch continue delta ingestion from the
-// persisted generation. For batch/serve/http the checkpoint also decides
-// the backend: a sharded `!save` writes a shard manifest, which boots
-// sharded again; --shards, if given, must agree with the checkpoint's
-// shard count (InvalidArgument otherwise). stats/match read store
-// snapshots only.
+// instead of --forest/--repo-dir/--synthetic. Every command boots its
+// backend one way (MakeService): shard::OpenMatcher loads the checkpoint
+// written by `save` (or serve-mode `!save`) whole — no re-parsing, no
+// re-indexing — on the backend its format names: a sharded `!save` writes
+// a shard manifest, which boots sharded again. --shards, if given, must
+// agree with the checkpoint's shard count (InvalidArgument otherwise), and
+// serve/batch continue delta ingestion from the persisted generation.
+//
+// Numeric flags are strict: a malformed value ("0.5x", "abc") or one out
+// of range (--port outside [0, 65535], a negative count) exits 2 with an
+// InvalidArgument naming the flag.
 //
 // Streaming flags (match/batch/serve):
 //   --deadline-ms MS   per-query wall-clock deadline; an expired query
 //                      reports status "deadline_exceeded" with the mappings
-//                      found so far.
+//                      found so far. It bounds mapping generation; the
+//                      cluster-state build (element matching + clustering)
+//                      always runs to completion, so the cache never holds
+//                      a partial state.
 //   --first-n N        stop each query after its first N mappings
 //                      ("early_stopped") — the anytime / time-to-first mode.
 //   --cluster-events   also emit one "cluster" NDJSON event per generated
@@ -136,6 +145,7 @@
 #include "schema/serialization.h"
 #include "service/serve_session.h"
 #include "shard/sharded_match_service.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -168,14 +178,45 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // Numeric flags are strict (xsm::ParseReal / ParseInteger): a malformed
+  // value, or an integer outside [min, max], exits 2 naming the flag.
   double GetDouble(const std::string& key, double fallback) const {
-    return Has(key) ? std::atof(Get(key).c_str()) : fallback;
+    if (!Has(key)) return fallback;
+    return OrExit(ParseReal("--" + key, Get(key)));
   }
-  long GetInt(const std::string& key, long fallback) const {
-    return Has(key) ? std::atol(Get(key).c_str()) : fallback;
+  long GetInt(const std::string& key, long fallback,
+              long min = std::numeric_limits<long>::min(),
+              long max = std::numeric_limits<long>::max()) const {
+    return Has(key) ? ParseIntFlag(key, Get(key), min, max) : fallback;
+  }
+  /// `value` as the integer of flag --key, in [min, max].
+  static long ParseIntFlag(const std::string& key, const std::string& value,
+                           long min = std::numeric_limits<long>::min(),
+                           long max = std::numeric_limits<long>::max()) {
+    const long long parsed = OrExit(ParseInteger("--" + key, value));
+    if (parsed < min || parsed > max) {
+      const std::string range =
+          max == std::numeric_limits<long>::max()
+              ? ">= " + std::to_string(min)
+              : "in [" + std::to_string(min) + ", " + std::to_string(max) +
+                    "]";
+      Exit(Status::InvalidArgument("--" + key + " must be " + range +
+                                   ", got " + value));
+    }
+    return static_cast<long>(parsed);
   }
 
  private:
+  [[noreturn]] static void Exit(const Status& status) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    std::exit(2);
+  }
+  template <typename T>
+  static T OrExit(Result<T> value) {
+    if (!value.ok()) Exit(value.status());
+    return std::move(*value);
+  }
+
   std::map<std::string, std::string> values_;
   bool ok_ = true;
 };
@@ -188,10 +229,12 @@ int Usage() {
       "[options]\n"
       "  gen      --elements N [--seed S] --out FILE\n"
       "  convert  --repo-dir DIR --out FILE\n"
-      "  save     (--forest FILE | --repo-dir DIR | --synthetic N[:seed])\n"
-      "           --out FILE.snap\n"
-      "  stats    (--forest FILE | --repo-dir DIR | --synthetic N[:seed])\n"
-      "  match    (--forest FILE | --repo-dir DIR | --synthetic N[:seed])\n"
+      "  save     (--forest FILE | --repo-dir DIR | --synthetic N[:seed]\n"
+      "           | --warm-start FILE.snap) [--shards K] --out FILE.snap\n"
+      "  stats    (--forest FILE | --repo-dir DIR | --synthetic N[:seed]\n"
+      "           | --warm-start FILE.snap)\n"
+      "  match    (--forest FILE | --repo-dir DIR | --synthetic N[:seed]\n"
+      "           | --warm-start FILE.snap)\n"
       "           --personal SPEC [--delta D] [--alpha A] [--threshold T]\n"
       "           [--cluster tree|kmeans] [--join J] [--top N]\n"
       "           [--partial] [--structural] [--query XPATH]\n"
@@ -221,7 +264,8 @@ int Usage() {
       "           [--min-deadline-fraction F] [--cluster-events]\n"
       "           [--trace] [--slow-query-ms MS]\n"
       "batch/serve stream NDJSON events (mapping / cluster / done / error)\n"
-      "to stdout; match honors --deadline-ms / --first-n too.\n"
+      "to stdout; match honors --deadline-ms / --first-n too (the deadline\n"
+      "bounds mapping generation; the cluster-state build always completes).\n"
       "serve also accepts repository commands on stdin: !ingest SPEC,\n"
       "!replace ID SPEC, !remove ID, !reload FILE|DIR, !save PATH,\n"
       "!generation, !stats, !metrics (each mutation publishes a new\n"
@@ -229,15 +273,16 @@ int Usage() {
       "--trace adds one \"trace\" event per query/mutation with per-stage\n"
       "spans; --slow-query-ms logs a \"slow_query\" event for queries at or\n"
       "over the threshold. http also serves GET /metrics (Prometheus text).\n"
-      "--shards K (batch/serve/http) serves from K node-balanced\n"
-      "repository shards with exact scatter-gather matching — results are\n"
-      "byte-identical to the unsharded engine.\n"
-      "stats/match/batch/serve also accept --warm-start FILE.snap (a file\n"
-      "written by `save` or `!save`) as the repository source: the\n"
-      "snapshot loads whole, nothing is re-parsed or re-indexed, and the\n"
-      "generation chain continues where it was persisted. For batch/serve\n"
-      "the checkpoint picks the backend; a --shards that disagrees with it\n"
-      "is an error.\n");
+      "--shards K (save/match/batch/integrate/serve/http) serves from K\n"
+      "node-balanced repository shards with exact scatter-gather matching —\n"
+      "results are byte-identical to the unsharded engine.\n"
+      "Every command that loads a repository also accepts --warm-start\n"
+      "FILE.snap (a file written by `save` or `!save`) as the source: the\n"
+      "checkpoint loads whole on the backend it was saved from (sharded or\n"
+      "not), nothing is re-parsed or re-indexed, and the generation chain\n"
+      "continues where it was persisted; a --shards that disagrees with it\n"
+      "is an error. Numeric flags are strict: a malformed or out-of-range\n"
+      "value exits 2 naming the flag.\n");
   return 2;
 }
 
@@ -267,11 +312,11 @@ Result<schema::SchemaForest> LoadRepository(const Args& args) {
     std::string spec = args.Get("synthetic");
     repo::SyntheticRepoOptions options;
     size_t colon = spec.find(':');
-    options.target_elements =
-        static_cast<size_t>(std::atol(spec.substr(0, colon).c_str()));
+    options.target_elements = static_cast<size_t>(
+        Args::ParseIntFlag("synthetic", spec.substr(0, colon), 0));
     if (colon != std::string::npos) {
-      options.seed =
-          static_cast<uint64_t>(std::atol(spec.substr(colon + 1).c_str()));
+      options.seed = static_cast<uint64_t>(
+          Args::ParseIntFlag("synthetic", spec.substr(colon + 1)));
     }
     return repo::GenerateSyntheticRepository(options);
   }
@@ -279,26 +324,46 @@ Result<schema::SchemaForest> LoadRepository(const Args& args) {
       "need one of --forest / --repo-dir / --synthetic / --warm-start");
 }
 
-/// The snapshot a command should serve: loaded whole from a persisted
-/// snapshot file under --warm-start, otherwise built (validate + index +
-/// dictionary + fingerprints) from whichever repository source flag is
-/// present.
-Result<std::shared_ptr<const service::RepositorySnapshot>> LoadSnapshot(
-    const Args& args) {
-  if (args.Has("warm-start")) {
-    XSM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const service::RepositorySnapshot> snapshot,
-        store::LoadSnapshotFromFile(args.Get("warm-start")));
-    std::fprintf(stderr,
-                 "warm start: %zu trees / %zu elements at generation %llu "
-                 "(fingerprint %016llx)\n",
-                 snapshot->num_trees(), snapshot->total_nodes(),
-                 static_cast<unsigned long long>(snapshot->generation()),
-                 static_cast<unsigned long long>(snapshot->fingerprint()));
-    return snapshot;
+/// The one boot of every command that serves a repository. Under
+/// --warm-start the checkpoint decides the backend (a store snapshot or a
+/// shard manifest, as `save` and `!save` write them; shard::OpenMatcher)
+/// and delta ingestion continues from the saved generation; otherwise
+/// shard::CreateMatcher serves whichever source flag is present on
+/// --shards K shards. `options` carries a command's own pool and cache
+/// settings; --threads, --deadline-ms and --slow-query-ms fill in the rest.
+Result<std::unique_ptr<service::Matcher>> MakeService(
+    const Args& args,
+    service::MatchServiceOptions options = service::MatchServiceOptions()) {
+  const long shards = args.GetInt("shards", 1, 1);
+  options.num_threads = static_cast<size_t>(args.GetInt("threads", 0, 0));
+  // --deadline-ms becomes the service's default per-query deadline; the
+  // clock starts at Submit, so pool queue wait counts against it.
+  options.default_deadline_seconds = args.GetDouble("deadline-ms", 0) / 1e3;
+  options.slow_query_ms = args.GetDouble("slow-query-ms", 0);
+  if (!args.Has("warm-start")) {
+    XSM_ASSIGN_OR_RETURN(schema::SchemaForest forest, LoadRepository(args));
+    return shard::CreateMatcher(std::move(forest), options,
+                                static_cast<size_t>(shards));
   }
-  XSM_ASSIGN_OR_RETURN(schema::SchemaForest forest, LoadRepository(args));
-  return service::RepositorySnapshot::Create(std::move(forest));
+  const std::string path = args.Get("warm-start");
+  XSM_ASSIGN_OR_RETURN(
+      std::unique_ptr<service::Matcher> matcher,
+      shard::OpenMatcher(util::io::Env::Default(), path, /*wal_path=*/"",
+                         options));
+  const size_t saved_shards = matcher->Shards().size();
+  if (args.Has("shards") && static_cast<size_t>(shards) != saved_shards) {
+    return Status::InvalidArgument(
+        "--shards " + std::to_string(shards) + " disagrees with " + path +
+        ", a checkpoint of " + std::to_string(saved_shards) + " shard(s)");
+  }
+  service::RepositoryPinPtr pin = matcher->Pin();
+  std::fprintf(stderr,
+               "warm start: %zu trees / %zu elements in %zu shard(s) at "
+               "generation %llu (fingerprint %016llx)\n",
+               pin->num_trees(), pin->total_nodes(), saved_shards,
+               static_cast<unsigned long long>(pin->generation()),
+               static_cast<unsigned long long>(pin->fingerprint()));
+  return matcher;
 }
 
 int RunGen(const Args& args) {
@@ -307,7 +372,8 @@ int RunGen(const Args& args) {
     return 2;
   }
   repo::SyntheticRepoOptions options;
-  options.target_elements = static_cast<size_t>(args.GetInt("elements", 0));
+  options.target_elements =
+      static_cast<size_t>(args.GetInt("elements", 0, 0));
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   auto forest = repo::GenerateSyntheticRepository(options);
   if (!forest.ok()) {
@@ -351,50 +417,40 @@ int RunSave(const Args& args) {
     std::fprintf(stderr, "save requires --out FILE.snap\n");
     return 2;
   }
-  auto snapshot = LoadSnapshot(args);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
+  auto service = MakeService(args);
+  if (!service.ok()) {
+    std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
     return 1;
   }
-  auto info = store::SaveSnapshotToFile(**snapshot, args.Get("out"));
+  auto info = (*service)->SaveSnapshot(args.Get("out"));
   if (!info.ok()) {
     std::fprintf(stderr, "%s\n", info.status().ToString().c_str());
     return 1;
   }
-  std::printf("wrote %s: format v%u, generation %llu, %zu trees / %zu "
+  std::printf("wrote %s: format v%u, generation %llu, %llu trees / %llu "
               "elements, %llu bytes (fingerprint %016llx)\n",
               args.Get("out").c_str(), info->format_version,
               static_cast<unsigned long long>(info->generation),
-              (*snapshot)->num_trees(), (*snapshot)->total_nodes(),
+              static_cast<unsigned long long>(info->trees),
+              static_cast<unsigned long long>(info->total_nodes),
               static_cast<unsigned long long>(info->total_bytes),
               static_cast<unsigned long long>(info->fingerprint));
   return 0;
 }
 
 int RunStats(const Args& args) {
-  // Stats only needs the forest; building the full snapshot (index,
-  // dictionary, fingerprints) would be pure waste — except under
-  // --warm-start, where the snapshot file is the source and already
-  // carries everything.
-  std::shared_ptr<const service::RepositorySnapshot> snapshot;
-  schema::SchemaForest loaded;
-  const schema::SchemaForest* forest = nullptr;
-  if (args.Has("warm-start")) {
-    auto result = LoadSnapshot(args);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    snapshot = std::move(*result);
-    forest = &snapshot->forest();
-  } else {
-    auto result = LoadRepository(args);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    loaded = std::move(*result);
-    forest = &loaded;
+  // Stats needs only the forest: a source flag's is read without building
+  // a snapshot (index, dictionary, fingerprints), and a checkpoint's comes
+  // from the pin it boots.
+  auto forest = [&]() -> Result<schema::SchemaForest> {
+    if (!args.Has("warm-start")) return LoadRepository(args);
+    XSM_ASSIGN_OR_RETURN(std::unique_ptr<service::Matcher> service,
+                         MakeService(args));
+    return service->Pin()->forest();
+  }();
+  if (!forest.ok()) {
+    std::fprintf(stderr, "%s\n", forest.status().ToString().c_str());
+    return 1;
   }
   repo::RepositoryStats stats = repo::ComputeStats(*forest);
   std::printf("trees:          %zu\n", stats.trees);
@@ -407,12 +463,6 @@ int RunStats(const Args& args) {
 }
 
 int RunMatch(const Args& args) {
-  auto snapshot = LoadSnapshot(args);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
-  const schema::SchemaForest& forest = (*snapshot)->forest();
   if (!args.Has("personal")) {
     std::fprintf(stderr, "match requires --personal SPEC\n");
     return 2;
@@ -428,14 +478,15 @@ int RunMatch(const Args& args) {
   options.delta = args.GetDouble("delta", 0.75);
   options.objective.alpha = args.GetDouble("alpha", 0.5);
   options.element.threshold = args.GetDouble("threshold", 0.5);
-  options.top_n = static_cast<size_t>(args.GetInt("top", 20));
+  options.top_n = static_cast<size_t>(args.GetInt("top", 20, 0));
   std::string mode = args.Get("cluster", "kmeans");
   if (mode == "tree") {
     options.clustering = core::ClusteringMode::kTreeClusters;
   } else if (mode == "kmeans") {
     options.clustering = core::ClusteringMode::kKMeans;
-    options.kmeans.join_distance =
-        static_cast<int>(args.GetInt("join", 3));
+    options.kmeans.join_distance = static_cast<int>(
+        args.GetInt("join", 3, std::numeric_limits<int>::min(),
+                    std::numeric_limits<int>::max()));
   } else {
     std::fprintf(stderr, "--cluster must be tree or kmeans\n");
     return 2;
@@ -448,19 +499,33 @@ int RunMatch(const Args& args) {
     options.structural_matcher =
         &match::CompositeStructuralMatcher::Default();
   }
-
-  core::ExecutionControl control;
-  if (args.Has("deadline-ms")) {
-    control = core::ExecutionControl::WithDeadline(
-        args.GetDouble("deadline-ms", 0) / 1e3);
+  auto request = service::MatchRequestBuilder()
+                     .id("match")
+                     .personal(*personal)
+                     .options(options)
+                     .Build();
+  if (!request.ok()) {
+    std::fprintf(stderr, "%s\n", request.status().ToString().c_str());
+    return 1;
   }
+
+  // --deadline-ms is the service's default deadline (see MakeService): it
+  // bounds generation, while the cluster-state build runs to completion.
+  core::ExecutionControl control;
   long first_n = args.GetInt("first-n", 0);
   if (first_n > 0) {
     control.stop_after_n_mappings = static_cast<uint64_t>(first_n);
   }
 
-  const core::Bellflower& system = (*snapshot)->matcher();
-  auto result = system.Match(*personal, options, control);
+  auto service = MakeService(args);
+  if (!service.ok()) {
+    std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
+    return 1;
+  }
+  // The pin the run sees is the one its mappings are printed against.
+  service::RepositoryPinPtr pin = (*service)->Pin();
+  const schema::SchemaForest& forest = pin->forest();
+  auto result = (*service)->RunOn(pin, *request, control);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -530,8 +595,10 @@ core::MatchOptions DefaultServiceOptions(const Args& args, bool* ok) {
   options.delta = args.GetDouble("delta", 0.75);
   options.objective.alpha = args.GetDouble("alpha", 0.5);
   options.element.threshold = args.GetDouble("threshold", 0.5);
-  options.top_n = static_cast<size_t>(args.GetInt("top", 10));
-  options.kmeans.join_distance = static_cast<int>(args.GetInt("join", 3));
+  options.top_n = static_cast<size_t>(args.GetInt("top", 10, 0));
+  options.kmeans.join_distance = static_cast<int>(
+      args.GetInt("join", 3, std::numeric_limits<int>::min(),
+                  std::numeric_limits<int>::max()));
   std::string mode = args.Get("cluster", "kmeans");
   if (mode == "tree") {
     options.clustering = core::ClusteringMode::kTreeClusters;
@@ -542,50 +609,6 @@ core::MatchOptions DefaultServiceOptions(const Args& args, bool* ok) {
     *ok = false;
   }
   return options;
-}
-
-Result<std::unique_ptr<service::Matcher>> MakeService(const Args& args) {
-  long threads = args.GetInt("threads", 0);
-  if (threads < 0) {
-    return Status::InvalidArgument("--threads must be >= 0");
-  }
-  long shards = args.GetInt("shards", 1);
-  if (shards < 1) {
-    return Status::InvalidArgument("--shards must be >= 1");
-  }
-  service::MatchServiceOptions options;
-  options.num_threads = static_cast<size_t>(threads);
-  // --deadline-ms becomes the service's default per-query deadline; the
-  // clock starts at Submit, so pool queue wait counts against it.
-  options.default_deadline_seconds = args.GetDouble("deadline-ms", 0) / 1e3;
-  options.slow_query_ms = args.GetDouble("slow-query-ms", 0);
-  if (!args.Has("warm-start")) {
-    XSM_ASSIGN_OR_RETURN(schema::SchemaForest forest, LoadRepository(args));
-    return shard::CreateMatcher(std::move(forest), options,
-                                static_cast<size_t>(shards));
-  }
-  // The checkpoint decides the backend (a store snapshot or a shard
-  // manifest, as `save` and `!save` write them), and the service continues
-  // delta ingestion from the saved generation.
-  const std::string path = args.Get("warm-start");
-  XSM_ASSIGN_OR_RETURN(
-      std::unique_ptr<service::Matcher> matcher,
-      shard::OpenMatcher(util::io::Env::Default(), path, /*wal_path=*/"",
-                         options));
-  const size_t saved_shards = matcher->Shards().size();
-  if (args.Has("shards") && static_cast<size_t>(shards) != saved_shards) {
-    return Status::InvalidArgument(
-        "--shards " + std::to_string(shards) + " disagrees with " + path +
-        ", a checkpoint of " + std::to_string(saved_shards) + " shard(s)");
-  }
-  service::RepositoryPinPtr pin = matcher->Pin();
-  std::fprintf(stderr,
-               "warm start: %zu trees / %zu elements in %zu shard(s) at "
-               "generation %llu (fingerprint %016llx)\n",
-               pin->num_trees(), pin->total_nodes(), saved_shards,
-               static_cast<unsigned long long>(pin->generation()),
-               static_cast<unsigned long long>(pin->fingerprint()));
-  return matcher;
 }
 
 // --- NDJSON event streaming (batch / serve / http) -------------------------
@@ -741,18 +764,19 @@ int RunServe(const Args& args) {
     session.HandleLine(line, EmitEventLine, control);
   }
 
-  // Session summary (the serve-mode analogue of the batch footer): cache
-  // effectiveness across all generations served.
+  // Session summary (the serve-mode analogue of the batch footer): the
+  // generation the session ended at, the deltas it applied, and cache
+  // effectiveness across every generation it served.
   service::ServiceStats stats = (*service)->stats();
   std::fprintf(
       stderr,
-      "%sserved %llu queries over %llu generations (%llu deltas) | cluster "
+      "%sserved %llu queries at generation %llu (%llu deltas) | cluster "
       "cache: %llu hits, %llu shared, %llu misses, %llu evictions, %zu "
       "resident in %zu namespaces | cancelled %llu, deadline_exceeded %llu, "
       "early_stopped %llu\n",
       g_serve_shutdown.load() ? "shutdown signal received; " : "",
       static_cast<unsigned long long>(stats.queries),
-      static_cast<unsigned long long>(stats.generation + 1),
+      static_cast<unsigned long long>(stats.generation),
       static_cast<unsigned long long>(stats.deltas_applied),
       static_cast<unsigned long long>(stats.cache.hits),
       static_cast<unsigned long long>(stats.cache.shared),
@@ -782,38 +806,9 @@ int RunServe(const Args& args) {
 }
 
 int RunIntegrate(const Args& args) {
-  long threads = args.GetInt("threads", 0);
-  long matching_threads = args.GetInt("matching-threads", 0);
-  long cache_capacity = args.GetInt("cache-capacity", 4096);
-  if (threads < 0 || matching_threads < 0 || cache_capacity < 0) {
-    std::fprintf(stderr,
-                 "--threads / --matching-threads / --cache-capacity must "
-                 "be >= 0\n");
-    return 2;
-  }
-  service::MatchServiceOptions service_options;
-  service_options.num_threads = static_cast<size_t>(threads);
-  service_options.matching_threads = static_cast<size_t>(matching_threads);
-  // One cache entry per ~32-element slice: the default comfortably warms
-  // repositories up to ~128k elements (see IntegrationEngine's sizing note).
-  service_options.cluster_cache_capacity =
-      static_cast<size_t>(cache_capacity);
-
-  auto snapshot = LoadSnapshot(args);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
-  service::MatchService service(std::move(*snapshot), service_options);
-
   integrate::IntegrationOptions options;
   options.threshold = args.GetDouble("threshold", options.threshold);
-  long min_linkage = args.GetInt("min-linkage", 1);
-  if (min_linkage < 0) {
-    std::fprintf(stderr, "--min-linkage must be >= 0\n");
-    return 2;
-  }
-  options.min_linkage = static_cast<size_t>(min_linkage);
+  options.min_linkage = static_cast<size_t>(args.GetInt("min-linkage", 1, 0));
   if (args.Has("severity")) {
     auto severity = integrate::ParseSeverity(args.Get("severity"));
     if (!severity.ok()) {
@@ -824,6 +819,21 @@ int RunIntegrate(const Args& args) {
     options.min_severity = *severity;
   }
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+
+  service::MatchServiceOptions service_options;
+  service_options.matching_threads =
+      static_cast<size_t>(args.GetInt("matching-threads", 0, 0));
+  // One cache entry per ~32-element slice: the default comfortably warms
+  // repositories up to ~128k elements (see IntegrationEngine's sizing note).
+  service_options.cluster_cache_capacity =
+      static_cast<size_t>(args.GetInt("cache-capacity", 4096, 0));
+  auto service = MakeService(args, service_options);
+  if (!service.ok()) {
+    std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
+    return 1;
+  }
+
+  // The deadline bounds the integration, not the boot before it.
   if (args.Has("deadline-ms")) {
     options.control = core::ExecutionControl::WithDeadline(
         args.GetDouble("deadline-ms", 0) / 1e3);
@@ -833,7 +843,7 @@ int RunIntegrate(const Args& args) {
   InstallServeSignalHandlers();
   options.control.cancel = g_serve_cancel;
 
-  integrate::IntegrationEngine engine(&service);
+  integrate::IntegrationEngine engine(service->get());
   // Named sink: the observer keeps a reference, a temporary would dangle.
   service::EventSink sink = EmitEventLine;
   service::NdjsonIntegrationObserver observer(sink);
@@ -886,7 +896,7 @@ int RunIntegrate(const Args& args) {
     EmitEventLine(line);
   }
 
-  service::ServiceStats stats = service.stats();
+  service::ServiceStats stats = (*service)->stats();
   std::fprintf(
       stderr,
       "integrated %zu trees: %zu clusters, %zu mediated elements "
@@ -906,22 +916,25 @@ int RunHttp(const Args& args) {
   net::TenantRegistryOptions registry_options;
   registry_options.session = SessionOptionsFromArgs(args, &ok);
   if (!ok) return 2;
-  long threads = args.GetInt("threads", 0);
-  if (threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
-    return 2;
-  }
-  registry_options.service.num_threads = static_cast<size_t>(threads);
+  net::HttpServerOptions server_options;
+  server_options.bind_address = args.Get("bind", "127.0.0.1");
+  server_options.port =
+      static_cast<uint16_t>(args.GetInt("port", 8080, 0, 65535));
+  server_options.num_workers =
+      static_cast<size_t>(args.GetInt("workers", 0, 0));
+  server_options.admission.max_inflight =
+      static_cast<size_t>(args.GetInt("max-inflight", 256, 0));
+  server_options.admission.soft_inflight =
+      static_cast<size_t>(args.GetInt("soft-inflight", 0, 0));
+  server_options.admission.min_deadline_fraction =
+      args.GetDouble("min-deadline-fraction", 0.25);
+  registry_options.service.num_threads =
+      static_cast<size_t>(args.GetInt("threads", 0, 0));
   registry_options.service.default_deadline_seconds =
       args.GetDouble("deadline-ms", 0) / 1e3;
   registry_options.service.slow_query_ms =
       args.GetDouble("slow-query-ms", 0);
-  long shards = args.GetInt("shards", 1);
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
-  registry_options.shards = static_cast<size_t>(shards);
+  registry_options.shards = static_cast<size_t>(args.GetInt("shards", 1, 1));
   registry_options.state_dir = args.Get("state-dir");
   // With a state dir, every tenant write-ahead journals its deltas
   // (checkpoint at creation, fsync'd append per delta, replay on boot) so
@@ -983,17 +996,6 @@ int RunHttp(const Args& args) {
     }
   }
 
-  net::HttpServerOptions server_options;
-  server_options.bind_address = args.Get("bind", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(args.GetInt("port", 8080));
-  server_options.num_workers =
-      static_cast<size_t>(args.GetInt("workers", 0));
-  server_options.admission.max_inflight =
-      static_cast<size_t>(args.GetInt("max-inflight", 256));
-  server_options.admission.soft_inflight =
-      static_cast<size_t>(args.GetInt("soft-inflight", 0));
-  server_options.admission.min_deadline_fraction =
-      args.GetDouble("min-deadline-fraction", 0.25);
   net::HttpServer server(&registry, server_options);
   Status status = server.Start();
   if (!status.ok()) {
