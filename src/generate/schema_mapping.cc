@@ -4,30 +4,61 @@
 
 namespace xsm::generate {
 
+namespace {
+
+// Appends the root path of `node` ("lib/shelf/book") without collecting the
+// path first: one walk up the parent chain sizes it, a second writes the
+// names back to front into the space reserved for them.
+void AppendRootPath(std::string* out, const schema::SchemaTree& tree,
+                    schema::NodeId node) {
+  size_t length = 0;
+  for (schema::NodeId n = node; n != schema::kInvalidNode;
+       n = tree.parent(n)) {
+    length += tree.name(n).size() + 1;  // name and its '/' separator
+  }
+  if (length == 0) return;
+  --length;  // the root has no separator before it
+  const size_t begin = out->size();
+  out->resize(begin + length);
+  char* end = out->data() + begin + length;
+  for (schema::NodeId n = node; n != schema::kInvalidNode;) {
+    const std::string& name = tree.name(n);
+    end -= name.size();
+    name.copy(end, name.size());
+    n = tree.parent(n);
+    if (n != schema::kInvalidNode) *--end = '/';
+  }
+}
+
+}  // namespace
+
+void AppendMappingText(std::string* out, const SchemaMapping& mapping,
+                       const schema::SchemaTree& personal,
+                       const schema::SchemaForest& repo) {
+  out->append("tree=");
+  AppendInteger(out, mapping.tree);
+  out->append(" \xCE\x94=");  // Δ
+  AppendFixed(out, mapping.delta, 4);
+  out->append(" (sim=");
+  AppendFixed(out, mapping.delta_sim, 4);
+  out->append(" path=");
+  AppendFixed(out, mapping.delta_path, 4);
+  out->append(") [");
+  const schema::SchemaTree& t = repo.tree(mapping.tree);
+  for (size_t i = 0; i < mapping.images.size(); ++i) {
+    if (i > 0) out->append(", ");
+    out->append(personal.name(static_cast<schema::NodeId>(i)));
+    out->append("\xE2\x86\x92");  // →
+    AppendRootPath(out, t, mapping.images[i]);
+  }
+  out->push_back(']');
+}
+
 std::string MappingToString(const SchemaMapping& mapping,
                             const schema::SchemaTree& personal,
                             const schema::SchemaForest& repo) {
-  std::string out = StringPrintf("tree=%d \xCE\x94=%.4f (sim=%.4f path=%.4f) ",
-                                 mapping.tree, mapping.delta,
-                                 mapping.delta_sim, mapping.delta_path);
-  out += '[';
-  const schema::SchemaTree& t = repo.tree(mapping.tree);
-  for (size_t i = 0; i < mapping.images.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += personal.name(static_cast<schema::NodeId>(i));
-    out += "\xE2\x86\x92";  // →
-    // Render the image as a root path for readability.
-    std::vector<schema::NodeId> path;
-    for (schema::NodeId n = mapping.images[i]; n != schema::kInvalidNode;
-         n = t.parent(n)) {
-      path.push_back(n);
-    }
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-      if (it != path.rbegin()) out += '/';
-      out += t.name(*it);
-    }
-  }
-  out += ']';
+  std::string out;
+  AppendMappingText(&out, mapping, personal, repo);
   return out;
 }
 

@@ -43,7 +43,15 @@ struct MappingOrder {
   }
 };
 
-/// Renders "tree=3 Δ=0.82 [book→lib/book, ...]" using the forest for names.
+/// Appends "tree=3 Δ=0.8200 (sim=0.9000 path=0.6333) [book→lib/book, ...]"
+/// to `out`, naming each image by its root path in `repo`. Composes in
+/// place: no per-image path vector and no intermediate string, so a caller
+/// that reuses `out` formats a mapping without allocating.
+void AppendMappingText(std::string* out, const SchemaMapping& mapping,
+                       const schema::SchemaTree& personal,
+                       const schema::SchemaForest& repo);
+
+/// AppendMappingText into a fresh string.
 std::string MappingToString(const SchemaMapping& mapping,
                             const schema::SchemaTree& personal,
                             const schema::SchemaForest& repo);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 
 namespace xsm::net {
 
@@ -526,16 +526,33 @@ std::string ChunkedResponseHead(int code, std::string_view content_type,
   return out;
 }
 
+namespace {
+
+// The chunk-size line: the payload length in lowercase hex, then CRLF.
+void AppendChunkSize(std::string* out, size_t size) {
+  char hex[24];
+  const std::to_chars_result r =
+      std::to_chars(hex, hex + sizeof(hex), size, 16);
+  out->append(hex, r.ptr);
+  out->append("\r\n");
+}
+
+}  // namespace
+
 std::string EncodeChunk(std::string_view data) {
   if (data.empty()) return std::string();
-  char size_line[32];
-  int n = std::snprintf(size_line, sizeof(size_line), "%zx\r\n", data.size());
   std::string out;
-  out.reserve(data.size() + static_cast<size_t>(n) + 2);
-  out.append(size_line, static_cast<size_t>(n));
+  out.reserve(data.size() + 20);
+  AppendChunkSize(&out, data.size());
   out.append(data);
-  out += "\r\n";
+  out.append("\r\n");
   return out;
+}
+
+void AppendLineChunk(std::string* out, std::string_view line) {
+  AppendChunkSize(out, line.size() + 1);
+  out->append(line);
+  out->append("\n\r\n");
 }
 
 int HttpCodeForStatus(const Status& status) {

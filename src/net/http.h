@@ -144,13 +144,18 @@ std::string SimpleResponse(int code, std::string_view content_type,
                            std::string_view body, bool keep_alive);
 
 /// The status line + headers opening a chunked response; follow with
-/// EncodeChunk() per payload piece and kChunkedFinal to end.
+/// EncodeChunk() or AppendLineChunk() per payload piece and kChunkedFinal
+/// to end.
 std::string ChunkedResponseHead(int code, std::string_view content_type,
                                 bool keep_alive);
 
 /// One chunk frame (hex size, CRLF, data, CRLF). Empty data encodes to an
 /// empty string — a zero-size chunk would terminate the stream.
 std::string EncodeChunk(std::string_view data);
+
+/// Appends EncodeChunk(line + "\n") to `out` without building either
+/// string: the frame of one NDJSON event line.
+void AppendLineChunk(std::string* out, std::string_view line);
 
 /// Terminates a chunked response (zero chunk + empty trailer).
 inline constexpr std::string_view kChunkedFinal = "0\r\n\r\n";

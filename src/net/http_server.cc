@@ -94,6 +94,18 @@ struct HttpServer::Connection {
   bool close_after_response = false;  ///< worker: no keep-alive after this
   core::CancelToken active_token;     ///< current request's cancel token
   bool has_active_token = false;
+
+  /// Runs `append(outbuf)` under `mu` unless the connection is closed or
+  /// its client gone. Returns true when the buffer was drained before the
+  /// append: only then is the loop owed a wake (see QueueOutput).
+  template <typename Append>
+  bool AppendOutput(Append&& append) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (closed || client_gone) return false;
+    const bool was_drained = out_offset >= outbuf.size();
+    append(outbuf);
+    return was_drained;
+  }
 };
 
 HttpServer::HttpServer(TenantRegistry* registry, HttpServerOptions options)
@@ -563,13 +575,18 @@ void HttpServer::CloseConnection(uint64_t id) {
 }
 
 void HttpServer::QueueOutput(const std::shared_ptr<Connection>& conn,
-                             std::string bytes) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed || conn->client_gone) return;
-    conn->outbuf.append(bytes);
+                             std::string_view bytes) {
+  if (conn->AppendOutput([bytes](std::string& out) { out.append(bytes); })) {
+    WakeLoop();
   }
-  WakeLoop();
+}
+
+void HttpServer::QueueChunk(const std::shared_ptr<Connection>& conn,
+                            std::string_view line) {
+  if (conn->AppendOutput(
+          [line](std::string& out) { AppendLineChunk(&out, line); })) {
+    WakeLoop();
+  }
 }
 
 void HttpServer::QueueSimple(const std::shared_ptr<Connection>& conn,
@@ -921,14 +938,14 @@ void HttpServer::HandleMatch(const std::shared_ptr<Connection>& conn,
   Timer timer;
   QueueOutput(conn, ChunkedResponseHead(200, kNdjson, keep_alive));
   service::EventSink sink = [this, &conn](const std::string& line) {
-    QueueOutput(conn, EncodeChunk(line + "\n"));
+    QueueChunk(conn, line);
   };
   if (batch) {
     tenant.session->RunBatch(queries, sink, control);
   } else {
     tenant.session->RunQuery(queries.front(), sink, control);
   }
-  QueueOutput(conn, std::string(kChunkedFinal));
+  QueueOutput(conn, kChunkedFinal);
   FinishWork(timer.ElapsedSeconds() * 1e3);
 }
 
@@ -956,10 +973,10 @@ void HttpServer::HandleIntegrate(const std::shared_ptr<Connection>& conn,
   Timer timer;
   QueueOutput(conn, ChunkedResponseHead(200, kNdjson, keep_alive));
   service::EventSink sink = [this, &conn](const std::string& line) {
-    QueueOutput(conn, EncodeChunk(line + "\n"));
+    QueueChunk(conn, line);
   };
   tenant.session->RunIntegrate(args, sink, control);
-  QueueOutput(conn, std::string(kChunkedFinal));
+  QueueOutput(conn, kChunkedFinal);
   FinishWork(timer.ElapsedSeconds() * 1e3);
 }
 

@@ -4,12 +4,12 @@
 // Completed requests are handed to a worker pool; workers never touch a
 // socket: they run the request against the tenant's ServeSession and
 // append framed response bytes to the connection's locked output buffer,
-// waking the loop through its self-pipe. That split keeps the loop
-// non-blocking (a slow query can never stall accepts or other
-// connections) and makes client disconnects observable mid-query: when
-// the loop reads EOF on a connection whose request is still running, it
-// cancels the request's CancelToken — the query winds down cooperatively
-// and the partial response is discarded.
+// waking the loop through its self-pipe when that buffer was drained.
+// That split keeps the loop non-blocking (a slow query can never stall
+// accepts or other connections) and makes client disconnects observable
+// mid-query: when the loop reads EOF on a connection whose request is
+// still running, it cancels the request's CancelToken — the query winds
+// down cooperatively and the partial response is discarded.
 //
 // Admission control reuses the engine's deadline machinery rather than
 // inventing a queue: up to `soft_inflight` concurrent match/batch
@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -192,9 +193,20 @@ class HttpServer {
                  core::ExecutionControl* control);
   void FinishWork(double latency_ms);
 
-  /// Appends bytes to the connection's output buffer and wakes the loop.
+  /// Appends bytes to the connection's output buffer. Wakes the loop only
+  /// when the buffer goes from drained (everything sent) to non-empty:
+  /// while bytes are pending a wake is already owed — the wake that
+  /// queued them, or the loop's POLLOUT interest once a send would block —
+  /// and the loop's next WriteFrom sends everything queued by then. So a
+  /// streamed response wakes the loop once per drain, not once per event,
+  /// and its first event after a drain still wakes it at once.
   void QueueOutput(const std::shared_ptr<Connection>& conn,
-                   std::string bytes);
+                   std::string_view bytes);
+  /// Queues `line` + "\n" as one response chunk, framed straight into the
+  /// output buffer under QueueOutput's lock and wake rule. The sink of the
+  /// streaming endpoints: one chunk per event.
+  void QueueChunk(const std::shared_ptr<Connection>& conn,
+                  std::string_view line);
   /// Queues a complete non-streaming response.
   void QueueSimple(const std::shared_ptr<Connection>& conn, int code,
                    const std::string& ndjson_body, bool keep_alive);

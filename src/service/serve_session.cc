@@ -18,36 +18,54 @@
 
 namespace xsm::service {
 
+namespace {
+
+bool NeedsJsonEscape(unsigned char c) {
+  return c < 0x20 || c == '"' || c == '\\';
+}
+
+}  // namespace
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  // Clean runs are appended in bulk; only the bytes that need it are
+  // rewritten.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (!NeedsJsonEscape(c)) continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+        out->append(escaped, sizeof(escaped));
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  AppendJsonEscaped(&out, s);
   return out;
 }
 
@@ -76,17 +94,36 @@ NdjsonEventObserver::NdjsonEventObserver(
 
 void NdjsonEventObserver::OnMapping(const generate::SchemaMapping& mapping,
                                     size_t running_rank) {
-  char nums[224];
-  std::snprintf(nums, sizeof(nums),
-                "\",\"rank\":%zu,\"tree\":%d,\"delta\":%.6f,"
-                "\"delta_sim\":%.6f,\"delta_path\":%.6f,\"ms\":%.3f,"
-                "\"map\":\"",
-                running_rank, mapping.tree, mapping.delta, mapping.delta_sim,
-                mapping.delta_path, ElapsedMs());
-  std::string line = "{\"type\":\"mapping\",\"id\":\"" + id_ + nums;
-  line += JsonEscape(
-      generate::MappingToString(mapping, *personal_, pin_->forest()));
-  line += "\"}";
+  std::string& line = line_;
+  line.assign("{\"type\":\"mapping\",\"id\":\"");
+  line.append(id_);
+  line.append("\",\"rank\":");
+  AppendInteger(&line, running_rank);
+  line.append(",\"tree\":");
+  AppendInteger(&line, mapping.tree);
+  line.append(",\"delta\":");
+  AppendFixed(&line, mapping.delta, 6);
+  line.append(",\"delta_sim\":");
+  AppendFixed(&line, mapping.delta_sim, 6);
+  line.append(",\"delta_path\":");
+  AppendFixed(&line, mapping.delta_path, 6);
+  line.append(",\"ms\":");
+  AppendFixed(&line, ElapsedMs(), 3);
+  line.append(",\"map\":\"");
+  // The mapping text goes straight into the line. Its fixed parts need no
+  // escaping, so only a name holding a quote, backslash or control byte
+  // sends the rest of the text through the escaper.
+  const size_t text_begin = line.size();
+  generate::AppendMappingText(&line, mapping, *personal_, pin_->forest());
+  for (size_t i = text_begin; i < line.size(); ++i) {
+    if (NeedsJsonEscape(static_cast<unsigned char>(line[i]))) {
+      const std::string rest = line.substr(i);
+      line.resize(i);
+      AppendJsonEscaped(&line, rest);
+      break;
+    }
+  }
+  line.append("\"}");
   sink_(line);
 }
 
@@ -136,22 +173,28 @@ void NdjsonIntegrationObserver::OnMediatedElement(
                 element.representative.tree, element.representative.node,
                 cluster.members.size(), cluster.schemas, cluster.links,
                 cluster.confidence);
-  std::string line = "{\"type\":\"cluster\",\"rank\":" + std::to_string(rank) +
-                     ",\"name\":\"" + JsonEscape(element.name) + nums;
-  line += SeverityName(cluster.severity);
-  line += "\",\"members\":[";
+  std::string line = "{\"type\":\"cluster\",\"rank\":";
+  AppendInteger(&line, rank);
+  line.append(",\"name\":\"");
+  AppendJsonEscaped(&line, element.name);
+  line.append(nums);
+  line.append(SeverityName(cluster.severity));
+  line.append("\",\"members\":[");
   const size_t listed = std::min(cluster.members.size(), kMaxMemberRefs);
   for (size_t i = 0; i < listed; ++i) {
-    if (i > 0) line += ',';
-    line += "\"" + std::to_string(cluster.members[i].tree) + ":" +
-            std::to_string(cluster.members[i].node) + "\"";
+    if (i > 0) line.push_back(',');
+    line.push_back('"');
+    AppendInteger(&line, cluster.members[i].tree);
+    line.push_back(':');
+    AppendInteger(&line, cluster.members[i].node);
+    line.push_back('"');
   }
-  line += "]";
+  line.push_back(']');
   if (listed < cluster.members.size()) {
-    line += ",\"members_truncated\":" +
-            std::to_string(cluster.members.size() - listed);
+    line.append(",\"members_truncated\":");
+    AppendInteger(&line, cluster.members.size() - listed);
   }
-  line += "}";
+  line.push_back('}');
   sink_(line);
 }
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/execution_control.h"
@@ -46,6 +47,10 @@ using EventSink = std::function<void(const std::string& line)>;
 /// JSON string escaping for event payloads (quotes, backslashes, control
 /// characters as \uXXXX).
 std::string JsonEscape(const std::string& s);
+
+/// Appends JsonEscape(s) to `out`: clean runs are copied in bulk and only
+/// the bytes that need escaping are rewritten.
+void AppendJsonEscaped(std::string* out, std::string_view s);
 
 /// Loads a forest from either a saved forest file or a directory of
 /// .dtd/.xsd schemas (serve-mode !reload; CLI --repo-dir startup).
@@ -75,8 +80,13 @@ struct ServeSessionOptions {
 
 /// Streams one query's run as NDJSON events into a sink. Event lines are
 /// composed as strings — unbounded fields (query ids, mapping text) can
-/// never truncate the JSON; fixed snprintf buffers only ever hold numeric
-/// fields. Callbacks fire on the thread executing the query.
+/// never truncate the JSON. A mapping event, the one a run emits per
+/// mapping found, is composed in one member buffer that every event
+/// reuses: numbers go in through std::to_chars, the mapping text through
+/// generate::AppendMappingText, and only a name that needs JSON escaping
+/// is rewritten. The sink is called once per event with that buffer, so it
+/// must copy what it keeps. Callbacks fire on the thread executing the
+/// query, one at a time, so the buffer needs no lock.
 class NdjsonEventObserver : public core::MatchObserver {
  public:
   /// `personal` and `pin` must outlive the observer; `pin` is the
@@ -107,6 +117,7 @@ class NdjsonEventObserver : public core::MatchObserver {
   bool cluster_events_;
   Timer timer_;
   double finished_ms_ = -1;
+  std::string line_;  // the mapping event being composed, reused
 };
 
 /// Streams an integration run as NDJSON events: one "pair" event per linked

@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace xsm {
 
@@ -137,6 +138,20 @@ Result<long long> ParseInteger(const std::string& key,
                                    value + "'");
   }
   return parsed;
+}
+
+void AppendFixed(std::string* out, double value, int precision) {
+  // DBL_MAX has 309 integer digits; with its sign, the point and up to 17
+  // decimals it fits. Only a larger precision takes the printf path.
+  char buf[352];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed,
+                    precision);
+  if (r.ec != std::errc()) {
+    *out += StringPrintf("%.*f", precision, value);
+    return;
+  }
+  out->append(buf, r.ptr);
 }
 
 }  // namespace xsm

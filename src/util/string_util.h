@@ -3,6 +3,7 @@
 #ifndef XSM_UTIL_STRING_UTIL_H_
 #define XSM_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,21 @@ std::vector<std::string> TokenizeIdentifier(std::string_view ident);
 Result<double> ParseReal(const std::string& key, const std::string& value);
 Result<long long> ParseInteger(const std::string& key,
                                const std::string& value);
+
+/// Appends `value` in decimal: the digits "%d" / "%zu" print, without a
+/// format string or a temporary.
+template <typename Int>
+void AppendInteger(std::string* out, Int value) {
+  char buf[24];  // a 64-bit value and its sign
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, r.ptr);
+}
+
+/// Appends `value` with `precision` decimals: the digits "%.Nf" prints
+/// (std::to_chars is specified to round exactly as printf does in the C
+/// locale).
+void AppendFixed(std::string* out, double value, int precision);
 
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)

@@ -393,6 +393,12 @@ TEST(HttpHelpersTest, SplitPathSegments) {
 TEST(HttpHelpersTest, EncodeChunk) {
   EXPECT_EQ(EncodeChunk("wiki"), "4\r\nwiki\r\n");
   EXPECT_EQ(EncodeChunk(""), "");  // never emits a terminator by accident
+  // An event line framed in place equals the frame of the line plus "\n".
+  const std::string line(300, 'e');
+  std::string framed = "head";
+  AppendLineChunk(&framed, line);
+  EXPECT_EQ(framed, "head" + EncodeChunk(line + "\n"));
+  EXPECT_EQ(framed.substr(4, 5), "12d\r\n");
 }
 
 TEST(HttpHelpersTest, HttpCodeForStatus) {

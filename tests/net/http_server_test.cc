@@ -6,6 +6,7 @@
 #include "net/http_server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -539,6 +540,69 @@ TEST_F(HttpServerTest, PipelinedRequestsAnswerInOrder) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->status_code, 200);
   EXPECT_NE(second->body.find("\"type\":\"tenant\""), std::string::npos);
+
+  running.server->RequestShutdown();
+}
+
+TEST_F(HttpServerTest, SlowReaderGetsTheWholeStreamThenThePipelinedNext) {
+  auto running = StartServer(MakeRegistry());
+
+  // About 15k mapping events, 6.4 MB: more than the server's socket send
+  // buffer can grow to (4 MB by default on Linux) plus the client's capped
+  // receive buffer, so the loop's sends hit EAGAIN and only POLLOUT can
+  // resume them: the events queued while bytes were pending woke nothing.
+  // (The cap stays above the loopback MSS: a smaller window stalls the
+  // sender on its persist timer.)
+  const std::string big_query =
+      "person(name,address,phone,email) id=big delta=0.75 top=0";
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(kHost, running.server->port()).ok());
+  int rcvbuf = 256 * 1024;
+  ASSERT_EQ(setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof(rcvbuf)),
+            0);
+  ASSERT_TRUE(client
+                  .SendRaw(BuildRequest("POST", "/v1/tenants/t1/match",
+                                        big_query) +
+                           BuildRequest("POST", "/v1/tenants/t1/match",
+                                        kQueryLine))
+                  .ok());
+
+  // Read nothing until the pipelined request is routed: the server takes
+  // it up only after the big response is wholly queued.
+  for (int i = 0; i < 1200 && running.server->stats().requests < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  ASSERT_GE(running.server->stats().requests, 2u);
+
+  HttpLimits limits;
+  limits.max_body_bytes = 64u << 20;
+  auto big = client.ReadResponse(limits, /*timeout_seconds=*/60);
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  EXPECT_EQ(big->status_code, 200);
+  auto next = client.ReadResponse(limits, /*timeout_seconds=*/60);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->status_code, 200);
+
+  TenantRegistryOptions options = RegistryOptions();
+  auto service = service::MatchService::Create(*forest_, options.service);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  service::ServeSession session(service->get(), options.session);
+  for (const auto& [line, response] :
+       {std::pair<std::string, const HttpMessage*>(big_query, &*big),
+        std::pair<std::string, const HttpMessage*>(kQueryLine, &*next)}) {
+    auto query = session.ParseQuery(line, 0);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    std::vector<std::string> direct_events;
+    auto result = session.RunQuery(*query, [&](const std::string& event) {
+      direct_events.push_back(event);
+    });
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(NormalizeAll(SplitLines(response->body)),
+              NormalizeAll(direct_events))
+        << line;
+  }
+  EXPECT_GT(SplitLines(big->body).size(), 10000u);
 
   running.server->RequestShutdown();
 }

@@ -5,14 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/execution_control.h"
+#include "generate/schema_mapping.h"
 #include "repo/synthetic.h"
 #include "service/match_service.h"
+#include "service/repository_snapshot.h"
 #include "schema/schema_tree.h"
 
 namespace xsm::service {
@@ -433,6 +437,188 @@ TEST_F(ServeSessionTest, EmitErrorEventShape) {
 TEST_F(ServeSessionTest, JsonEscapeControlsAndQuotes) {
   EXPECT_EQ(JsonEscape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+}
+
+// --- formatter byte identity ---------------------------------------------
+
+// The mapping formatters as first written — snprintf into fixed buffers,
+// a per-image path vector, escaping as a second pass over a copy — kept as
+// an independent reference for the in-place ones.
+std::string ReferenceJsonEscape(const std::string& s) {
+  std::string out;
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
+
+std::string ReferenceMappingToString(const generate::SchemaMapping& mapping,
+                                     const schema::SchemaTree& personal,
+                                     const schema::SchemaForest& repo) {
+  char head[128];
+  std::snprintf(head, sizeof(head),
+                "tree=%d \xCE\x94=%.4f (sim=%.4f path=%.4f) ", mapping.tree,
+                mapping.delta, mapping.delta_sim, mapping.delta_path);
+  std::string out = head;
+  out += '[';
+  const schema::SchemaTree& t = repo.tree(mapping.tree);
+  for (size_t i = 0; i < mapping.images.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += personal.name(static_cast<schema::NodeId>(i));
+    out += "\xE2\x86\x92";
+    std::vector<schema::NodeId> path;
+    for (schema::NodeId n = mapping.images[i]; n != schema::kInvalidNode;
+         n = t.parent(n)) {
+      path.push_back(n);
+    }
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+      if (it != path.rbegin()) out += '/';
+      out += t.name(*it);
+    }
+  }
+  out += ']';
+  return out;
+}
+
+// The mapping event with its wall-clock "ms" field written as 0.000.
+std::string ReferenceMappingEvent(const std::string& id,
+                                  const generate::SchemaMapping& mapping,
+                                  size_t rank,
+                                  const schema::SchemaTree& personal,
+                                  const schema::SchemaForest& repo) {
+  char nums[224];
+  std::snprintf(nums, sizeof(nums),
+                "\",\"rank\":%zu,\"tree\":%d,\"delta\":%.6f,"
+                "\"delta_sim\":%.6f,\"delta_path\":%.6f,\"ms\":%.3f,"
+                "\"map\":\"",
+                rank, mapping.tree, mapping.delta, mapping.delta_sim,
+                mapping.delta_path, 0.0);
+  return "{\"type\":\"mapping\",\"id\":\"" + ReferenceJsonEscape(id) + nums +
+         ReferenceJsonEscape(ReferenceMappingToString(mapping, personal,
+                                                      repo)) +
+         "\"}";
+}
+
+schema::NodeProperties Named(std::string name) {
+  schema::NodeProperties props;
+  props.name = std::move(name);
+  return props;
+}
+
+std::string ZeroMs(const std::string& line) {
+  static const std::regex kMs(",\"ms\":[0-9.]+,\"map\":\"");
+  return std::regex_replace(line, kMs, ",\"ms\":0.000,\"map\":\"",
+                            std::regex_constants::format_first_only);
+}
+
+TEST(MappingFormatTest, InPlaceFormattersMatchTheSnprintfReference) {
+  // Names with every byte class the escaper distinguishes: quotes,
+  // backslashes, control bytes, multi-byte UTF-8, DEL and the empty name.
+  const std::vector<std::string> names = {
+      "plain",      "q\"uote",         "back\\slash",
+      "",           "c\x01\x1f\n\r\tl", "na\xC3\xAFve\xE2\x86\x92\xE5\x90\x8D",
+      "del\x7f",    "\"\\\"",          "tail\x02"};
+  schema::SchemaTree personal;
+  schema::NodeId root = personal.AddNode(schema::kInvalidNode, Named(names[0]));
+  for (size_t i = 1; i < names.size(); ++i) {
+    personal.AddNode(root, Named(names[i]));
+  }
+
+  // Tree 0 is one chain 260 nodes deep, deeper than any fixed path buffer;
+  // tree 1 is shallow with an empty root name.
+  schema::SchemaForest forest;
+  schema::SchemaTree chain;
+  schema::NodeId parent = schema::kInvalidNode;
+  for (int depth = 0; depth < 260; ++depth) {
+    parent = chain.AddNode(
+        parent, Named(names[depth % names.size()] + std::to_string(depth)));
+  }
+  forest.AddTree(std::move(chain));
+  schema::SchemaTree shallow;
+  schema::NodeId shallow_root =
+      shallow.AddNode(schema::kInvalidNode, Named(""));
+  for (size_t i = 1; i < names.size(); ++i) {
+    shallow.AddNode(shallow_root, Named(names[i]));
+  }
+  forest.AddTree(std::move(shallow));
+  auto snapshot = RepositorySnapshot::Create(std::move(forest));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  RepositoryPinPtr pin = *snapshot;
+  const schema::SchemaForest& repo = pin->forest();
+
+  // Rounding edges of the 4th and 6th decimal, exact 0 and 1.
+  const std::vector<double> deltas = {
+      0.12345650, 0.99999995, 0.0,        1.0,       0.00005,
+      0.00004999, 0.9999995,  0.12344999, 0.5,       1.0 / 3.0,
+      2.0 / 3.0,  0.0000005,  0.9999,     0.99995,   0.125};
+  std::vector<generate::SchemaMapping> mappings;
+  for (size_t d = 0; d < deltas.size(); ++d) {
+    generate::SchemaMapping mapping;
+    mapping.tree = static_cast<schema::TreeId>(d % 2);
+    const schema::SchemaTree& t = repo.tree(mapping.tree);
+    for (size_t i = 0; i < names.size(); ++i) {
+      // Images at every depth, the deepest node included.
+      const size_t node = (d * 37 + i * 53) % t.size();
+      mapping.images.push_back(static_cast<schema::NodeId>(
+          i == 0 && mapping.tree == 0 ? t.size() - 1 : node));
+    }
+    mapping.delta = deltas[d];
+    mapping.delta_sim = deltas[(d + 1) % deltas.size()];
+    mapping.delta_path = deltas[(d + 7) % deltas.size()];
+    mappings.push_back(std::move(mapping));
+  }
+
+  for (const std::string& id :
+       {std::string("q1"), std::string("id \"with\" \\ and \n")}) {
+    std::vector<std::string> events;
+    const EventSink sink = [&events](const std::string& line) {
+      events.push_back(line);
+    };
+    NdjsonEventObserver observer(id, &personal, pin, sink,
+                                 /*cluster_events=*/false);
+    for (size_t m = 0; m < mappings.size(); ++m) {
+      observer.OnMapping(mappings[m], m + 1);
+    }
+    ASSERT_EQ(events.size(), mappings.size());
+    for (size_t m = 0; m < mappings.size(); ++m) {
+      EXPECT_EQ(ZeroMs(events[m]),
+                ReferenceMappingEvent(id, mappings[m], m + 1, personal, repo))
+          << "mapping " << m;
+    }
+  }
+  for (const generate::SchemaMapping& mapping : mappings) {
+    EXPECT_EQ(generate::MappingToString(mapping, personal, repo),
+              ReferenceMappingToString(mapping, personal, repo));
+  }
+
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte.push_back(static_cast<char>(c));
+  EXPECT_EQ(JsonEscape(every_byte), ReferenceJsonEscape(every_byte));
+  EXPECT_EQ(JsonEscape(""), "");
 }
 
 }  // namespace

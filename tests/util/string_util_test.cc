@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace xsm {
 namespace {
 
@@ -78,6 +88,51 @@ TEST(StringUtilTest, StringPrintf) {
   EXPECT_EQ(StringPrintf("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StringPrintf("%.2f", 0.5), "0.50");
   EXPECT_EQ(StringPrintf("empty"), "empty");
+}
+
+TEST(StringUtilTest, AppendFixedPrintsThePrintfDigits) {
+  std::vector<double> values = {
+      0.0,        -0.0,       1.0,          -1.0,       0.12345650,
+      0.99999995, 0.0005,     0.00049999,   0.5,        1.5,
+      2.5,        1.0 / 3.0,  1e-300,       DBL_MIN,    DBL_TRUE_MIN,
+      1e22,       1e300,      DBL_MAX,      -DBL_MAX,   123456.7895,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  std::mt19937_64 rng(2006);
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value) && std::fabs(value) < 1e30) {
+      values.push_back(value);
+    }
+    values.push_back(std::uniform_real_distribution<double>(0, 1)(rng));
+  }
+  // 60 decimals of DBL_MAX outgrow the stack buffer: the printf fallback.
+  for (int precision : {0, 3, 4, 6, 17, 60}) {
+    for (double value : values) {
+      std::vector<char> expected(512);
+      std::snprintf(expected.data(), expected.size(), "%.*f", precision,
+                    value);
+      std::string out = "x";
+      AppendFixed(&out, value, precision);
+      EXPECT_EQ(out, "x" + std::string(expected.data()))
+          << "precision " << precision;
+    }
+  }
+}
+
+TEST(StringUtilTest, AppendIntegerPrintsTheDecimalDigits) {
+  std::string out;
+  AppendInteger(&out, std::numeric_limits<int32_t>::min());
+  out += ' ';
+  AppendInteger(&out, 0);
+  out += ' ';
+  AppendInteger(&out, std::numeric_limits<size_t>::max());
+  out += ' ';
+  AppendInteger(&out, std::numeric_limits<long long>::min());
+  EXPECT_EQ(out, "-2147483648 0 18446744073709551615 -9223372036854775808");
 }
 
 }  // namespace

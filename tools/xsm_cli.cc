@@ -542,12 +542,10 @@ int RunMatch(const Args& args) {
               stats.repository_nodes, stats.repository_trees,
               stats.total_mapping_elements, stats.num_clusters,
               stats.num_useful_clusters);
-  std::printf("search space: %.0f | partial mappings generated: %llu | "
-              "mappings (delta>=%.2f): %zu\n\n",
-              stats.search_space,
-              static_cast<unsigned long long>(
-                  stats.generator.partial_mappings),
-              options.delta, stats.num_mappings);
+  // No generation counts (partial mappings, mappings with Δ ≥ δ) here:
+  // under adaptive top-N they depend on how the backend groups clusters
+  // into runs, and this output is the same on every backend.
+  std::printf("search space: %.0f\n\n", stats.search_space);
 
   int rank = 1;
   for (const auto& mapping : result->mappings) {
