@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <optional>
 
 #include "core/match_observer.h"
@@ -250,24 +251,34 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   // clusters. A null `control` never stops.
   ExecutionMonitor monitor;
   if (control != nullptr) monitor = ExecutionMonitor(*control);
-  // Indices into result.mappings kept sorted by MappingOrder, so each
-  // running rank costs O(log k) compares + one insert instead of a linear
-  // rescan of everything found so far.
-  std::vector<size_t> rank_order;
+  // The running top-N window: indices into result.mappings of the best
+  // min(N, found) mappings so far, sorted by MappingOrder (ties in emission
+  // order). A new mapping's running rank is its upper bound in the window
+  // plus one, so a rank costs O(log N) compares and at most N moves. One
+  // that would land past a full window ranks below N: it cannot be in the
+  // final top N and is not streamed. Without top-N (top_n == 0) the window
+  // is unbounded and every mapping streams. It grows only with the
+  // mappings found, so a huge N (a request's SIZE_MAX) reserves nothing.
+  const size_t window_limit =
+      options.top_n > 0 ? options.top_n : std::numeric_limits<size_t>::max();
+  std::vector<size_t> window;
   if (observer != nullptr) {
     // The generators append to result.mappings and then fire the hook, so
     // the new mapping is always the last element.
-    monitor.on_emit = [&result, &rank_order, observer]() {
+    monitor.on_emit = [&result, &window, window_limit, observer]() {
       const size_t new_index = result.mappings.size() - 1;
       auto before = [&result](size_t a, size_t b) {
         return generate::MappingOrder()(result.mappings[a],
                                         result.mappings[b]);
       };
-      auto pos = std::upper_bound(rank_order.begin(), rank_order.end(),
-                                  new_index, before);
-      size_t rank = static_cast<size_t>(pos - rank_order.begin()) + 1;
-      rank_order.insert(pos, new_index);
-      observer->OnMapping(result.mappings[new_index], rank);
+      const size_t at = static_cast<size_t>(
+          std::upper_bound(window.begin(), window.end(), new_index, before) -
+          window.begin());
+      if (at >= window_limit) return;
+      if (window.size() == window_limit) window.pop_back();
+      window.insert(window.begin() + static_cast<std::ptrdiff_t>(at),
+                    new_index);
+      observer->OnMapping(result.mappings[new_index], at + 1);
     };
     monitor.on_partial_emit = [&result, observer]() {
       observer->OnPartialMapping(result.partial_mappings.back());

@@ -51,8 +51,14 @@ class MatchObserver {
 
   /// A mapping with Δ ≥ δ was emitted. `running_rank` is its 1-based rank
   /// under generate::MappingOrder among all mappings found so far in this
-  /// run (rank 1 = best so far); the final ranked list may still reorder or
-  /// truncate (top-N).
+  /// run (rank 1 = best so far; ties rank in emission order); the final
+  /// ranked list may still reorder or truncate. With MatchOptions::top_n = N
+  /// > 0 only a mapping that enters the running top N (running_rank ≤ N) is
+  /// reported: the others can never reach the final list. Every mapping of
+  /// the final top N is reported (its running rank can only fall as the run
+  /// goes on), so keeping the last N mappings by rank — a new rank r pushes
+  /// the held ones at r.. down one and drops the one past N — ends with the
+  /// final list. With top_n = 0 every mapping is reported.
   virtual void OnMapping(const generate::SchemaMapping& mapping,
                          size_t running_rank) {
     (void)mapping;

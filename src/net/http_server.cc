@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <sstream>
 #include <utility>
 
@@ -73,9 +74,9 @@ constexpr std::string_view kNdjson = "application/x-ndjson";
 }  // namespace
 
 /// Shared between the event loop (fd owner) and the worker handling the
-/// connection's current request. The mutex guards outbuf/closed/
-/// client_gone/active_token/has_active_token/close_after_response; the
-/// remaining fields are loop-only.
+/// connection's current request. The mutex guards outbuf/out_offset/closed/
+/// client_gone/output_dropped/writer_waiting/active_token/has_active_token/
+/// close_after_response; the remaining fields are loop-only.
 struct HttpServer::Connection {
   Connection(uint64_t id_in, int fd_in, const HttpLimits& limits)
       : id(id_in), fd(fd_in), parser(HttpParser::Mode::kRequest, limits) {}
@@ -88,20 +89,51 @@ struct HttpServer::Connection {
 
   std::mutex mu;
   std::string outbuf;
-  size_t out_offset = 0;
+  size_t out_offset = 0;     ///< bytes of outbuf already sent
   bool closed = false;       ///< fd closed; workers drop further output
   bool client_gone = false;  ///< loop saw EOF / error on the socket
+  /// A cancel woke a worker waiting over the high-water mark: the rest of
+  /// the response is dropped and the connection closes once the request
+  /// completes.
+  bool output_dropped = false;
+  bool writer_waiting = false;  ///< a worker waits on `drained`
+  std::condition_variable drained;
   bool close_after_response = false;  ///< worker: no keep-alive after this
   core::CancelToken active_token;     ///< current request's cancel token
   bool has_active_token = false;
 
-  /// Runs `append(outbuf)` under `mu` unless the connection is closed or
-  /// its client gone. Returns true when the buffer was drained before the
-  /// append: only then is the loop owed a wake (see QueueOutput).
+  size_t unsent() const { return outbuf.size() - out_offset; }
+
+  /// Wakes a worker waiting in AppendOutput so it re-checks its wait.
+  /// Called under `mu` after anything that ends the wait: a send that
+  /// drained below the mark, a close, a client gone, a cancel.
+  void WakeWriter() {
+    if (writer_waiting) drained.notify_all();
+  }
+
+  /// Runs `append(outbuf)` under `mu` unless the connection is closed, its
+  /// client gone or its output dropped. While more than the high-water
+  /// mark is unsent the worker first waits for the loop's sends to drain
+  /// below it; a close, a disconnect or a cancel of the request ends the
+  /// wait, and output is dropped from then on (the query stops through its
+  /// CancelToken). Each wait counts one `stalls`. Returns true when the
+  /// buffer was drained before the append: only then is the loop owed a
+  /// wake (see QueueOutput).
   template <typename Append>
-  bool AppendOutput(Append&& append) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (closed || client_gone) return false;
+  bool AppendOutput(Append&& append, obs::Counter* stalls) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (unsent() > kOutputHighWaterBytes) {
+      stalls->Increment();
+      writer_waiting = true;
+      drained.wait(lock, [this] {
+        return closed || client_gone ||
+               (has_active_token && active_token.cancelled()) ||
+               unsent() <= kOutputHighWaterBytes;
+      });
+      writer_waiting = false;
+      if (unsent() > kOutputHighWaterBytes) output_dropped = true;
+    }
+    if (closed || client_gone || output_dropped) return false;
     const bool was_drained = out_offset >= outbuf.size();
     append(outbuf);
     return was_drained;
@@ -132,6 +164,10 @@ HttpServer::HttpServer(TenantRegistry* registry, HttpServerOptions options)
   disconnect_cancels_ = metrics.RegisterCounter(
       "xsm_http_disconnect_cancels_total",
       "In-flight queries cancelled by client disconnect");
+  output_stalls_ = metrics.RegisterCounter(
+      "xsm_http_output_stalls_total",
+      "Waits of a worker for a client to read past the output high-water "
+      "mark");
   drain_save_failures_ = metrics.RegisterCounter(
       "xsm_http_drain_save_failures_total",
       "Tenants the graceful drain failed to persist");
@@ -199,7 +235,9 @@ Status HttpServer::Start() {
     fcntl(fd, F_SETFD, FD_CLOEXEC);
   }
 
-  workers_ = std::make_unique<ThreadPool>(options_.num_workers);
+  workers_ = std::make_unique<ThreadPool>(
+      options_.num_workers == 0 ? ThreadPool::DefaultThreadCount()
+                                : options_.num_workers);
   return Status::OK();
 }
 
@@ -244,6 +282,7 @@ HttpServerStats HttpServer::stats() const {
   stats.requests_shed = shed_capacity_->value();
   stats.parse_failures = parse_failures_->value();
   stats.disconnect_cancels = disconnect_cancels_->value();
+  stats.output_stalls = output_stalls_->value();
   stats.inflight = inflight_.load(std::memory_order_relaxed);
   stats.drain_save_failures = drain_save_failures_->value();
   return stats;
@@ -364,7 +403,8 @@ void HttpServer::Loop() {
         std::lock_guard<std::mutex> lock(conn->mu);
         conn->has_active_token = false;
         close_requested = conn->close_after_response;
-        gone = conn->client_gone;
+        // A response whose rest was dropped can only be cut off.
+        gone = conn->client_gone || conn->output_dropped;
       }
       if (gone) {
         CloseConnection(id);
@@ -395,6 +435,7 @@ void HttpServer::Loop() {
         for (auto& [id, conn] : connections_) {
           std::lock_guard<std::mutex> lock(conn->mu);
           if (conn->has_active_token) conn->active_token.Cancel();
+          conn->WakeWriter();
         }
       }
       // Idle keep-alive connections have nothing left to wait for.
@@ -505,6 +546,7 @@ bool HttpServer::ReadInto(Connection& conn) {
         conn.active_token.Cancel();
         disconnect_cancels_->Increment();
       }
+      conn.WakeWriter();
     }
     // A processing connection must outlive its worker's completion
     // notice; CloseConnection happens when the completion drains.
@@ -528,12 +570,17 @@ bool HttpServer::WriteFrom(Connection& conn) {
       conn.active_token.Cancel();
       disconnect_cancels_->Increment();
     }
+    conn.WakeWriter();
     return conn.processing;  // see ReadInto: wait for the worker
   }
-  if (conn.out_offset == conn.outbuf.size() && conn.out_offset > 0) {
-    conn.outbuf.clear();
+  // Drop the sent prefix once it is at least as long as what is left: a
+  // buffer that never fully drains stays bounded, and a compaction moves
+  // no more bytes than were sent since the last one.
+  if (conn.out_offset > 0 && conn.out_offset >= conn.unsent()) {
+    conn.outbuf.erase(0, conn.out_offset);
     conn.out_offset = 0;
   }
+  if (conn.unsent() <= kOutputHighWaterBytes) conn.WakeWriter();
   return true;
 }
 
@@ -570,13 +617,15 @@ void HttpServer::CloseConnection(uint64_t id) {
       close(conn->fd);
       conn->fd = -1;
     }
+    conn->WakeWriter();
   }
   connections_.erase(it);
 }
 
 void HttpServer::QueueOutput(const std::shared_ptr<Connection>& conn,
                              std::string_view bytes) {
-  if (conn->AppendOutput([bytes](std::string& out) { out.append(bytes); })) {
+  if (conn->AppendOutput([bytes](std::string& out) { out.append(bytes); },
+                         output_stalls_)) {
     WakeLoop();
   }
 }
@@ -584,7 +633,8 @@ void HttpServer::QueueOutput(const std::shared_ptr<Connection>& conn,
 void HttpServer::QueueChunk(const std::shared_ptr<Connection>& conn,
                             std::string_view line) {
   if (conn->AppendOutput(
-          [line](std::string& out) { AppendLineChunk(&out, line); })) {
+          [line](std::string& out) { AppendLineChunk(&out, line); },
+          output_stalls_)) {
     WakeLoop();
   }
 }
@@ -751,7 +801,8 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
           "\"requests_shed\":%llu,"
           "\"sheds\":{\"capacity\":%llu},"
           "\"parse_failures\":%llu,"
-          "\"disconnect_cancels\":%llu,\"drain_save_failures\":%llu,"
+          "\"disconnect_cancels\":%llu,\"output_stalls\":%llu,"
+          "\"drain_save_failures\":%llu,"
           "\"inflight\":%zu,"
           "\"tenants\":%zu,\"draining\":%s,"
           "\"wal\":{\"recoveries\":%llu,\"records_replayed\":%llu,"
@@ -765,6 +816,7 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
           static_cast<unsigned long long>(stats.requests_shed),
           static_cast<unsigned long long>(stats.parse_failures),
           static_cast<unsigned long long>(stats.disconnect_cancels),
+          static_cast<unsigned long long>(stats.output_stalls),
           static_cast<unsigned long long>(stats.drain_save_failures),
           stats.inflight, registry_->size(), draining() ? "true" : "false",
           static_cast<unsigned long long>(
@@ -945,8 +997,10 @@ void HttpServer::HandleMatch(const std::shared_ptr<Connection>& conn,
   } else {
     tenant.session->RunQuery(queries.front(), sink, control);
   }
-  QueueOutput(conn, kChunkedFinal);
+  // Counted finished before the client can see the end of the response,
+  // so a request that follows it sees it out of flight.
   FinishWork(timer.ElapsedSeconds() * 1e3);
+  QueueOutput(conn, kChunkedFinal);
 }
 
 void HttpServer::HandleIntegrate(const std::shared_ptr<Connection>& conn,
@@ -976,8 +1030,10 @@ void HttpServer::HandleIntegrate(const std::shared_ptr<Connection>& conn,
     QueueChunk(conn, line);
   };
   tenant.session->RunIntegrate(args, sink, control);
-  QueueOutput(conn, kChunkedFinal);
+  // Counted finished before the client can see the end of the response,
+  // so a request that follows it sees it out of flight.
   FinishWork(timer.ElapsedSeconds() * 1e3);
+  QueueOutput(conn, kChunkedFinal);
 }
 
 void HttpServer::HandleIngest(const std::shared_ptr<Connection>& conn,

@@ -11,6 +11,12 @@
 // still running, it cancels the request's CancelToken — the query winds
 // down cooperatively and the partial response is discarded.
 //
+// A connection's unsent output is bounded: a worker that would queue more
+// while kOutputHighWaterBytes are still unsent waits until the loop's
+// sends drain below the mark, so a client that stops reading holds up its
+// own query, not the server's memory. A close, a disconnect or the drain's
+// cancel ends the wait; the rest of that response is then dropped.
+//
 // Admission control reuses the engine's deadline machinery rather than
 // inventing a queue: up to `soft_inflight` concurrent match/batch
 // requests run with the tenant's full default deadline; between soft and
@@ -87,6 +93,7 @@ struct HttpServerStats {
   uint64_t requests_shed = 0;         ///< 503s from admission control
   uint64_t parse_failures = 0;        ///< connections killed by bad HTTP
   uint64_t disconnect_cancels = 0;    ///< queries cancelled by client EOF
+  uint64_t output_stalls = 0;  ///< waits for a client to read (see mark)
   uint64_t drain_save_failures = 0;   ///< tenants the drain failed to save
   size_t inflight = 0;                ///< match/batch executing right now
 };
@@ -147,6 +154,12 @@ class HttpServer {
   /// Routes SIGINT/SIGTERM to RequestShutdown() on this server. At most
   /// one server per process may install; returns false if taken.
   bool InstallShutdownSignalHandlers();
+
+  /// Unsent response bytes a connection may hold before the worker
+  /// writing to it waits for the client to read. A client that keeps
+  /// reading seldom leaves this much unsent; one that stops reading meets
+  /// it and then holds up only its own query.
+  static constexpr size_t kOutputHighWaterBytes = size_t{8} << 20;
 
   uint16_t port() const { return port_; }
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
@@ -251,6 +264,7 @@ class HttpServer {
   obs::Counter* shed_capacity_ = nullptr;  ///< {reason="capacity"}
   obs::Counter* parse_failures_ = nullptr;
   obs::Counter* disconnect_cancels_ = nullptr;
+  obs::Counter* output_stalls_ = nullptr;
   obs::Counter* drain_save_failures_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Histogram* request_latency_ms_ = nullptr;

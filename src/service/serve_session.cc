@@ -131,16 +131,23 @@ void NdjsonEventObserver::OnClusterFinish(size_t sequence, size_t total,
                                           const core::ClusterSummary& summary,
                                           const core::MatchStats& so_far) {
   if (!cluster_events_) return;
-  char nums[224];
-  std::snprintf(nums, sizeof(nums),
-                "\",\"seq\":%zu,\"total\":%zu,\"tree\":%d,"
-                "\"mappings\":%zu,\"partials_generated\":%llu,"
-                "\"ms\":%.3f}",
-                sequence, total, summary.tree, so_far.num_mappings,
-                static_cast<unsigned long long>(
-                    so_far.generator.partial_mappings),
-                ElapsedMs());
-  sink_("{\"type\":\"cluster\",\"id\":\"" + id_ + nums);
+  std::string& line = line_;
+  line.assign("{\"type\":\"cluster\",\"id\":\"");
+  line.append(id_);
+  line.append("\",\"seq\":");
+  AppendInteger(&line, sequence);
+  line.append(",\"total\":");
+  AppendInteger(&line, total);
+  line.append(",\"tree\":");
+  AppendInteger(&line, summary.tree);
+  line.append(",\"mappings\":");
+  AppendInteger(&line, so_far.num_mappings);
+  line.append(",\"partials_generated\":");
+  AppendInteger(&line, so_far.generator.partial_mappings);
+  line.append(",\"ms\":");
+  AppendFixed(&line, ElapsedMs(), 3);
+  line.push_back('}');
+  sink_(line);
 }
 
 void NdjsonEventObserver::OnFinish(const core::MatchResult& result) {
@@ -312,10 +319,7 @@ Result<core::MatchResult> ServeSession::RunQuery(
   const double done_ms = observer.DoneMs();
   const double slow_ms = service_->options().slow_query_ms;
   if (slow_ms > 0 && done_ms >= slow_ms) {
-    char nums[128];
-    std::snprintf(nums, sizeof(nums),
-                  "\",\"ms\":%.3f,\"threshold_ms\":%.3f}", done_ms, slow_ms);
-    sink("{\"type\":\"slow_query\",\"id\":\"" + JsonEscape(query.id) + nums);
+    EmitSlowQueryEvent(query.id, done_ms, slow_ms, sink);
   }
   EmitDoneEvent(query.id, result, done_ms, sink);
   return result;
@@ -524,14 +528,14 @@ Status ServeSession::RunCommand(const std::string& line,
   }
   if (command == "!generation") {
     RepositoryPinPtr pin = service_->Pin();
-    char nums[160];
-    std::snprintf(nums, sizeof(nums),
-                  "{\"type\":\"generation\",\"generation\":%llu,"
-                  "\"fingerprint\":\"%016llx\",\"trees\":%zu}",
-                  static_cast<unsigned long long>(pin->generation()),
-                  static_cast<unsigned long long>(pin->fingerprint()),
-                  pin->num_trees());
-    sink(nums);
+    std::string line = "{\"type\":\"generation\",\"generation\":";
+    AppendInteger(&line, pin->generation());
+    line.append(",\"fingerprint\":\"");
+    AppendHex(&line, pin->fingerprint(), 16);
+    line.append("\",\"trees\":");
+    AppendInteger(&line, pin->num_trees());
+    line.push_back('}');
+    sink(line);
     return Status::OK();
   }
   if (command == "!stats") {
@@ -638,35 +642,63 @@ void ServeSession::EmitDoneEvent(const std::string& id,
     return;
   }
   const core::MatchStats& stats = result->stats;
-  char nums[256];
   // "mappings" counts everything with Δ ≥ δ found by the run — it matches
-  // the `match` command's count and the number of mapping event lines;
-  // "kept" is the returned list after top-N trimming.
-  std::snprintf(
-      nums, sizeof(nums),
-      "\",\"mappings\":%zu,\"kept\":%zu,\"partial_mappings\":%zu,"
-      "\"clusters\":%zu,\"useful\":%zu,\"ms\":%.3f}",
-      stats.num_mappings, result->mappings.size(),
-      result->partial_mappings.size(), stats.num_clusters,
-      stats.num_useful_clusters, elapsed_ms);
-  sink("{\"type\":\"done\",\"id\":\"" + JsonEscape(id) + "\",\"status\":\"" +
-       std::string(core::ExecutionStatusName(result->execution)) + nums);
+  // the `match` command's count, and with top=0 the number of mapping
+  // event lines (a top-N run streams only the mappings that entered the
+  // running top N); "kept" is the returned list after top-N trimming.
+  std::string line = "{\"type\":\"done\",\"id\":\"";
+  AppendJsonEscaped(&line, id);
+  line.append("\",\"status\":\"");
+  line.append(core::ExecutionStatusName(result->execution));
+  line.append("\",\"mappings\":");
+  AppendInteger(&line, stats.num_mappings);
+  line.append(",\"kept\":");
+  AppendInteger(&line, result->mappings.size());
+  line.append(",\"partial_mappings\":");
+  AppendInteger(&line, result->partial_mappings.size());
+  line.append(",\"clusters\":");
+  AppendInteger(&line, stats.num_clusters);
+  line.append(",\"useful\":");
+  AppendInteger(&line, stats.num_useful_clusters);
+  line.append(",\"ms\":");
+  AppendFixed(&line, elapsed_ms, 3);
+  line.push_back('}');
+  sink(line);
+}
+
+void ServeSession::EmitSlowQueryEvent(const std::string& id, double ms,
+                                      double threshold_ms,
+                                      const EventSink& sink) {
+  std::string line = "{\"type\":\"slow_query\",\"id\":\"";
+  AppendJsonEscaped(&line, id);
+  line.append("\",\"ms\":");
+  AppendFixed(&line, ms, 3);
+  line.append(",\"threshold_ms\":");
+  AppendFixed(&line, threshold_ms, 3);
+  line.push_back('}');
+  sink(line);
 }
 
 void ServeSession::EmitGenerationEvent(const live::ApplyReport& report,
                                        const EventSink& sink) {
-  char nums[320];
-  std::snprintf(
-      nums, sizeof(nums),
-      "{\"type\":\"generation\",\"generation\":%llu,"
-      "\"fingerprint\":\"%016llx\",\"trees\":%zu,\"trees_reused\":%zu,"
-      "\"trees_rebuilt\":%zu,\"names_copied\":%zu,\"names_computed\":%zu,"
-      "\"build_ms\":%.3f}",
-      static_cast<unsigned long long>(report.generation),
-      static_cast<unsigned long long>(report.fingerprint), report.trees_total,
-      report.trees_reused, report.trees_rebuilt, report.name_entries_copied,
-      report.name_entries_computed, 1e3 * report.build_seconds);
-  sink(nums);
+  std::string line = "{\"type\":\"generation\",\"generation\":";
+  AppendInteger(&line, report.generation);
+  line.append(",\"fingerprint\":\"");
+  AppendHex(&line, report.fingerprint, 16);
+  line.append("\",\"trees\":");
+  AppendInteger(&line, report.trees_total);
+  line.append(",\"trees_reused\":");
+  AppendInteger(&line, report.trees_reused);
+  line.append(",\"trees_rebuilt\":");
+  AppendInteger(&line, report.trees_rebuilt);
+  line.append(",\"names_copied\":");
+  AppendInteger(&line, report.name_entries_copied);
+  line.append(",\"names_computed\":");
+  AppendInteger(&line, report.name_entries_computed);
+  line.append(",\"build_ms\":");
+  AppendFixed(&line, 1e3 * report.build_seconds, 3);
+  line.push_back('}');
+  sink(line);
 }
 
 void ServeSession::EmitErrorEvent(const std::string& id, const Status& status,

@@ -80,13 +80,13 @@ struct ServeSessionOptions {
 
 /// Streams one query's run as NDJSON events into a sink. Event lines are
 /// composed as strings — unbounded fields (query ids, mapping text) can
-/// never truncate the JSON. A mapping event, the one a run emits per
-/// mapping found, is composed in one member buffer that every event
-/// reuses: numbers go in through std::to_chars, the mapping text through
-/// generate::AppendMappingText, and only a name that needs JSON escaping
-/// is rewritten. The sink is called once per event with that buffer, so it
-/// must copy what it keeps. Callbacks fire on the thread executing the
-/// query, one at a time, so the buffer needs no lock.
+/// never truncate the JSON. Mapping and cluster events are composed in one
+/// member buffer that every event reuses: numbers go in through
+/// std::to_chars, the mapping text through generate::AppendMappingText,
+/// and only a name that needs JSON escaping is rewritten. The sink is
+/// called once per event with that buffer, so it must copy what it keeps.
+/// Callbacks fire on the thread executing the query, one at a time, so the
+/// buffer needs no lock.
 class NdjsonEventObserver : public core::MatchObserver {
  public:
   /// `personal` and `pin` must outlive the observer; `pin` is the
@@ -228,10 +228,17 @@ class ServeSession {
                   core::ExecutionControl control = core::ExecutionControl());
 
   /// Emits the "done"/"error" terminal event for one finished query.
-  /// Exposed for transports that submit queries themselves.
+  /// Exposed for transports that submit queries themselves. "mappings" is
+  /// every mapping with Δ ≥ δ the run found, which equals the number of
+  /// mapping events only for top=0; "kept" is the top-N-trimmed list.
   static void EmitDoneEvent(const std::string& id,
                             const Result<core::MatchResult>& result,
                             double elapsed_ms, const EventSink& sink);
+
+  /// Emits the "slow_query" event RunQuery sends before "done" when a
+  /// query took at least the service's slow_query_ms.
+  static void EmitSlowQueryEvent(const std::string& id, double ms,
+                                 double threshold_ms, const EventSink& sink);
 
   /// Emits one "generation" event describing a published delta.
   static void EmitGenerationEvent(const live::ApplyReport& report,

@@ -140,6 +140,15 @@ Result<long long> ParseInteger(const std::string& key,
   return parsed;
 }
 
+void AppendHex(std::string* out, unsigned long long value, int width) {
+  char buf[16];  // a 64-bit value
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), value, 16);
+  const int digits = static_cast<int>(r.ptr - buf);
+  if (width > digits) out->append(static_cast<size_t>(width - digits), '0');
+  out->append(buf, r.ptr);
+}
+
 void AppendFixed(std::string* out, double value, int precision) {
   // DBL_MAX has 309 integer digits; with its sign, the point and up to 17
   // decimals it fits. Only a larger precision takes the printf path.

@@ -54,6 +54,10 @@ void AppendInteger(std::string* out, Int value) {
   out->append(buf, r.ptr);
 }
 
+/// Appends `value` as at least `width` lowercase hex digits, zero-padded:
+/// the digits "%0*llx" prints.
+void AppendHex(std::string* out, unsigned long long value, int width);
+
 /// Appends `value` with `precision` decimals: the digits "%.Nf" prints
 /// (std::to_chars is specified to round exactly as printf does in the C
 /// locale).

@@ -12,6 +12,9 @@
 //
 // Streaming / anytime execution (cancellation, deadlines, early exit):
 //   struct Printer : xsm::core::MatchObserver {
+//     // Each mapping the moment it is found, with its rank so far. With
+//     // options.top_n = N only those entering the running top N arrive;
+//     // keeping the last N by rank ends with the final list.
 //     void OnMapping(const xsm::generate::SchemaMapping& m,
 //                    size_t running_rank) override { ... }
 //   } printer;

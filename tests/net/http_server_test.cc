@@ -607,6 +607,125 @@ TEST_F(HttpServerTest, SlowReaderGetsTheWholeStreamThenThePipelinedNext) {
   running.server->RequestShutdown();
 }
 
+// A top=0 match that streams about 46k mapping events, 21 MB: more than
+// the output high-water mark plus what the server's send buffer (4 MB by
+// default on Linux) and the client's capped receive buffer can hold, so a
+// client that reads nothing stalls the query's worker at the mark.
+constexpr const char* kStallQuery =
+    "person(name,address,phone,email) id=stall delta=0.6 top=0";
+
+// Opens a connection with a capped receive buffer, sends the stall query
+// on it without reading anything back, and waits for the worker to stall.
+HttpClient SendStallQuery(const HttpServer& server) {
+  const uint64_t stalls_before = server.stats().output_stalls;
+  HttpClient client;
+  EXPECT_TRUE(client.Connect(kHost, server.port()).ok());
+  int rcvbuf = 256 * 1024;
+  EXPECT_EQ(setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof(rcvbuf)),
+            0);
+  EXPECT_TRUE(client
+                  .SendRaw(BuildRequest("POST", "/v1/tenants/t1/match",
+                                        kStallQuery))
+                  .ok());
+  for (int i = 0; i < 2400 && server.stats().output_stalls == stalls_before;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_GT(server.stats().output_stalls, stalls_before)
+      << "the worker never waited at the output high-water mark";
+  return client;
+}
+
+TEST_F(HttpServerTest, ClientThatStopsReadingStallsOnlyItsOwnQuery) {
+  auto running = StartServer(MakeRegistry());
+
+  // The in-process run: its events are the expected body.
+  TenantRegistryOptions options = RegistryOptions();
+  auto service = service::MatchService::Create(*forest_, options.service);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  service::ServeSession session(service->get(), options.session);
+  auto query = session.ParseQuery(kStallQuery, 0);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  std::vector<std::string> direct_events;
+  auto result = session.RunQuery(*query, [&](const std::string& event) {
+    direct_events.push_back(event);
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  size_t direct_bytes = 0;
+  for (const std::string& event : direct_events) {
+    direct_bytes += event.size() + 1;
+  }
+  ASSERT_GT(direct_bytes, 2 * HttpServer::kOutputHighWaterBytes);
+
+  HttpClient client = SendStallQuery(*running.server);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  // The query is still in flight (its worker waits at the mark), and the
+  // server still answers other connections.
+  auto stats = FetchOnce(kHost, running.server->port(), "GET", "/v1/stats");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->status_code, 200);
+  EXPECT_NE(stats->body.find("\"inflight\":1,"), std::string::npos)
+      << stats->body;
+  EXPECT_EQ(stats->body.find("\"output_stalls\":0,"), std::string::npos)
+      << stats->body;
+  auto health = FetchOnce(kHost, running.server->port(), "GET", "/v1/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status_code, 200);
+
+  // Once the client reads, it gets the whole stream.
+  HttpLimits limits;
+  limits.max_body_bytes = 64u << 20;
+  auto response = client.ReadResponse(limits, /*timeout_seconds=*/120);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status_code, 200);
+  EXPECT_EQ(NormalizeAll(SplitLines(response->body)),
+            NormalizeAll(direct_events));
+
+  running.server->RequestShutdown();
+}
+
+TEST_F(HttpServerTest, DisconnectWakesAWorkerStalledAtTheMark) {
+  auto running = StartServer(MakeRegistry());
+  service::Matcher* service = running.registry->Find("t1")->service.get();
+  const uint64_t cancelled_before = service->stats().cancelled;
+
+  HttpClient client = SendStallQuery(*running.server);
+  client.Close();
+
+  // The disconnect wakes the worker, which drops its output; the query
+  // stops through its CancelToken and the slot frees.
+  bool cancelled = false;
+  for (int i = 0; i < 800 && !cancelled; ++i) {
+    cancelled = service->stats().cancelled > cancelled_before &&
+                running.server->stats().inflight == 0;
+    if (!cancelled) std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_TRUE(cancelled) << "stalled query did not stop after disconnect";
+  EXPECT_GT(running.server->stats().disconnect_cancels, 0u);
+
+  running.server->RequestShutdown();
+}
+
+TEST_F(HttpServerTest, DrainCancelWakesAWorkerStalledAtTheMark) {
+  HttpServerOptions options;
+  options.drain_cancel_seconds = 0.2;
+  options.drain_hard_seconds = 60;
+  auto running = StartServer(MakeRegistry(), options);
+
+  HttpClient client = SendStallQuery(*running.server);
+
+  // The drain's cancel wakes the stalled worker, which drops the rest of
+  // its response; the connection closes and the drain ends long before
+  // its hard deadline, with the client still reading nothing.
+  const auto started = std::chrono::steady_clock::now();
+  running.server->RequestShutdown();
+  running.server.reset();  // joins the drained loop
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(30));
+}
+
 // --- holistic integration --------------------------------------------------
 
 TEST_F(HttpServerTest, IntegrateStreamIsEventIdenticalToInProcessRun) {

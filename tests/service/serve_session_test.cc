@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <regex>
 #include <string>
@@ -125,9 +126,54 @@ TEST_F(ServeSessionTest, RunQueryStreamsMappingsThenDone) {
   EXPECT_NE(events.back().find("\"type\":\"done\""), std::string::npos);
   EXPECT_NE(events.back().find("\"status\":\"completed\""),
             std::string::npos);
-  // Streaming reports every mapping found; top=4 trims the final result.
+  // Streaming reports every mapping that entered the running top 4, which
+  // includes each of the final 4.
   EXPECT_EQ(result->mappings.size(), 4u);
   EXPECT_GE(events.size() - 1, result->mappings.size());
+}
+
+TEST(ServeSessionStreamBoundTest, EightNodeTopTenStreamIsBounded) {
+  // An 8-node schema whose one useful cluster holds about 40k mappings with
+  // Δ ≥ 0.7 (the adaptive floor rises only between clusters, so the run
+  // still finds them all). With top=10 only the mappings that enter the
+  // running top 10 stream: a bounded handful, not one event per mapping.
+  constexpr size_t kMaxMappingEvents = 200;
+  repo::SyntheticRepoOptions repo_options;
+  repo_options.target_elements = 3000;
+  repo_options.seed = 11;
+  auto forest = repo::GenerateSyntheticRepository(repo_options);
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  MatchServiceOptions service_options;
+  service_options.num_threads = 1;
+  auto service = MatchService::Create(*forest, service_options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ServeSession session(service->get(), ServeSessionOptions());
+  auto query = session.ParseQuery(
+      "order(item(price),customer(name,address),date,total) delta=0.7 "
+      "top=10",
+      0);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_EQ(query->personal.size(), 8u);
+
+  size_t mapping_events = 0;
+  std::string done;
+  auto result = session.RunQuery(*query, [&](const std::string& event) {
+    if (event.find("\"type\":\"mapping\"") != std::string::npos) {
+      ++mapping_events;
+    } else if (event.find("\"type\":\"done\"") != std::string::npos) {
+      done = event;
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->execution, core::ExecutionStatus::kCompleted);
+  EXPECT_GE(mapping_events, 10u);
+  EXPECT_LE(mapping_events, kMaxMappingEvents);
+  EXPECT_GT(result->stats.num_mappings, 100 * kMaxMappingEvents);
+  EXPECT_NE(done.find("\"mappings\":" +
+                      std::to_string(result->stats.num_mappings) + ","),
+            std::string::npos)
+      << done;
+  EXPECT_NE(done.find("\"kept\":10,"), std::string::npos) << done;
 }
 
 TEST_F(ServeSessionTest, HugeTopCompletesLikeNoLimit) {
@@ -619,6 +665,165 @@ TEST(MappingFormatTest, InPlaceFormattersMatchTheSnprintfReference) {
   for (int c = 0; c < 256; ++c) every_byte.push_back(static_cast<char>(c));
   EXPECT_EQ(JsonEscape(every_byte), ReferenceJsonEscape(every_byte));
   EXPECT_EQ(JsonEscape(""), "");
+}
+
+// The done / cluster / slow_query / generation events as first written
+// (snprintf around an escaped id), kept as an independent reference for
+// the in-place composers. The buffers are larger than the originals, which
+// cut a huge "ms" value (1e300 prints 304 digits) short and so broke the
+// line; the in-place composers never truncate.
+std::string ReferenceDoneEvent(const std::string& id,
+                               const core::MatchResult& result,
+                               double elapsed_ms) {
+  const core::MatchStats& stats = result.stats;
+  char nums[1024];
+  std::snprintf(
+      nums, sizeof(nums),
+      "\",\"mappings\":%zu,\"kept\":%zu,\"partial_mappings\":%zu,"
+      "\"clusters\":%zu,\"useful\":%zu,\"ms\":%.3f}",
+      stats.num_mappings, result.mappings.size(),
+      result.partial_mappings.size(), stats.num_clusters,
+      stats.num_useful_clusters, elapsed_ms);
+  return "{\"type\":\"done\",\"id\":\"" + ReferenceJsonEscape(id) +
+         "\",\"status\":\"" +
+         std::string(core::ExecutionStatusName(result.execution)) + nums;
+}
+
+std::string ReferenceClusterEvent(const std::string& id, size_t sequence,
+                                  size_t total,
+                                  const core::ClusterSummary& summary,
+                                  const core::MatchStats& so_far,
+                                  double ms) {
+  char nums[1024];
+  std::snprintf(nums, sizeof(nums),
+                "\",\"seq\":%zu,\"total\":%zu,\"tree\":%d,"
+                "\"mappings\":%zu,\"partials_generated\":%llu,"
+                "\"ms\":%.3f}",
+                sequence, total, summary.tree, so_far.num_mappings,
+                static_cast<unsigned long long>(
+                    so_far.generator.partial_mappings),
+                ms);
+  return "{\"type\":\"cluster\",\"id\":\"" + ReferenceJsonEscape(id) +
+         nums;
+}
+
+std::string ReferenceSlowQueryEvent(const std::string& id, double ms,
+                                    double threshold_ms) {
+  char nums[1024];
+  std::snprintf(nums, sizeof(nums), "\",\"ms\":%.3f,\"threshold_ms\":%.3f}",
+                ms, threshold_ms);
+  return "{\"type\":\"slow_query\",\"id\":\"" + ReferenceJsonEscape(id) +
+         nums;
+}
+
+std::string ReferenceGenerationEvent(const live::ApplyReport& report) {
+  char nums[1024];
+  std::snprintf(
+      nums, sizeof(nums),
+      "{\"type\":\"generation\",\"generation\":%llu,"
+      "\"fingerprint\":\"%016llx\",\"trees\":%zu,\"trees_reused\":%zu,"
+      "\"trees_rebuilt\":%zu,\"names_copied\":%zu,\"names_computed\":%zu,"
+      "\"build_ms\":%.3f}",
+      static_cast<unsigned long long>(report.generation),
+      static_cast<unsigned long long>(report.fingerprint), report.trees_total,
+      report.trees_reused, report.trees_rebuilt, report.name_entries_copied,
+      report.name_entries_computed, 1e3 * report.build_seconds);
+  return nums;
+}
+
+TEST(EventFormatTest, InPlaceEventsMatchTheSnprintfReference) {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::string> ids = {
+      "q1", "", "id \"with\" \\ and \n", "c\x01\x1f\tl",
+      "na\xC3\xAFve\x7f"};
+  // Wall-clock values at the edges: zero, rounding edges of the third
+  // decimal, huge, infinite and not-a-number.
+  const std::vector<double> ms_values = {
+      0.0,   -0.0,     0.0005, 0.0004999, 1234.5675, 1.0 / 3.0,
+      1e300, -1e300,  kInf,   -kInf,     kNaN,      -kNaN,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min()};
+  std::vector<std::string> events;
+  const EventSink sink = [&events](const std::string& line) {
+    events.push_back(line);
+  };
+
+  // done: every terminal status, counts at 0 and SIZE_MAX.
+  for (const std::string& id : ids) {
+    for (size_t v = 0; v < ms_values.size(); ++v) {
+      core::MatchResult result;
+      result.execution = static_cast<core::ExecutionStatus>(v % 4);
+      result.stats.num_mappings = v % 2 == 0 ? kMax : 0;
+      result.stats.num_clusters = v % 3 == 0 ? kMax : v;
+      result.stats.num_useful_clusters = v % 2 == 1 ? kMax : 0;
+      result.mappings.resize(v % 3);
+      result.partial_mappings.resize(v % 2);
+      events.clear();
+      ServeSession::EmitDoneEvent(id, result, ms_values[v], sink);
+      ASSERT_EQ(events.size(), 1u);
+      EXPECT_EQ(events[0], ReferenceDoneEvent(id, result, ms_values[v]))
+          << v;
+
+      events.clear();
+      ServeSession::EmitSlowQueryEvent(
+          id, ms_values[v], ms_values[(v + 5) % ms_values.size()], sink);
+      ASSERT_EQ(events.size(), 1u);
+      EXPECT_EQ(events[0],
+                ReferenceSlowQueryEvent(
+                    id, ms_values[v], ms_values[(v + 5) % ms_values.size()]))
+          << v;
+    }
+  }
+
+  // cluster: its "ms" is the observer's own clock, so it is compared as
+  // written into the reference and everything else byte for byte.
+  static const std::regex kTrailingMs(",\"ms\":([^,}]*)\\}$");
+  for (const std::string& id : ids) {
+    NdjsonEventObserver observer(id, /*personal=*/nullptr, /*pin=*/nullptr,
+                                 sink, /*cluster_events=*/true);
+    for (schema::TreeId tree : {std::numeric_limits<schema::TreeId>::min(),
+                                -1, 0, 7,
+                                std::numeric_limits<schema::TreeId>::max()}) {
+      core::ClusterSummary summary;
+      summary.tree = tree;
+      core::MatchStats so_far;
+      so_far.num_mappings = tree < 0 ? kMax : 0;
+      so_far.generator.partial_mappings =
+          tree > 0 ? std::numeric_limits<uint64_t>::max() : 0;
+      const size_t sequence = tree == 0 ? kMax : 3;
+      const size_t total = tree == 7 ? 0 : kMax;
+      events.clear();
+      observer.OnClusterFinish(sequence, total, summary, so_far);
+      ASSERT_EQ(events.size(), 1u);
+      std::smatch ms;
+      ASSERT_TRUE(std::regex_search(events[0], ms, kTrailingMs)) << events[0];
+      EXPECT_EQ(events[0],
+                ReferenceClusterEvent(id, sequence, total, summary, so_far,
+                                      std::stod(ms[1].str())));
+    }
+  }
+
+  // generation: 64-bit extremes, fingerprints of every hex width.
+  const std::vector<uint64_t> u64 = {
+      0, 1, 0xabcdef, 0x0123456789abcdefull,
+      std::numeric_limits<uint64_t>::max()};
+  for (size_t v = 0; v < ms_values.size(); ++v) {
+    live::ApplyReport report;
+    report.generation = u64[v % u64.size()];
+    report.fingerprint = u64[(v + 2) % u64.size()];
+    report.trees_total = v % 2 == 0 ? kMax : 0;
+    report.trees_reused = v;
+    report.trees_rebuilt = v % 3 == 0 ? kMax : 1;
+    report.name_entries_copied = kMax - v;
+    report.name_entries_computed = 0;
+    report.build_seconds = ms_values[v];
+    events.clear();
+    ServeSession::EmitGenerationEvent(report, sink);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0], ReferenceGenerationEvent(report)) << v;
+  }
 }
 
 }  // namespace

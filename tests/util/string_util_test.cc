@@ -135,5 +135,18 @@ TEST(StringUtilTest, AppendIntegerPrintsTheDecimalDigits) {
   EXPECT_EQ(out, "-2147483648 0 18446744073709551615 -9223372036854775808");
 }
 
+TEST(StringUtilTest, AppendHexPrintsThePrintfDigits) {
+  for (unsigned long long value :
+       {0ull, 1ull, 0xfull, 0x10ull, 0xabcdefull, 0x0123456789abcdefull,
+        0x8000000000000000ull, std::numeric_limits<unsigned long long>::max()}) {
+    for (int width : {0, 1, 8, 16, 20}) {
+      std::string out = "x";
+      AppendHex(&out, value, width);
+      EXPECT_EQ(out, "x" + StringPrintf("%0*llx", width, value))
+          << value << " width " << width;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xsm

@@ -29,9 +29,10 @@
 //            line, `SPEC [key=value ...]` (keys: id, delta, top, cluster,
 //            join, threshold, alpha); '#' starts a comment. Per-line keys
 //            override the command-line defaults. Results stream to stdout
-//            as NDJSON events: one "mapping" line per emitted mapping the
-//            moment it is found, then one "done" line per query (input
-//            order) with the typed terminal status.
+//            as NDJSON events: one "mapping" line the moment a mapping is
+//            found that enters the running top `top` (every mapping with
+//            top=0), then one "done" line per query (input order) with the
+//            typed terminal status.
 //   integrate (--forest FILE | --repo-dir DIR | --synthetic N[:seed]
 //            | --warm-start FILE.snap) [--threshold T] [--min-linkage N]
 //            [--severity weak|probable|strong] [--seed S] [--threads N]
