@@ -38,7 +38,7 @@ struct ClusterPoint {
 };
 
 /// A formed cluster. `members` index into the points vector passed to the
-/// clusterer.
+/// clusterer, in ascending order.
 struct Cluster {
   schema::TreeId tree = -1;
   schema::NodeRef centroid;

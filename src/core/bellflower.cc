@@ -4,11 +4,10 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <limits>
 #include <optional>
 
 #include "core/match_observer.h"
-#include "generate/top_n_floor.h"
+#include "generate/top_n_keeper.h"
 #include "obs/trace.h"
 #include "util/timer.h"
 
@@ -56,6 +55,69 @@ generate::ClusterCandidates BuildClusterCandidates(
   }
   return cands;
 }
+
+namespace {
+
+// Where each mapping element of a run sits in its ME_n: the j-th set bit n
+// of point i's mask is ME_n[rank[begin[i] + j]]. Points and every ME_n
+// share NodeRef order (MatchElements emits both from one sorted sweep), so
+// that index is the number of earlier points carrying bit n, and one pass
+// over the masks finds them all.
+struct RankIndex {
+  std::vector<uint32_t> begin;  ///< per point, plus an end sentinel
+  std::vector<uint32_t> rank;
+
+  RankIndex(const std::vector<cluster::ClusterPoint>& points,
+            size_t total_elements) {
+    begin.reserve(points.size() + 1);
+    rank.reserve(total_elements);
+    std::array<uint32_t, match::kMaxPersonalNodes> seen{};
+    for (const cluster::ClusterPoint& point : points) {
+      begin.push_back(static_cast<uint32_t>(rank.size()));
+      for (uint32_t bits = point.personal_mask; bits != 0; bits &= bits - 1) {
+        rank.push_back(seen[static_cast<size_t>(std::countr_zero(bits))]++);
+      }
+    }
+    begin.push_back(static_cast<uint32_t>(rank.size()));
+  }
+
+  /// Calls `visit(n, element)` for each mapping element of point `i`.
+  template <typename Visit>
+  void ForEachElement(const match::ElementMatchingResult& matching,
+                      const std::vector<cluster::ClusterPoint>& points,
+                      size_t i, Visit&& visit) const {
+    const uint32_t* r = rank.data() + begin[i];
+    for (uint32_t bits = points[i].personal_mask; bits != 0;
+         bits &= bits - 1, ++r) {
+      const size_t n = static_cast<size_t>(std::countr_zero(bits));
+      const match::MappingElement& element = matching.sets[n].elements[*r];
+      assert(element.node == points[i].node);
+      visit(n, element);
+    }
+  }
+};
+
+// BuildClusterCandidates through the rank index, into `cands`' reused
+// buffers. The clusterers list members in point order, so every list comes
+// out in NodeRef order without a sort.
+void FillClusterCandidates(const match::ElementMatchingResult& matching,
+                           const std::vector<cluster::ClusterPoint>& points,
+                           const RankIndex& ranks,
+                           const cluster::Cluster& cluster,
+                           generate::ClusterCandidates* cands) {
+  cands->tree = cluster.tree;
+  cands->candidates.resize(matching.sets.size());
+  for (auto& list : cands->candidates) list.clear();
+  assert(std::is_sorted(cluster.members.begin(), cluster.members.end()));
+  for (int32_t m : cluster.members) {
+    ranks.ForEachElement(matching, points, static_cast<size_t>(m),
+                         [cands](size_t n, const match::MappingElement& e) {
+                           cands->candidates[n].push_back(e);
+                         });
+  }
+}
+
+}  // namespace
 
 Bellflower::Bellflower(const schema::SchemaForest* repository)
     : repository_(repository) {
@@ -251,35 +313,23 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   // clusters. A null `control` never stops.
   ExecutionMonitor monitor;
   if (control != nullptr) monitor = ExecutionMonitor(*control);
-  // The running top-N window: indices into result.mappings of the best
-  // min(N, found) mappings so far, sorted by MappingOrder (ties in emission
-  // order). A new mapping's running rank is its upper bound in the window
-  // plus one, so a rank costs O(log N) compares and at most N moves. One
-  // that would land past a full window ranks below N: it cannot be in the
-  // final top N and is not streamed. Without top-N (top_n == 0) the window
-  // is unbounded and every mapping streams. It grows only with the
-  // mappings found, so a huge N (a request's SIZE_MAX) reserves nothing.
-  const size_t window_limit =
-      options.top_n > 0 ? options.top_n : std::numeric_limits<size_t>::max();
-  std::vector<size_t> window;
+  // The run's mappings: the best top_n in MappingOrder (every one with
+  // top_n == 0), each counted and ranked the moment it is emitted. The
+  // generators append to `found` and then fire on_emit, which moves the
+  // mapping into the keeper, so `found` never holds more than one. A
+  // mapping that lands past the running top N cannot be in the final top N
+  // and is not streamed.
+  generate::TopNKeeper keeper(options.top_n,
+                              /*track_ranks=*/observer != nullptr);
+  std::vector<SchemaMapping> found;
+  monitor.on_emit = [&keeper, &found, observer]() {
+    const size_t rank = keeper.Offer(std::move(found.back()));
+    found.pop_back();
+    if (observer != nullptr && rank > 0) {
+      observer->OnMapping(keeper.AtRank(rank), rank);
+    }
+  };
   if (observer != nullptr) {
-    // The generators append to result.mappings and then fire the hook, so
-    // the new mapping is always the last element.
-    monitor.on_emit = [&result, &window, window_limit, observer]() {
-      const size_t new_index = result.mappings.size() - 1;
-      auto before = [&result](size_t a, size_t b) {
-        return generate::MappingOrder()(result.mappings[a],
-                                        result.mappings[b]);
-      };
-      const size_t at = static_cast<size_t>(
-          std::upper_bound(window.begin(), window.end(), new_index, before) -
-          window.begin());
-      if (at >= window_limit) return;
-      if (window.size() == window_limit) window.pop_back();
-      window.insert(window.begin() + static_cast<std::ptrdiff_t>(at),
-                    new_index);
-      observer->OnMapping(result.mappings[new_index], at + 1);
-    };
     monitor.on_partial_emit = [&result, observer]() {
       observer->OnPartialMapping(result.partial_mappings.back());
     };
@@ -343,9 +393,28 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   generate::GeneratorOptions gen_options = options.generator;
   gen_options.delta = options.delta;
 
-  // First pass: per-cluster candidate sets and summaries.
+  const size_t m = personal.size();
+  const std::vector<schema::NodeId> order = personal.PreOrder();
+  const RankIndex ranks(points, stats.total_mapping_elements);
+  // Quality order ranks clusters by their lists, and structural scoring
+  // inside clusters rescores them before generation: both need every list
+  // up front. Otherwise a cluster's lists are built only when generation
+  // reaches it, into buffers reused from cluster to cluster.
+  const bool eager_lists =
+      options.cluster_order == ClusterOrder::kQualityDescending ||
+      (options.structural_matcher != nullptr &&
+       options.structural_within_clusters_only);
   std::vector<generate::ClusterCandidates> all_candidates(
-      clustering.clusters.size());
+      eager_lists ? clustering.clusters.size() : 0);
+  generate::ClusterCandidates lazy_candidates;
+  auto candidates_of = [&](size_t ci) -> const generate::ClusterCandidates& {
+    if (eager_lists) return all_candidates[ci];
+    FillClusterCandidates(*matching, points, ranks, clustering.clusters[ci],
+                          &lazy_candidates);
+    return lazy_candidates;
+  };
+
+  // First pass: per-cluster summaries, from the member masks alone.
   stats.cluster_summaries.reserve(num_considered);
   size_t useful_pairs = 0;
   std::vector<size_t> useful_order;
@@ -356,50 +425,63 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
 
   for (size_t pos = 0; pos < num_considered; ++pos) {
     const size_t ci = cluster_subset != nullptr ? (*cluster_subset)[pos] : pos;
-    // A stop during candidate building leaves later clusters out of
-    // useful_order / non_useful, so the generation loops skip them too.
+    // A stop during this pass leaves later clusters out of useful_order /
+    // non_useful, so the generation loops skip them too.
     if (monitor.ShouldStop()) break;
     const cluster::Cluster& c = clustering.clusters[ci];
     ClusterSummary summary;
     summary.tree = c.tree;
     summary.num_points = c.members.size();
-    summary.useful = c.useful(full_mask);
-    for (int32_t m : c.members) {
-      summary.num_mapping_elements += static_cast<size_t>(
-          std::popcount(points[static_cast<size_t>(m)].personal_mask));
-    }
-
-    generate::ClusterCandidates& cands = all_candidates[ci];
-    cands = BuildClusterCandidates(*matching, points, c);
-
-    if (options.structural_matcher != nullptr &&
-        options.structural_within_clusters_only && summary.useful &&
-        cands.useful()) {
-      // The paper's two-phase technique: the structural matcher group only
-      // sees elements inside (useful) clusters.
-      Timer structural_timer;
-      const double w = options.structural_weight;
-      const schema::SchemaTree& repo_tree = repository_->tree(cands.tree);
-      for (size_t n = 0; n < cands.candidates.size(); ++n) {
-        for (auto& element : cands.candidates[n]) {
-          double structural = options.structural_matcher->Score(
-              personal, static_cast<schema::NodeId>(n), repo_tree,
-              element.node.node);
-          element.score = (1.0 - w) * element.score + w * structural;
-          ++stats.structural_evaluations;
-        }
+    // per_node[n] = |ME_n ∩ cluster|, the length of candidate list n.
+    std::array<size_t, match::kMaxPersonalNodes> per_node{};
+    for (int32_t member : c.members) {
+      const uint32_t mask = points[static_cast<size_t>(member)].personal_mask;
+      summary.num_mapping_elements += static_cast<size_t>(std::popcount(mask));
+      for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+        ++per_node[static_cast<size_t>(std::countr_zero(bits))];
       }
-      stats.time_structural_seconds += structural_timer.ElapsedSeconds();
+    }
+    // Useful: the union mask covers every personal node and so does some
+    // member (the two agree on a consistent state).
+    summary.useful =
+        c.useful(full_mask) &&
+        std::all_of(per_node.begin(), per_node.begin() + m,
+                    [](size_t count) { return count > 0; });
+
+    if (eager_lists) {
+      generate::ClusterCandidates& cands = all_candidates[ci];
+      FillClusterCandidates(*matching, points, ranks, c, &cands);
+      if (options.structural_matcher != nullptr &&
+          options.structural_within_clusters_only && summary.useful) {
+        // The paper's two-phase technique: the structural matcher group
+        // only sees elements inside (useful) clusters.
+        Timer structural_timer;
+        const double w = options.structural_weight;
+        const schema::SchemaTree& repo_tree = repository_->tree(cands.tree);
+        for (size_t n = 0; n < cands.candidates.size(); ++n) {
+          for (auto& element : cands.candidates[n]) {
+            double structural = options.structural_matcher->Score(
+                personal, static_cast<schema::NodeId>(n), repo_tree,
+                element.node.node);
+            element.score = (1.0 - w) * element.score + w * structural;
+            ++stats.structural_evaluations;
+          }
+        }
+        stats.time_structural_seconds += structural_timer.ElapsedSeconds();
+      }
     }
 
-    if (summary.useful && cands.useful()) {
-      summary.search_space = cands.SearchSpaceSize();
+    if (summary.useful) {
+      // Multiplied in ClusterCandidates::SearchSpaceSize's order.
+      summary.search_space = 1;
+      for (size_t n = 0; n < m; ++n) {
+        summary.search_space *= static_cast<double>(per_node[n]);
+      }
       ++stats.num_useful_clusters;
       useful_pairs += summary.num_mapping_elements;
       stats.search_space += summary.search_space;
       useful_order.push_back(ci);
     } else {
-      summary.useful = false;  // mask-useful but candidate-starved is rare
       non_useful.push_back(ci);
     }
     summary_index[ci] = stats.cluster_summaries.size();
@@ -409,7 +491,6 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   // Cluster ordering (§7 future work): optimistic-Δ estimate per cluster.
   if (options.cluster_order == ClusterOrder::kQualityDescending &&
       !monitor.stopped()) {
-    std::vector<schema::NodeId> order = personal.PreOrder();
     std::vector<double> quality(clustering.clusters.size(), 0.0);
     for (size_t ci : useful_order) {
       const generate::ClusterCandidates& cands = all_candidates[ci];
@@ -453,12 +534,19 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   }
 
   // Second pass: generate, tracking time-to-first-result. With adaptive
-  // top-N pruning the effective δ ratchets up to the N-th best Δ seen.
+  // top-N pruning the effective δ ratchets up to the N-th best Δ kept.
   const bool adaptive =
       options.adaptive_top_n && options.top_n > 0 &&
       gen_options.algorithm == generate::Algorithm::kBranchAndBound;
-  std::optional<generate::TopNFloor> top_n_floor;
-  if (adaptive) top_n_floor.emplace(options.top_n);
+  // Per-cluster bound: the B&B root loop prunes every root candidate of a
+  // cluster whose bound at the best root score, with every edge at length
+  // 1, is below δ. That needs B&B, a root that is not also the last node,
+  // and scores read off `matching` (lazy lists).
+  const bool bound_clusters =
+      !eager_lists && m >= 2 &&
+      gen_options.algorithm == generate::Algorithm::kBranchAndBound;
+  const size_t root_node = static_cast<size_t>(order[0]);
+  const int64_t edges = static_cast<int64_t>(m) - 1;
   bool first_seen = false;
   const size_t total_useful = useful_order.size();
   size_t sequence = 0;
@@ -469,30 +557,60 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
                                stats.cluster_summaries[summary_index[ci]]);
     }
     generate::GeneratorOptions cluster_options = gen_options;
-    if (top_n_floor) {
-      cluster_options.delta = top_n_floor->Floor(cluster_options.delta);
-    }
-    const size_t mappings_before = result.mappings.size();
-    generate::MappingGenerator generator(personal, objective,
-                                         cluster_options);
-    XSM_RETURN_NOT_OK(generator.Generate(
-        all_candidates[ci], index_.tree(all_candidates[ci].tree),
-        &result.mappings, &stats.generator, &monitor));
-    if (top_n_floor) {
-      for (size_t i = mappings_before; i < result.mappings.size(); ++i) {
-        top_n_floor->Add(result.mappings[i].delta);
+    if (adaptive) cluster_options.delta = keeper.Floor(cluster_options.delta);
+
+    bool skip = false;
+    if (bound_clusters) {
+      const cluster::Cluster& c = clustering.clusters[ci];
+      std::array<double, match::kMaxPersonalNodes> best{};
+      size_t root_count = 0;
+      for (int32_t member : c.members) {
+        const size_t i = static_cast<size_t>(member);
+        ranks.ForEachElement(*matching, points, i,
+                             [&best](size_t n, const match::MappingElement& e) {
+                               best[n] = std::max(best[n], e.score);
+                             });
+        root_count += (points[i].personal_mask >> root_node) & 1u;
       }
+      // tail₁, added in MappingGenerator's optimistic_tail order.
+      double tail = 0.0;
+      for (size_t p = m; --p > 0;) {
+        tail = tail + best[static_cast<size_t>(order[p])];
+      }
+      // Each root candidate's bound is ≤ this one (a lower score, a path
+      // of at least `edges`), in floating point too: every step of
+      // UpperBound is monotone. The DFS would count each candidate once
+      // and prune it, unless the partial-mapping budget runs out inside
+      // that loop: then the generator runs, so `truncated` is set as ever.
+      const uint64_t budget = gen_options.max_partial_mappings;
+      skip = objective.UpperBound(best[root_node], tail, edges,
+                                  static_cast<int>(edges)) <
+                 cluster_options.delta &&
+             (budget == 0 ||
+              stats.generator.partial_mappings + root_count <= budget);
+      if (skip) {
+        stats.generator.partial_mappings += root_count;
+        stats.generator.pruned_by_bound += root_count;
+      }
+    }
+    if (!skip) {
+      const generate::ClusterCandidates& cands = candidates_of(ci);
+      generate::MappingGenerator generator(personal, objective,
+                                           cluster_options);
+      XSM_RETURN_NOT_OK(generator.Generate(cands, index_.tree(cands.tree),
+                                           &found, &stats.generator,
+                                           &monitor));
     }
     if (!first_seen) {
       ++stats.clusters_until_first_mapping;
-      if (!result.mappings.empty()) {
+      if (keeper.offered() > 0) {
         first_seen = true;
         stats.partials_until_first_mapping =
             stats.generator.partial_mappings;
       }
     }
     if (observer != nullptr) {
-      stats.num_mappings = result.mappings.size();  // incremental snapshot
+      stats.num_mappings = keeper.offered();  // incremental snapshot
       observer->OnClusterFinish(sequence, total_useful,
                                 stats.cluster_summaries[summary_index[ci]],
                                 stats);
@@ -509,9 +627,10 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
                                                         options.partial);
     for (size_t ci : non_useful) {
       if (monitor.ShouldStop()) break;
+      const generate::ClusterCandidates& cands = candidates_of(ci);
       XSM_RETURN_NOT_OK(partial_generator.Generate(
-          all_candidates[ci], index_.tree(all_candidates[ci].tree),
-          &result.partial_mappings, &stats.partial_generator, &monitor));
+          cands, index_.tree(cands.tree), &result.partial_mappings,
+          &stats.partial_generator, &monitor));
     }
     std::sort(result.partial_mappings.begin(),
               result.partial_mappings.end(),
@@ -530,12 +649,8 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   // --- Stage ⑤: one ranked list. ------------------------------------------
   generate_span.reset();
   obs::ScopedSpan merge_span(trace, "topk_merge");
-  std::sort(result.mappings.begin(), result.mappings.end(),
-            generate::MappingOrder());
-  stats.num_mappings = result.mappings.size();
-  if (options.top_n > 0 && result.mappings.size() > options.top_n) {
-    result.mappings.resize(options.top_n);
-  }
+  stats.num_mappings = keeper.offered();
+  result.mappings = keeper.Take();
   result.execution = monitor.status();
   if (observer != nullptr) observer->OnFinish(result);
   return result;

@@ -205,7 +205,11 @@ struct ClusterState {
 /// that bit n of a point's personal_mask is set exactly when the point's
 /// node is in ME_n (`points` and `matching` must come from one state), so
 /// it costs O(Σ_members popcount(mask) · log |ME_n|): proportional to the
-/// cluster's own mapping elements, not to Σ_n |ME_n|.
+/// cluster's own mapping elements, not to Σ_n |ME_n|. This is the
+/// stand-alone definition; MatchWithState builds the same lists without
+/// the searches, from the rank invariant: points and every ME_n share
+/// NodeRef order, so a point's index in ME_n is the number of earlier
+/// points carrying bit n.
 generate::ClusterCandidates BuildClusterCandidates(
     const match::ElementMatchingResult& matching,
     const std::vector<cluster::ClusterPoint>& points,
@@ -284,12 +288,23 @@ class Bellflower {
   /// MatchWithState calls may run concurrently against one state.
   /// `options`' state-determining fields are ignored — the state wins.
   ///
-  /// Stage ④ set-up costs O(M · log max_n |ME_n|) for M = Σ_n |ME_n| (each
-  /// mapping element is looked up once, in the one cluster holding its
-  /// node) plus O(log N) per mapping for the adaptive top-N floor — not
-  /// O(#clusters · M). This relies on the ClusterState invariant that
-  /// points[i].personal_mask bit n is set ⇔ points[i].node ∈ ME_n (see
-  /// ElementMatchingResult::masks and BuildClusterCandidates).
+  /// Stage ④ cost. One pass over the points' masks finds each mapping
+  /// element's index in its ME_n (the rank invariant: points and every ME_n
+  /// share NodeRef order, and points[i].personal_mask bit n is set ⇔
+  /// points[i].node ∈ ME_n; see ElementMatchingResult::masks and
+  /// BuildClusterCandidates). Each cluster's summary comes from its member
+  /// masks alone. When generation reaches a cluster, one pass over its
+  /// member bits gives each personal node's best score and |C_root|; if
+  /// the B&B bound at those scores, with every edge at length 1, is below
+  /// max(δ, adaptive floor), the cluster is skipped with the root-loop
+  /// counts the generator would have made (every root candidate counted
+  /// and pruned). Only the other clusters get candidate lists, built into
+  /// buffers reused from cluster to cluster. Quality ordering and
+  /// structural scoring inside clusters build every list up front and skip
+  /// nothing. Mappings go through a TopNKeeper: with top_n = N > 0 a run
+  /// holds at most N mappings, at O(log N) per mapping (plus O(N) index
+  /// moves for a ranked, observed run); every mapping is still counted in
+  /// MatchStats::num_mappings.
   Result<MatchResult> MatchWithState(const schema::SchemaTree& personal,
                                      const ClusterState& state,
                                      const MatchOptions& options) const;

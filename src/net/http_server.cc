@@ -97,6 +97,8 @@ struct HttpServer::Connection {
   /// completes.
   bool output_dropped = false;
   bool writer_waiting = false;  ///< a worker waits on `drained`
+  /// When the loop last sent bytes while a worker was waiting.
+  std::chrono::steady_clock::time_point sent_at;
   std::condition_variable drained;
   bool close_after_response = false;  ///< worker: no keep-alive after this
   core::CancelToken active_token;     ///< current request's cancel token
@@ -116,20 +118,32 @@ struct HttpServer::Connection {
   /// mark is unsent the worker first waits for the loop's sends to drain
   /// below it; a close, a disconnect or a cancel of the request ends the
   /// wait, and output is dropped from then on (the query stops through its
-  /// CancelToken). Each wait counts one `stalls`. Returns true when the
-  /// buffer was drained before the append: only then is the loop owed a
-  /// wake (see QueueOutput).
+  /// CancelToken). So does kOutputStallTimeout without a byte sent: the
+  /// worker then cancels the query itself, and the loop closes the
+  /// connection when the request completes. Each wait counts one `stalls`,
+  /// each timeout one `stall_timeouts`. Returns true when the buffer was
+  /// drained before the append: only then is the loop owed a wake (see
+  /// QueueOutput).
   template <typename Append>
-  bool AppendOutput(Append&& append, obs::Counter* stalls) {
+  bool AppendOutput(Append&& append, obs::Counter* stalls,
+                    obs::Counter* stall_timeouts) {
     std::unique_lock<std::mutex> lock(mu);
     if (unsent() > kOutputHighWaterBytes) {
       stalls->Increment();
       writer_waiting = true;
-      drained.wait(lock, [this] {
-        return closed || client_gone ||
-               (has_active_token && active_token.cancelled()) ||
-               unsent() <= kOutputHighWaterBytes;
-      });
+      const auto wait_start = std::chrono::steady_clock::now();
+      while (!closed && !client_gone &&
+             !(has_active_token && active_token.cancelled()) &&
+             unsent() > kOutputHighWaterBytes) {
+        const auto give_up =
+            std::max(wait_start, sent_at) + kOutputStallTimeout;
+        if (std::chrono::steady_clock::now() >= give_up) {
+          stall_timeouts->Increment();
+          if (has_active_token) active_token.Cancel();
+          break;
+        }
+        drained.wait_until(lock, give_up);
+      }
       writer_waiting = false;
       if (unsent() > kOutputHighWaterBytes) output_dropped = true;
     }
@@ -168,6 +182,10 @@ HttpServer::HttpServer(TenantRegistry* registry, HttpServerOptions options)
       "xsm_http_output_stalls_total",
       "Waits of a worker for a client to read past the output high-water "
       "mark");
+  output_stall_timeouts_ = metrics.RegisterCounter(
+      "xsm_http_output_stall_timeouts_total",
+      "Output stalls that timed out without drain progress: query "
+      "cancelled, connection closed");
   drain_save_failures_ = metrics.RegisterCounter(
       "xsm_http_drain_save_failures_total",
       "Tenants the graceful drain failed to persist");
@@ -283,6 +301,7 @@ HttpServerStats HttpServer::stats() const {
   stats.parse_failures = parse_failures_->value();
   stats.disconnect_cancels = disconnect_cancels_->value();
   stats.output_stalls = output_stalls_->value();
+  stats.output_stall_timeouts = output_stall_timeouts_->value();
   stats.inflight = inflight_.load(std::memory_order_relaxed);
   stats.drain_save_failures = drain_save_failures_->value();
   return stats;
@@ -561,6 +580,7 @@ bool HttpServer::WriteFrom(Connection& conn) {
                      conn.outbuf.size() - conn.out_offset, MSG_NOSIGNAL);
     if (n > 0) {
       conn.out_offset += static_cast<size_t>(n);
+      if (conn.writer_waiting) conn.sent_at = std::chrono::steady_clock::now();
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -625,7 +645,7 @@ void HttpServer::CloseConnection(uint64_t id) {
 void HttpServer::QueueOutput(const std::shared_ptr<Connection>& conn,
                              std::string_view bytes) {
   if (conn->AppendOutput([bytes](std::string& out) { out.append(bytes); },
-                         output_stalls_)) {
+                         output_stalls_, output_stall_timeouts_)) {
     WakeLoop();
   }
 }
@@ -634,7 +654,7 @@ void HttpServer::QueueChunk(const std::shared_ptr<Connection>& conn,
                             std::string_view line) {
   if (conn->AppendOutput(
           [line](std::string& out) { AppendLineChunk(&out, line); },
-          output_stalls_)) {
+          output_stalls_, output_stall_timeouts_)) {
     WakeLoop();
   }
 }
@@ -802,6 +822,7 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
           "\"sheds\":{\"capacity\":%llu},"
           "\"parse_failures\":%llu,"
           "\"disconnect_cancels\":%llu,\"output_stalls\":%llu,"
+          "\"output_stall_timeouts\":%llu,"
           "\"drain_save_failures\":%llu,"
           "\"inflight\":%zu,"
           "\"tenants\":%zu,\"draining\":%s,"
@@ -817,6 +838,7 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
           static_cast<unsigned long long>(stats.parse_failures),
           static_cast<unsigned long long>(stats.disconnect_cancels),
           static_cast<unsigned long long>(stats.output_stalls),
+          static_cast<unsigned long long>(stats.output_stall_timeouts),
           static_cast<unsigned long long>(stats.drain_save_failures),
           stats.inflight, registry_->size(), draining() ? "true" : "false",
           static_cast<unsigned long long>(

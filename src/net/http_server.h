@@ -15,7 +15,10 @@
 // while kOutputHighWaterBytes are still unsent waits until the loop's
 // sends drain below the mark, so a client that stops reading holds up its
 // own query, not the server's memory. A close, a disconnect or the drain's
-// cancel ends the wait; the rest of that response is then dropped.
+// cancel ends the wait; the rest of that response is then dropped. So does
+// kOutputStallTimeout without drain progress, which also cancels the query
+// and closes the connection: a client that neither reads nor disconnects
+// cannot hold a worker and an admission slot for longer.
 //
 // Admission control reuses the engine's deadline machinery rather than
 // inventing a queue: up to `soft_inflight` concurrent match/batch
@@ -35,6 +38,7 @@
 #define XSM_NET_HTTP_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -94,6 +98,9 @@ struct HttpServerStats {
   uint64_t parse_failures = 0;        ///< connections killed by bad HTTP
   uint64_t disconnect_cancels = 0;    ///< queries cancelled by client EOF
   uint64_t output_stalls = 0;  ///< waits for a client to read (see mark)
+  /// Stalled waits that hit kOutputStallTimeout: query cancelled and
+  /// connection closed.
+  uint64_t output_stall_timeouts = 0;
   uint64_t drain_save_failures = 0;   ///< tenants the drain failed to save
   size_t inflight = 0;                ///< match/batch executing right now
 };
@@ -160,6 +167,11 @@ class HttpServer {
   /// reading seldom leaves this much unsent; one that stops reading meets
   /// it and then holds up only its own query.
   static constexpr size_t kOutputHighWaterBytes = size_t{8} << 20;
+
+  /// How long a worker waits at the mark with no byte of the connection's
+  /// output sent before it gives up on the client: it drops the rest of
+  /// the response, cancels the query and has the connection closed.
+  static constexpr std::chrono::seconds kOutputStallTimeout{10};
 
   uint16_t port() const { return port_; }
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
@@ -265,6 +277,7 @@ class HttpServer {
   obs::Counter* parse_failures_ = nullptr;
   obs::Counter* disconnect_cancels_ = nullptr;
   obs::Counter* output_stalls_ = nullptr;
+  obs::Counter* output_stall_timeouts_ = nullptr;
   obs::Counter* drain_save_failures_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Histogram* request_latency_ms_ = nullptr;

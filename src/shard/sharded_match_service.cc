@@ -6,7 +6,7 @@
 #include <optional>
 #include <utility>
 
-#include "generate/top_n_floor.h"
+#include "generate/top_n_keeper.h"
 #include "label/tree_index.h"
 #include "match/element_matching.h"
 #include "obs/trace.h"
@@ -707,18 +707,19 @@ Result<core::MatchResult> ShardedMatchService::Generate(
                              effective.top_n > 0 &&
                              !effective.include_partial_mappings;
     std::mutex floor_mu;
-    std::optional<generate::TopNFloor> floor;
-    if (share_floor) floor.emplace(effective.top_n);
+    std::optional<generate::TopNKeeper> floor;
+    if (share_floor) floor.emplace(effective.top_n, /*track_ranks=*/false);
     auto read_floor = [&]() {
       if (!floor) return effective.delta;
       std::lock_guard<std::mutex> lock(floor_mu);
       return floor->Floor(effective.delta);
     };
-    auto publish_deltas = [&](const std::vector<generate::SchemaMapping>& ms) {
-      if (!floor) return;
-      std::lock_guard<std::mutex> lock(floor_mu);
-      for (const generate::SchemaMapping& m : ms) floor->Add(m.delta);
-    };
+    auto publish_mappings =
+        [&](const std::vector<generate::SchemaMapping>& ms) {
+          if (!floor) return;
+          std::lock_guard<std::mutex> lock(floor_mu);
+          for (const generate::SchemaMapping& m : ms) floor->Offer(m);
+        };
 
     std::vector<std::future<Result<core::MatchResult>>> futures;
     futures.reserve(active);
@@ -735,7 +736,7 @@ Result<core::MatchResult> ShardedMatchService::Generate(
             Result<core::MatchResult> run = matcher.MatchWithState(
                 personal, state, task_options, task_control,
                 /*observer=*/nullptr, &subsets[s]);
-            if (run.ok()) publish_deltas(run->mappings);
+            if (run.ok()) publish_mappings(run->mappings);
             return run;
           }));
     }

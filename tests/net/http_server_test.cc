@@ -726,6 +726,50 @@ TEST_F(HttpServerTest, DrainCancelWakesAWorkerStalledAtTheMark) {
             std::chrono::seconds(30));
 }
 
+TEST_F(HttpServerTest, ClientThatNeverReadsIsCutOffAfterTheStallTimeout) {
+  auto running = StartServer(MakeRegistry());
+  service::Matcher* service = running.registry->Find("t1")->service.get();
+  const uint64_t cancelled_before = service->stats().cancelled;
+
+  HttpClient client = SendStallQuery(*running.server);
+  const auto stalled = std::chrono::steady_clock::now();
+
+  // Meanwhile the server answers other connections.
+  auto health = FetchOnce(kHost, running.server->port(), "GET", "/v1/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status_code, 200);
+  EXPECT_EQ(running.server->stats().inflight, 1u);
+
+  // With no drain progress the worker gives up: the query stops through
+  // its CancelToken and the admission slot frees.
+  bool freed = false;
+  const auto limit = HttpServer::kOutputStallTimeout + std::chrono::seconds(10);
+  while (!freed && std::chrono::steady_clock::now() - stalled < limit) {
+    freed = service->stats().cancelled > cancelled_before &&
+            running.server->stats().inflight == 0;
+    if (!freed) std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  const auto waited = std::chrono::steady_clock::now() - stalled;
+  ASSERT_TRUE(freed) << "stalled query was not cut off";
+  EXPECT_GE(waited, HttpServer::kOutputStallTimeout - std::chrono::seconds(1));
+  EXPECT_EQ(running.server->stats().output_stall_timeouts, 1u);
+  EXPECT_EQ(running.server->stats().disconnect_cancels, 0u);
+  auto stats = FetchOnce(kHost, running.server->port(), "GET", "/v1/stats");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->body.find("\"output_stall_timeouts\":1,"),
+            std::string::npos)
+      << stats->body;
+
+  // The connection is closed: the client reads what was already sent, then
+  // EOF before the response ends.
+  HttpLimits limits;
+  limits.max_body_bytes = 64u << 20;
+  auto response = client.ReadResponse(limits, /*timeout_seconds=*/30);
+  EXPECT_FALSE(response.ok());
+
+  running.server->RequestShutdown();
+}
+
 // --- holistic integration --------------------------------------------------
 
 TEST_F(HttpServerTest, IntegrateStreamIsEventIdenticalToInProcessRun) {
