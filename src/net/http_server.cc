@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "schema/schema_tree.h"
+#include "service/event_line.h"
 #include "util/timer.h"
 
 namespace xsm::net {
@@ -324,13 +325,14 @@ void HttpServer::Serve() {
     // plus a nonzero drain_save_failures counter for the supervisor.
     for (const TenantRegistry::TenantSaveFailure& failure : failures) {
       drain_save_failures_->Increment();
-      std::fprintf(stderr,
-                   "{\"type\":\"error\",\"code\":\"save_failed\","
-                   "\"tenant\":\"%s\",\"status\":\"%s\",\"message\":\"%s\"}\n",
-                   service::JsonEscape(failure.tenant).c_str(),
-                   std::string(StatusCodeToString(failure.status.code()))
-                       .c_str(),
-                   service::JsonEscape(failure.status.ToString()).c_str());
+      std::string line;
+      service::EventLine(&line, "error")
+          .Str("code", "save_failed")
+          .Str("tenant", failure.tenant)
+          .Str("status", StatusCodeToString(failure.status.code()))
+          .Str("message", failure.status.ToString())
+          .End();
+      std::fprintf(stderr, "%s\n", line.c_str());
     }
     std::fprintf(stderr, "xsm::net: drain saved %zu/%zu tenants (%zu failed)\n",
                  saved, registry_->size(), failures.size());
@@ -622,7 +624,9 @@ void HttpServer::HandleRequest(std::shared_ptr<Connection> conn,
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->close_after_response = true;
   }
-  RouteRequest(conn, request);
+  // A connection is closed after its first close-after-response, so this
+  // is its whole keep-alive state.
+  RouteRequest(conn, keep_alive, request);
   CompleteRequest(conn);
 }
 
@@ -679,26 +683,27 @@ void HttpServer::CompleteRequest(const std::shared_ptr<Connection>& conn) {
 
 // --- admission -------------------------------------------------------------
 
-bool HttpServer::AdmitWork(const std::shared_ptr<Connection>& conn,
-                           const service::Matcher& service,
-                           core::ExecutionControl* control) {
+void HttpServer::StreamAdmitted(
+    const std::shared_ptr<Connection>& conn, bool keep_alive,
+    const service::Matcher& service,
+    const std::function<void(const service::EventSink&,
+                             const core::ExecutionControl&)>& run) {
   const AdmissionOptions& admission = options_.admission;
   size_t before = inflight_.fetch_add(1, std::memory_order_acq_rel);
   if (admission.max_inflight > 0 && before >= admission.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     shed_capacity_->Increment();
-    std::string body =
-        "{\"type\":\"error\",\"code\":\"unavailable\",\"message\":"
-        "\"admission capacity reached (" +
-        std::to_string(admission.max_inflight) +
-        " requests in flight); retry later\",\"retryable\":true}\n";
-    bool keep_alive;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      keep_alive = !conn->close_after_response;
-    }
+    std::string body;
+    service::EventLine(&body, "error")
+        .Str("code", "unavailable")
+        .Str("message", "admission capacity reached (" +
+                            std::to_string(admission.max_inflight) +
+                            " requests in flight); retry later")
+        .Bool("retryable", true)
+        .End();
+    body.push_back('\n');
     QueueOutput(conn, SimpleResponse(503, kNdjson, body, keep_alive));
-    return false;
+    return;
   }
 
   // Soft→hard band: trade per-query deadline for admission. The anytime
@@ -716,8 +721,9 @@ bool HttpServer::AdmitWork(const std::shared_ptr<Connection>& conn,
                         std::min(1.0, fraction));
     deadline *= fraction;
   }
+  core::ExecutionControl control;
   if (deadline > 0) {
-    control->deadline = std::chrono::steady_clock::now() +
+    control.deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration_cast<
                             std::chrono::steady_clock::duration>(
                             std::chrono::duration<double>(deadline));
@@ -726,39 +732,42 @@ bool HttpServer::AdmitWork(const std::shared_ptr<Connection>& conn,
   bool gone;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    conn->active_token = control->cancel;
+    conn->active_token = control.cancel;
     conn->has_active_token = true;
     gone = conn->client_gone;
   }
-  if (gone) control->cancel.Cancel();  // disconnect raced admission
-  return true;
-}
+  if (gone) control.cancel.Cancel();  // disconnect raced admission
 
-void HttpServer::FinishWork(double latency_ms) {
+  Timer timer;
+  QueueOutput(conn, ChunkedResponseHead(200, kNdjson, keep_alive));
+  service::EventSink sink = [this, &conn](const std::string& line) {
+    QueueChunk(conn, line);
+  };
+  run(sink, control);
+  // Counted finished before the client can see the end of the response,
+  // so a request that follows it sees it out of flight.
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  request_latency_ms_->Observe(latency_ms);
+  request_latency_ms_->Observe(timer.ElapsedSeconds() * 1e3);
+  QueueOutput(conn, kChunkedFinal);
 }
 
 // --- routing ---------------------------------------------------------------
 
 void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
-                              const HttpMessage& request) {
-  bool keep_alive;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    keep_alive = !conn->close_after_response;
-  }
+                              bool keep_alive, const HttpMessage& request) {
   std::vector<std::string> segments = SplitPathSegments(request.target);
 
   if (segments.size() == 1 && segments[0] == "healthz") {
     // Retired pre-/v1 path: a typed 410 teaches old clients the versioned
     // path from the error itself instead of a bare 404.
-    QueueSimple(conn, 410,
-                "{\"type\":\"error\",\"code\":\"gone\",\"message\":"
-                "\"/healthz moved under the versioned API; "
-                "use GET /v1/healthz\","
-                "\"migrate_to\":\"/v1/healthz\"}\n",
-                keep_alive);
+    std::string body;
+    service::EventLine(&body, "error")
+        .Str("code", "gone")
+        .Str("message",
+             "/healthz moved under the versioned API; use GET /v1/healthz")
+        .Str("migrate_to", "/v1/healthz")
+        .End();
+    QueueSimple(conn, 410, body + "\n", keep_alive);
     return;
   }
 
@@ -770,11 +779,12 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
                       "use GET /v1/healthz")), keep_alive);
       return;
     }
-    std::string body = "{\"type\":\"health\",\"status\":\"" +
-                       std::string(draining() ? "draining" : "ok") +
-                       "\",\"tenants\":" +
-                       std::to_string(registry_->size()) + "}\n";
-    QueueSimple(conn, 200, body, keep_alive);
+    std::string body;
+    service::EventLine(&body, "health")
+        .Str("status", draining() ? "draining" : "ok")
+        .Int("tenants", registry_->size())
+        .End();
+    QueueSimple(conn, 200, body + "\n", keep_alive);
     return;
   }
 
@@ -813,47 +823,40 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
       }
       HttpServerStats stats = this->stats();
       const obs::MetricsRegistry& metrics = registry_->metrics();
-      char buf[1024];
-      std::snprintf(
-          buf, sizeof(buf),
-          "{\"type\":\"server_stats\",\"connections_accepted\":%llu,"
-          "\"connections_rejected\":%llu,\"requests\":%llu,"
-          "\"requests_shed\":%llu,"
-          "\"sheds\":{\"capacity\":%llu},"
-          "\"parse_failures\":%llu,"
-          "\"disconnect_cancels\":%llu,\"output_stalls\":%llu,"
-          "\"output_stall_timeouts\":%llu,"
-          "\"drain_save_failures\":%llu,"
-          "\"inflight\":%zu,"
-          "\"tenants\":%zu,\"draining\":%s,"
-          "\"wal\":{\"recoveries\":%llu,\"records_replayed\":%llu,"
-          "\"records_skipped\":%llu,\"torn_tail_truncations\":%llu},"
-          "\"latency_ms\":{\"count\":%zu,\"p50\":%.3f,\"p95\":%.3f,"
-          "\"p99\":%.3f}}",
-          static_cast<unsigned long long>(stats.connections_accepted),
-          static_cast<unsigned long long>(stats.connections_rejected),
-          static_cast<unsigned long long>(stats.requests),
-          static_cast<unsigned long long>(stats.requests_shed),
-          static_cast<unsigned long long>(stats.requests_shed),
-          static_cast<unsigned long long>(stats.parse_failures),
-          static_cast<unsigned long long>(stats.disconnect_cancels),
-          static_cast<unsigned long long>(stats.output_stalls),
-          static_cast<unsigned long long>(stats.output_stall_timeouts),
-          static_cast<unsigned long long>(stats.drain_save_failures),
-          stats.inflight, registry_->size(), draining() ? "true" : "false",
-          static_cast<unsigned long long>(
-              metrics.CounterValue("xsm_wal_recoveries_total")),
-          static_cast<unsigned long long>(
-              metrics.CounterValue("xsm_wal_records_replayed_total")),
-          static_cast<unsigned long long>(
-              metrics.CounterValue("xsm_wal_records_skipped_total")),
-          static_cast<unsigned long long>(
-              metrics.CounterValue("xsm_wal_torn_tail_truncations_total")),
-          static_cast<size_t>(request_latency_ms_->count()),
-          request_latency_ms_->Quantile(0.50),
-          request_latency_ms_->Quantile(0.95),
-          request_latency_ms_->Quantile(0.99));
-      QueueSimple(conn, 200, std::string(buf) + "\n", keep_alive);
+      std::string body;
+      service::EventLine(&body, "server_stats")
+          .Int("connections_accepted", stats.connections_accepted)
+          .Int("connections_rejected", stats.connections_rejected)
+          .Int("requests", stats.requests)
+          .Int("requests_shed", stats.requests_shed)
+          .Object("sheds")
+          .Int("capacity", stats.requests_shed)
+          .EndObject()
+          .Int("parse_failures", stats.parse_failures)
+          .Int("disconnect_cancels", stats.disconnect_cancels)
+          .Int("output_stalls", stats.output_stalls)
+          .Int("output_stall_timeouts", stats.output_stall_timeouts)
+          .Int("drain_save_failures", stats.drain_save_failures)
+          .Int("inflight", stats.inflight)
+          .Int("tenants", registry_->size())
+          .Bool("draining", draining())
+          .Object("wal")
+          .Int("recoveries", metrics.CounterValue("xsm_wal_recoveries_total"))
+          .Int("records_replayed",
+               metrics.CounterValue("xsm_wal_records_replayed_total"))
+          .Int("records_skipped",
+               metrics.CounterValue("xsm_wal_records_skipped_total"))
+          .Int("torn_tail_truncations",
+               metrics.CounterValue("xsm_wal_torn_tail_truncations_total"))
+          .EndObject()
+          .Object("latency_ms")
+          .Int("count", request_latency_ms_->count())
+          .Fixed("p50", request_latency_ms_->Quantile(0.50), 3)
+          .Fixed("p95", request_latency_ms_->Quantile(0.95), 3)
+          .Fixed("p99", request_latency_ms_->Quantile(0.99), 3)
+          .EndObject()
+          .End();
+      QueueSimple(conn, 200, body + "\n", keep_alive);
       return;
     }
 
@@ -870,15 +873,13 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
           Tenant* tenant = registry_->Find(name);
           if (tenant == nullptr) continue;
           service::RepositoryPinPtr pin = tenant->service->Pin();
-          char buf[160];
-          std::snprintf(buf, sizeof(buf),
-                        "\",\"generation\":%llu,\"trees\":%zu,"
-                        "\"shards\":%zu}\n",
-                        static_cast<unsigned long long>(pin->generation()),
-                        pin->num_trees(),
-                        tenant->service->Shards().size());
-          body += "{\"type\":\"tenant\",\"name\":\"" +
-                  service::JsonEscape(name) + buf;
+          service::EventLine(&body, "tenant")
+              .Str("name", name)
+              .Int("generation", pin->generation())
+              .Int("trees", pin->num_trees())
+              .Int("shards", tenant->service->Shards().size())
+              .End();
+          body.push_back('\n');
         }
         QueueSimple(conn, 200, body, keep_alive);
         return;
@@ -893,7 +894,7 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
                       keep_alive);
           return;
         }
-        HandleCreateTenant(conn, request, name);
+        HandleCreateTenant(conn, keep_alive, request, name);
         return;
       }
 
@@ -907,23 +908,23 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
         }
         const std::string& verb = segments[3];
         if (verb == "match" && request.method == "POST") {
-          HandleMatch(conn, request, *tenant, /*batch=*/false);
+          HandleMatch(conn, keep_alive, request, *tenant, /*batch=*/false);
           return;
         }
         if (verb == "batch" && request.method == "POST") {
-          HandleMatch(conn, request, *tenant, /*batch=*/true);
+          HandleMatch(conn, keep_alive, request, *tenant, /*batch=*/true);
           return;
         }
         if (verb == "ingest" && request.method == "POST") {
-          HandleIngest(conn, request, *tenant);
+          HandleIngest(conn, keep_alive, request, *tenant);
           return;
         }
         if (verb == "integrate" && request.method == "POST") {
-          HandleIntegrate(conn, request, *tenant);
+          HandleIntegrate(conn, keep_alive, request, *tenant);
           return;
         }
         if (verb == "save" && request.method == "POST") {
-          HandleSave(conn, request, *tenant);
+          HandleSave(conn, keep_alive, *tenant);
           return;
         }
         if (verb == "stats" && request.method == "GET") {
@@ -937,16 +938,15 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
           std::string body;
           for (const service::ShardDescriptor& d :
                tenant->service->Shards()) {
-            char buf[224];
-            std::snprintf(
-                buf, sizeof(buf),
-                "{\"type\":\"shard\",\"shard\":%zu,\"generation\":%llu,"
-                "\"fingerprint\":\"%016llx\",\"trees\":%zu,\"nodes\":%zu,"
-                "\"first_tree\":%lld}\n",
-                d.shard, static_cast<unsigned long long>(d.generation),
-                static_cast<unsigned long long>(d.fingerprint), d.trees,
-                d.nodes, static_cast<long long>(d.first_tree));
-            body += buf;
+            service::EventLine(&body, "shard")
+                .Int("shard", d.shard)
+                .Int("generation", d.generation)
+                .Hex("fingerprint", d.fingerprint)
+                .Int("trees", d.trees)
+                .Int("nodes", d.nodes)
+                .Int("first_tree", d.first_tree)
+                .End();
+            body.push_back('\n');
           }
           QueueSimple(conn, 200, body, keep_alive);
           return;
@@ -973,13 +973,8 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
 }
 
 void HttpServer::HandleMatch(const std::shared_ptr<Connection>& conn,
-                             const HttpMessage& request, Tenant& tenant,
-                             bool batch) {
-  bool keep_alive;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    keep_alive = !conn->close_after_response;
-  }
+                             bool keep_alive, const HttpMessage& request,
+                             Tenant& tenant, bool batch) {
   std::vector<std::string> lines = BodyLines(request.body);
   if (lines.empty()) {
     QueueSimple(conn, 400,
@@ -1006,33 +1001,20 @@ void HttpServer::HandleMatch(const std::shared_ptr<Connection>& conn,
     queries.push_back(std::move(*query));
   }
 
-  core::ExecutionControl control;
-  if (!AdmitWork(conn, *tenant.service, &control)) return;
-
-  Timer timer;
-  QueueOutput(conn, ChunkedResponseHead(200, kNdjson, keep_alive));
-  service::EventSink sink = [this, &conn](const std::string& line) {
-    QueueChunk(conn, line);
-  };
-  if (batch) {
-    tenant.session->RunBatch(queries, sink, control);
-  } else {
-    tenant.session->RunQuery(queries.front(), sink, control);
-  }
-  // Counted finished before the client can see the end of the response,
-  // so a request that follows it sees it out of flight.
-  FinishWork(timer.ElapsedSeconds() * 1e3);
-  QueueOutput(conn, kChunkedFinal);
+  StreamAdmitted(conn, keep_alive, *tenant.service,
+                 [&](const service::EventSink& sink,
+                     const core::ExecutionControl& control) {
+                   if (batch) {
+                     tenant.session->RunBatch(queries, sink, control);
+                   } else {
+                     tenant.session->RunQuery(queries.front(), sink, control);
+                   }
+                 });
 }
 
 void HttpServer::HandleIntegrate(const std::shared_ptr<Connection>& conn,
-                                 const HttpMessage& request,
+                                 bool keep_alive, const HttpMessage& request,
                                  Tenant& tenant) {
-  bool keep_alive;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    keep_alive = !conn->close_after_response;
-  }
   std::vector<std::string> lines = BodyLines(request.body);
   if (lines.size() > 1) {
     QueueSimple(conn, 400,
@@ -1043,28 +1025,16 @@ void HttpServer::HandleIntegrate(const std::shared_ptr<Connection>& conn,
   }
   const std::string args = lines.empty() ? std::string() : lines.front();
 
-  core::ExecutionControl control;
-  if (!AdmitWork(conn, *tenant.service, &control)) return;
-
-  Timer timer;
-  QueueOutput(conn, ChunkedResponseHead(200, kNdjson, keep_alive));
-  service::EventSink sink = [this, &conn](const std::string& line) {
-    QueueChunk(conn, line);
-  };
-  tenant.session->RunIntegrate(args, sink, control);
-  // Counted finished before the client can see the end of the response,
-  // so a request that follows it sees it out of flight.
-  FinishWork(timer.ElapsedSeconds() * 1e3);
-  QueueOutput(conn, kChunkedFinal);
+  StreamAdmitted(conn, keep_alive, *tenant.service,
+                 [&](const service::EventSink& sink,
+                     const core::ExecutionControl& control) {
+                   tenant.session->RunIntegrate(args, sink, control);
+                 });
 }
 
 void HttpServer::HandleIngest(const std::shared_ptr<Connection>& conn,
-                              const HttpMessage& request, Tenant& tenant) {
-  bool keep_alive;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    keep_alive = !conn->close_after_response;
-  }
+                              bool keep_alive, const HttpMessage& request,
+                              Tenant& tenant) {
   std::vector<std::string> lines = BodyLines(request.body);
   if (lines.empty()) {
     QueueSimple(conn, 400,
@@ -1092,14 +1062,10 @@ void HttpServer::HandleIngest(const std::shared_ptr<Connection>& conn,
               body, keep_alive);
 }
 
-void HttpServer::HandleCreateTenant(
-    const std::shared_ptr<Connection>& conn, const HttpMessage& request,
-    const std::string& name) {
-  bool keep_alive;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    keep_alive = !conn->close_after_response;
-  }
+void HttpServer::HandleCreateTenant(const std::shared_ptr<Connection>& conn,
+                                    bool keep_alive,
+                                    const HttpMessage& request,
+                                    const std::string& name) {
   schema::SchemaForest forest;
   std::vector<std::string> lines = BodyLines(request.body);
   for (const std::string& line : lines) {
@@ -1126,42 +1092,28 @@ void HttpServer::HandleCreateTenant(
                 ErrorBodyLine(tenant.status()), keep_alive);
     return;
   }
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\",\"trees\":%zu,\"generation\":0}\n",
-                lines.size());
-  QueueSimple(conn, 201,
-              "{\"type\":\"tenant\",\"name\":\"" +
-                  service::JsonEscape(name) + buf,
-              keep_alive);
+  std::string body;
+  service::EventLine(&body, "tenant")
+      .Str("name", name)
+      .Int("trees", lines.size())
+      .Int("generation", 0)
+      .End();
+  QueueSimple(conn, 201, body + "\n", keep_alive);
 }
 
 void HttpServer::HandleSave(const std::shared_ptr<Connection>& conn,
-                            const HttpMessage& request, Tenant& tenant) {
-  (void)request;
-  bool keep_alive;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    keep_alive = !conn->close_after_response;
-  }
+                            bool keep_alive, Tenant& tenant) {
   auto info = registry_->Save(tenant.name);
   if (!info.ok()) {
     QueueSimple(conn, HttpCodeForStatus(info.status()),
                 ErrorBodyLine(info.status()), keep_alive);
     return;
   }
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "{\"type\":\"saved\",\"tenant\":\"%s\",\"format\":%u,"
-                "\"generation\":%llu,\"fingerprint\":\"%016llx\","
-                "\"trees\":%llu,\"elements\":%llu,\"bytes\":%llu}\n",
-                service::JsonEscape(tenant.name).c_str(),
-                info->format_version,
-                static_cast<unsigned long long>(info->generation),
-                static_cast<unsigned long long>(info->fingerprint),
-                static_cast<unsigned long long>(info->trees),
-                static_cast<unsigned long long>(info->total_nodes),
-                static_cast<unsigned long long>(info->total_bytes));
-  QueueSimple(conn, 200, buf, keep_alive);
+  std::string body;
+  service::ServeSession::EmitSavedEvent(
+      "tenant", tenant.name, *info,
+      [&body](const std::string& line) { body = line + "\n"; });
+  QueueSimple(conn, 200, body, keep_alive);
 }
 
 }  // namespace xsm::net

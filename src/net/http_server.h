@@ -40,6 +40,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -196,27 +197,29 @@ class HttpServer {
   void WakeLoop();
 
   // --- endpoint handlers (worker threads) ---
-  void RouteRequest(const std::shared_ptr<Connection>& conn,
+  void RouteRequest(const std::shared_ptr<Connection>& conn, bool keep_alive,
                     const HttpMessage& request);
-  void HandleMatch(const std::shared_ptr<Connection>& conn,
+  void HandleMatch(const std::shared_ptr<Connection>& conn, bool keep_alive,
                    const HttpMessage& request, Tenant& tenant, bool batch);
-  void HandleIngest(const std::shared_ptr<Connection>& conn,
+  void HandleIngest(const std::shared_ptr<Connection>& conn, bool keep_alive,
                     const HttpMessage& request, Tenant& tenant);
   void HandleIntegrate(const std::shared_ptr<Connection>& conn,
-                       const HttpMessage& request, Tenant& tenant);
+                       bool keep_alive, const HttpMessage& request,
+                       Tenant& tenant);
   void HandleCreateTenant(const std::shared_ptr<Connection>& conn,
-                          const HttpMessage& request,
+                          bool keep_alive, const HttpMessage& request,
                           const std::string& name);
-  void HandleSave(const std::shared_ptr<Connection>& conn,
-                  const HttpMessage& request, Tenant& tenant);
+  void HandleSave(const std::shared_ptr<Connection>& conn, bool keep_alive,
+                  Tenant& tenant);
 
-  /// Admission decision for one match/batch request. Returns false when
-  /// shed (the 503 is already queued); on true the caller runs under
-  /// `control` and must call FinishWork() when done.
-  bool AdmitWork(const std::shared_ptr<Connection>& conn,
-                 const service::Matcher& service,
-                 core::ExecutionControl* control);
-  void FinishWork(double latency_ms);
+  /// The streaming endpoints' shared tail: admission (a shed request gets
+  /// its typed 503 and `run` never runs), then a chunked 200 whose chunks
+  /// are the events `run` sends to its sink under the admitted control.
+  void StreamAdmitted(
+      const std::shared_ptr<Connection>& conn, bool keep_alive,
+      const service::Matcher& service,
+      const std::function<void(const service::EventSink&,
+                               const core::ExecutionControl&)>& run);
 
   /// Appends bytes to the connection's output buffer. Wakes the loop only
   /// when the buffer goes from drained (everything sent) to non-empty:
@@ -262,7 +265,7 @@ class HttpServer {
   std::mutex completed_mu_;
   std::vector<uint64_t> completed_;
 
-  /// Admission bookkeeping stays a plain atomic: AdmitWork's shed/scale
+  /// Admission bookkeeping stays a plain atomic: StreamAdmitted's shed/scale
   /// decisions key off fetch_add's return value. A scrape hook mirrors it
   /// into the xsm_http_inflight gauge at render time.
   std::atomic<size_t> inflight_{0};

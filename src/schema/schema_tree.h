@@ -31,7 +31,8 @@ struct NodeProperties {
   std::string name;
   NodeKind kind = NodeKind::kElement;
   /// Declared simple type if known (e.g. "xs:string", "CDATA"); may be empty.
-  std::string datatype;
+  /// The initializer lets designated initializers leave it out silently.
+  std::string datatype = {};
   /// True if the element may repeat under its parent ('*' or '+' in a DTD).
   bool repeatable = false;
   /// True if the element/attribute is optional ('?' or #IMPLIED).

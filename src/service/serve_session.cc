@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -17,57 +15,6 @@
 #include "util/string_util.h"
 
 namespace xsm::service {
-
-namespace {
-
-bool NeedsJsonEscape(unsigned char c) {
-  return c < 0x20 || c == '"' || c == '\\';
-}
-
-}  // namespace
-
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  // Clean runs are appended in bulk; only the bytes that need it are
-  // rewritten.
-  size_t run = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (!NeedsJsonEscape(c)) continue;
-    out->append(s.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default: {
-        static constexpr char kHex[] = "0123456789abcdef";
-        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
-                                kHex[c & 0xf]};
-        out->append(escaped, sizeof(escaped));
-      }
-    }
-  }
-  out->append(s.data() + run, s.size() - run);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  AppendJsonEscaped(&out, s);
-  return out;
-}
 
 Result<schema::SchemaForest> LoadForestFromPath(const std::string& path,
                                                 repo::LoadReport* report) {
@@ -86,7 +33,7 @@ Result<schema::SchemaForest> LoadForestFromPath(const std::string& path,
 NdjsonEventObserver::NdjsonEventObserver(
     const std::string& id, const schema::SchemaTree* personal,
     RepositoryPinPtr pin, const EventSink& sink, bool cluster_events)
-    : id_(JsonEscape(id)),
+    : id_(id),
       personal_(personal),
       pin_(std::move(pin)),
       sink_(sink),
@@ -94,60 +41,37 @@ NdjsonEventObserver::NdjsonEventObserver(
 
 void NdjsonEventObserver::OnMapping(const generate::SchemaMapping& mapping,
                                     size_t running_rank) {
-  std::string& line = line_;
-  line.assign("{\"type\":\"mapping\",\"id\":\"");
-  line.append(id_);
-  line.append("\",\"rank\":");
-  AppendInteger(&line, running_rank);
-  line.append(",\"tree\":");
-  AppendInteger(&line, mapping.tree);
-  line.append(",\"delta\":");
-  AppendFixed(&line, mapping.delta, 6);
-  line.append(",\"delta_sim\":");
-  AppendFixed(&line, mapping.delta_sim, 6);
-  line.append(",\"delta_path\":");
-  AppendFixed(&line, mapping.delta_path, 6);
-  line.append(",\"ms\":");
-  AppendFixed(&line, ElapsedMs(), 3);
-  line.append(",\"map\":\"");
-  // The mapping text goes straight into the line. Its fixed parts need no
-  // escaping, so only a name holding a quote, backslash or control byte
-  // sends the rest of the text through the escaper.
-  const size_t text_begin = line.size();
-  generate::AppendMappingText(&line, mapping, *personal_, pin_->forest());
-  for (size_t i = text_begin; i < line.size(); ++i) {
-    if (NeedsJsonEscape(static_cast<unsigned char>(line[i]))) {
-      const std::string rest = line.substr(i);
-      line.resize(i);
-      AppendJsonEscaped(&line, rest);
-      break;
-    }
-  }
-  line.append("\"}");
-  sink_(line);
+  line_.clear();
+  sink_(EventLine(&line_, "mapping")
+            .Str("id", id_)
+            .Int("rank", running_rank)
+            .Int("tree", mapping.tree)
+            .Fixed("delta", mapping.delta, 6)
+            .Fixed("delta_sim", mapping.delta_sim, 6)
+            .Fixed("delta_path", mapping.delta_path, 6)
+            .Fixed("ms", ElapsedMs(), 3)
+            .Text("map",
+                  [&](std::string* out) {
+                    generate::AppendMappingText(out, mapping, *personal_,
+                                                pin_->forest());
+                  })
+            .End());
 }
 
 void NdjsonEventObserver::OnClusterFinish(size_t sequence, size_t total,
                                           const core::ClusterSummary& summary,
                                           const core::MatchStats& so_far) {
   if (!cluster_events_) return;
-  std::string& line = line_;
-  line.assign("{\"type\":\"cluster\",\"id\":\"");
-  line.append(id_);
-  line.append("\",\"seq\":");
-  AppendInteger(&line, sequence);
-  line.append(",\"total\":");
-  AppendInteger(&line, total);
-  line.append(",\"tree\":");
-  AppendInteger(&line, summary.tree);
-  line.append(",\"mappings\":");
-  AppendInteger(&line, so_far.num_mappings);
-  line.append(",\"partials_generated\":");
-  AppendInteger(&line, so_far.generator.partial_mappings);
-  line.append(",\"ms\":");
-  AppendFixed(&line, ElapsedMs(), 3);
-  line.push_back('}');
-  sink_(line);
+  line_.clear();
+  sink_(EventLine(&line_, "cluster")
+            .Str("id", id_)
+            .Int("seq", sequence)
+            .Int("total", total)
+            .Int("tree", summary.tree)
+            .Int("mappings", so_far.num_mappings)
+            .Int("partials_generated", so_far.generator.partial_mappings)
+            .Fixed("ms", ElapsedMs(), 3)
+            .End());
 }
 
 void NdjsonEventObserver::OnFinish(const core::MatchResult& result) {
@@ -161,68 +85,61 @@ void NdjsonEventObserver::OnFinish(const core::MatchResult& result) {
 
 void NdjsonIntegrationObserver::OnPair(
     const integrate::PairProgress& progress) {
-  char line[224];
-  std::snprintf(line, sizeof(line),
-                "{\"type\":\"pair\",\"a\":%d,\"b\":%d,\"links\":%zu,"
-                "\"score\":%.6f,\"done\":%zu,\"of\":%zu}",
-                progress.a, progress.b, progress.links, progress.best_score,
-                progress.sources_done, progress.sources_total);
-  sink_(line);
+  std::string line;
+  sink_(EventLine(&line, "pair")
+            .Int("a", progress.a)
+            .Int("b", progress.b)
+            .Int("links", progress.links)
+            .Fixed("score", progress.best_score, 6)
+            .Int("done", progress.sources_done)
+            .Int("of", progress.sources_total)
+            .End());
 }
 
 void NdjsonIntegrationObserver::OnMediatedElement(
     size_t rank, const integrate::MediatedElement& element,
     const integrate::CorrespondenceCluster& cluster) {
-  char nums[288];
-  std::snprintf(nums, sizeof(nums),
-                "\",\"tree\":%d,\"node\":%d,\"size\":%zu,\"schemas\":%zu,"
-                "\"links\":%zu,\"confidence\":%.6f,\"severity\":\"",
-                element.representative.tree, element.representative.node,
-                cluster.members.size(), cluster.schemas, cluster.links,
-                cluster.confidence);
-  std::string line = "{\"type\":\"cluster\",\"rank\":";
-  AppendInteger(&line, rank);
-  line.append(",\"name\":\"");
-  AppendJsonEscaped(&line, element.name);
-  line.append(nums);
-  line.append(SeverityName(cluster.severity));
-  line.append("\",\"members\":[");
+  std::string line;
+  EventLine event(&line, "cluster");
+  event.Int("rank", rank)
+      .Str("name", element.name)
+      .Int("tree", element.representative.tree)
+      .Int("node", element.representative.node)
+      .Int("size", cluster.members.size())
+      .Int("schemas", cluster.schemas)
+      .Int("links", cluster.links)
+      .Fixed("confidence", cluster.confidence, 6)
+      .Str("severity", SeverityName(cluster.severity))
+      .Array("members");
   const size_t listed = std::min(cluster.members.size(), kMaxMemberRefs);
   for (size_t i = 0; i < listed; ++i) {
-    if (i > 0) line.push_back(',');
-    line.push_back('"');
-    AppendInteger(&line, cluster.members[i].tree);
-    line.push_back(':');
-    AppendInteger(&line, cluster.members[i].node);
-    line.push_back('"');
+    event.Element(std::to_string(cluster.members[i].tree) + ':' +
+                  std::to_string(cluster.members[i].node));
   }
-  line.push_back(']');
+  event.EndArray();
   if (listed < cluster.members.size()) {
-    line.append(",\"members_truncated\":");
-    AppendInteger(&line, cluster.members.size() - listed);
+    event.Int("members_truncated", cluster.members.size() - listed);
   }
-  line.push_back('}');
-  sink_(line);
+  sink_(event.End());
 }
 
 void NdjsonIntegrationObserver::OnFinish(
     const integrate::IntegrationResult& result) {
-  char line[512];
-  std::snprintf(
-      line, sizeof(line),
-      "{\"type\":\"mediated\",\"status\":\"%s\",\"generation\":%llu,"
-      "\"fingerprint\":\"%016llx\",\"seed\":%llu,\"trees\":%zu,"
-      "\"slices\":%zu,\"pairs\":%zu,\"pairs_linked\":%zu,"
-      "\"correspondences\":%zu,\"clusters\":%zu,\"elements\":%zu,"
-      "\"ms\":%.3f}",
-      std::string(core::ExecutionStatusName(result.execution)).c_str(),
-      static_cast<unsigned long long>(result.generation),
-      static_cast<unsigned long long>(result.fingerprint),
-      static_cast<unsigned long long>(result.seed), result.stats.trees,
-      result.stats.slices, result.stats.pairs_total,
-      result.stats.pairs_linked, result.stats.correspondences,
-      result.clusters.size(), result.mediated.elements.size(), ElapsedMs());
-  sink_(line);
+  std::string line;
+  sink_(EventLine(&line, "mediated")
+            .Str("status", core::ExecutionStatusName(result.execution))
+            .Int("generation", result.generation)
+            .Hex("fingerprint", result.fingerprint)
+            .Int("seed", result.seed)
+            .Int("trees", result.stats.trees)
+            .Int("slices", result.stats.slices)
+            .Int("pairs", result.stats.pairs_total)
+            .Int("pairs_linked", result.stats.pairs_linked)
+            .Int("correspondences", result.stats.correspondences)
+            .Int("clusters", result.clusters.size())
+            .Int("elements", result.mediated.elements.size())
+            .Fixed("ms", ElapsedMs(), 3)
+            .End());
 }
 
 // --- ServeSession ----------------------------------------------------------
@@ -512,30 +429,17 @@ Status ServeSession::RunCommand(const std::string& line,
       return info.status();
     }
     if (trace_ptr != nullptr) EmitTraceEvent("save", trace, sink);
-    char nums[384];
-    std::snprintf(nums, sizeof(nums),
-                  "\",\"format\":%u,\"generation\":%llu,"
-                  "\"fingerprint\":\"%016llx\",\"trees\":%llu,"
-                  "\"elements\":%llu,\"bytes\":%llu}",
-                  info->format_version,
-                  static_cast<unsigned long long>(info->generation),
-                  static_cast<unsigned long long>(info->fingerprint),
-                  static_cast<unsigned long long>(info->trees),
-                  static_cast<unsigned long long>(info->total_nodes),
-                  static_cast<unsigned long long>(info->total_bytes));
-    sink("{\"type\":\"saved\",\"path\":\"" + JsonEscape(path) + nums);
+    EmitSavedEvent("path", path, *info, sink);
     return Status::OK();
   }
   if (command == "!generation") {
     RepositoryPinPtr pin = service_->Pin();
-    std::string line = "{\"type\":\"generation\",\"generation\":";
-    AppendInteger(&line, pin->generation());
-    line.append(",\"fingerprint\":\"");
-    AppendHex(&line, pin->fingerprint(), 16);
-    line.append("\",\"trees\":");
-    AppendInteger(&line, pin->num_trees());
-    line.push_back('}');
-    sink(line);
+    std::string line;
+    sink(EventLine(&line, "generation")
+             .Int("generation", pin->generation())
+             .Hex("fingerprint", pin->fingerprint())
+             .Int("trees", pin->num_trees())
+             .End());
     return Status::OK();
   }
   if (command == "!stats") {
@@ -545,8 +449,10 @@ Status ServeSession::RunCommand(const std::string& line,
   if (command == "!metrics") {
     // The full Prometheus exposition as one event — the same bytes
     // GET /metrics serves, wrapped for the NDJSON transport.
-    sink("{\"type\":\"metrics\",\"exposition\":\"" +
-         JsonEscape(service_->metrics().RenderPrometheusText()) + "\"}");
+    std::string line;
+    sink(EventLine(&line, "metrics")
+             .Str("exposition", service_->metrics().RenderPrometheusText())
+             .End());
     return Status::OK();
   }
   return usage("unknown command " + command +
@@ -646,59 +552,59 @@ void ServeSession::EmitDoneEvent(const std::string& id,
   // the `match` command's count, and with top=0 the number of mapping
   // event lines (a top-N run streams only the mappings that entered the
   // running top N); "kept" is the returned list after top-N trimming.
-  std::string line = "{\"type\":\"done\",\"id\":\"";
-  AppendJsonEscaped(&line, id);
-  line.append("\",\"status\":\"");
-  line.append(core::ExecutionStatusName(result->execution));
-  line.append("\",\"mappings\":");
-  AppendInteger(&line, stats.num_mappings);
-  line.append(",\"kept\":");
-  AppendInteger(&line, result->mappings.size());
-  line.append(",\"partial_mappings\":");
-  AppendInteger(&line, result->partial_mappings.size());
-  line.append(",\"clusters\":");
-  AppendInteger(&line, stats.num_clusters);
-  line.append(",\"useful\":");
-  AppendInteger(&line, stats.num_useful_clusters);
-  line.append(",\"ms\":");
-  AppendFixed(&line, elapsed_ms, 3);
-  line.push_back('}');
-  sink(line);
+  std::string line;
+  sink(EventLine(&line, "done")
+           .Str("id", id)
+           .Str("status", core::ExecutionStatusName(result->execution))
+           .Int("mappings", stats.num_mappings)
+           .Int("kept", result->mappings.size())
+           .Int("partial_mappings", result->partial_mappings.size())
+           .Int("clusters", stats.num_clusters)
+           .Int("useful", stats.num_useful_clusters)
+           .Fixed("ms", elapsed_ms, 3)
+           .End());
 }
 
 void ServeSession::EmitSlowQueryEvent(const std::string& id, double ms,
                                       double threshold_ms,
                                       const EventSink& sink) {
-  std::string line = "{\"type\":\"slow_query\",\"id\":\"";
-  AppendJsonEscaped(&line, id);
-  line.append("\",\"ms\":");
-  AppendFixed(&line, ms, 3);
-  line.append(",\"threshold_ms\":");
-  AppendFixed(&line, threshold_ms, 3);
-  line.push_back('}');
-  sink(line);
+  std::string line;
+  sink(EventLine(&line, "slow_query")
+           .Str("id", id)
+           .Fixed("ms", ms, 3)
+           .Fixed("threshold_ms", threshold_ms, 3)
+           .End());
 }
 
 void ServeSession::EmitGenerationEvent(const live::ApplyReport& report,
                                        const EventSink& sink) {
-  std::string line = "{\"type\":\"generation\",\"generation\":";
-  AppendInteger(&line, report.generation);
-  line.append(",\"fingerprint\":\"");
-  AppendHex(&line, report.fingerprint, 16);
-  line.append("\",\"trees\":");
-  AppendInteger(&line, report.trees_total);
-  line.append(",\"trees_reused\":");
-  AppendInteger(&line, report.trees_reused);
-  line.append(",\"trees_rebuilt\":");
-  AppendInteger(&line, report.trees_rebuilt);
-  line.append(",\"names_copied\":");
-  AppendInteger(&line, report.name_entries_copied);
-  line.append(",\"names_computed\":");
-  AppendInteger(&line, report.name_entries_computed);
-  line.append(",\"build_ms\":");
-  AppendFixed(&line, 1e3 * report.build_seconds, 3);
-  line.push_back('}');
-  sink(line);
+  std::string line;
+  sink(EventLine(&line, "generation")
+           .Int("generation", report.generation)
+           .Hex("fingerprint", report.fingerprint)
+           .Int("trees", report.trees_total)
+           .Int("trees_reused", report.trees_reused)
+           .Int("trees_rebuilt", report.trees_rebuilt)
+           .Int("names_copied", report.name_entries_copied)
+           .Int("names_computed", report.name_entries_computed)
+           .Fixed("build_ms", 1e3 * report.build_seconds, 3)
+           .End());
+}
+
+void ServeSession::EmitSavedEvent(std::string_view key,
+                                  std::string_view value,
+                                  const store::SnapshotFileInfo& info,
+                                  const EventSink& sink) {
+  std::string line;
+  sink(EventLine(&line, "saved")
+           .Str(key, value)
+           .Int("format", info.format_version)
+           .Int("generation", info.generation)
+           .Hex("fingerprint", info.fingerprint)
+           .Int("trees", info.trees)
+           .Int("elements", info.total_nodes)
+           .Int("bytes", info.total_bytes)
+           .End());
 }
 
 void ServeSession::EmitErrorEvent(const std::string& id, const Status& status,
@@ -717,11 +623,10 @@ void ServeSession::EmitErrorEvent(const std::string& id, const Status& status,
     if (boundary) code += '_';
     code += static_cast<char>(std::tolower(c));
   }
-  std::string line = "{\"type\":\"error\"";
-  if (!id.empty()) line += ",\"id\":\"" + JsonEscape(id) + "\"";
-  line += ",\"code\":\"" + code + "\",\"message\":\"" +
-          JsonEscape(status.ToString()) + "\"}";
-  sink(line);
+  std::string line;
+  EventLine event(&line, "error");
+  if (!id.empty()) event.Str("id", id);
+  sink(event.Str("code", code).Str("message", status.ToString()).End());
 }
 
 void ServeSession::EmitStatsEvent(const EventSink& sink) const {
@@ -734,55 +639,46 @@ void ServeSession::EmitStatsEvent(const EventSink& sink) const {
     labels.push_back({"tenant", service_->options().metrics_tenant});
   }
   const obs::MetricsRegistry& metrics = service_->metrics();
-  char nums[768];
-  std::snprintf(
-      nums, sizeof(nums),
-      "{\"type\":\"stats\",\"generation\":%llu,\"deltas_applied\":%llu,"
-      "\"queries\":%llu,\"batches\":%llu,\"cancelled\":%llu,"
-      "\"deadline_exceeded\":%llu,\"early_stopped\":%llu,"
-      "\"slow_queries\":%llu,"
-      "\"cache_hits\":%llu,\"cache_shared\":%llu,\"cache_misses\":%llu,"
-      "\"cache_evictions\":%llu,\"cache_entries\":%zu,"
-      "\"cache_namespaces\":%zu,\"wal_appends\":%llu,"
-      "\"wal_compactions\":%llu,\"snapshot_saves\":%llu}",
-      static_cast<unsigned long long>(stats.generation),
-      static_cast<unsigned long long>(stats.deltas_applied),
-      static_cast<unsigned long long>(stats.queries),
-      static_cast<unsigned long long>(stats.batches),
-      static_cast<unsigned long long>(stats.cancelled),
-      static_cast<unsigned long long>(stats.deadline_exceeded),
-      static_cast<unsigned long long>(stats.early_stopped),
-      static_cast<unsigned long long>(stats.slow_queries),
-      static_cast<unsigned long long>(stats.cache.hits),
-      static_cast<unsigned long long>(stats.cache.shared),
-      static_cast<unsigned long long>(stats.cache.misses),
-      static_cast<unsigned long long>(stats.cache.evictions),
-      stats.cache.entries, stats.cache_namespaces,
-      static_cast<unsigned long long>(
-          metrics.CounterValue("xsm_wal_appends_total", labels)),
-      static_cast<unsigned long long>(
-          metrics.CounterValue("xsm_wal_compactions_total", labels)),
-      static_cast<unsigned long long>(
-          metrics.CounterValue("xsm_snapshot_saves_total", labels)));
-  sink(nums);
+  std::string line;
+  sink(EventLine(&line, "stats")
+           .Int("generation", stats.generation)
+           .Int("deltas_applied", stats.deltas_applied)
+           .Int("queries", stats.queries)
+           .Int("batches", stats.batches)
+           .Int("cancelled", stats.cancelled)
+           .Int("deadline_exceeded", stats.deadline_exceeded)
+           .Int("early_stopped", stats.early_stopped)
+           .Int("slow_queries", stats.slow_queries)
+           .Int("cache_hits", stats.cache.hits)
+           .Int("cache_shared", stats.cache.shared)
+           .Int("cache_misses", stats.cache.misses)
+           .Int("cache_evictions", stats.cache.evictions)
+           .Int("cache_entries", stats.cache.entries)
+           .Int("cache_namespaces", stats.cache_namespaces)
+           .Int("wal_appends",
+                metrics.CounterValue("xsm_wal_appends_total", labels))
+           .Int("wal_compactions",
+                metrics.CounterValue("xsm_wal_compactions_total", labels))
+           .Int("snapshot_saves",
+                metrics.CounterValue("xsm_snapshot_saves_total", labels))
+           .End());
 }
 
 void ServeSession::EmitTraceEvent(const std::string& id,
                                   const obs::TraceContext& trace,
                                   const EventSink& sink) {
-  std::string line = "{\"type\":\"trace\",\"id\":\"" + JsonEscape(id) +
-                     "\",\"spans\":[";
-  const std::vector<obs::TraceSpan> spans = trace.spans();
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) line += ',';
-    char nums[96];
-    std::snprintf(nums, sizeof(nums), "\",\"start_ms\":%.3f,\"ms\":%.3f}",
-                  spans[i].start_ms, spans[i].duration_ms);
-    line += "{\"name\":\"" + JsonEscape(spans[i].name) + "\",\"note\":\"" +
-            JsonEscape(spans[i].note) + nums;
+  std::string line;
+  EventLine event(&line, "trace");
+  event.Str("id", id).Array("spans");
+  for (const obs::TraceSpan& span : trace.spans()) {
+    event.ObjectElement()
+        .Str("name", span.name)
+        .Str("note", span.note)
+        .Fixed("start_ms", span.start_ms, 3)
+        .Fixed("ms", span.duration_ms, 3)
+        .EndObject();
   }
-  line += "]}";
-  sink(line);
+  sink(event.EndArray().End());
 }
 
 }  // namespace xsm::service

@@ -31,6 +31,7 @@
 #include "integrate/integration_engine.h"
 #include "obs/trace.h"
 #include "repo/loader.h"
+#include "service/event_line.h"
 #include "service/matcher.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -43,14 +44,6 @@ namespace xsm::service {
 /// concurrently (RunBatch serializes its members' events), so a sink needs
 /// no locking of its own for the duration of the call it was passed to.
 using EventSink = std::function<void(const std::string& line)>;
-
-/// JSON string escaping for event payloads (quotes, backslashes, control
-/// characters as \uXXXX).
-std::string JsonEscape(const std::string& s);
-
-/// Appends JsonEscape(s) to `out`: clean runs are copied in bulk and only
-/// the bytes that need escaping are rewritten.
-void AppendJsonEscaped(std::string* out, std::string_view s);
 
 /// Loads a forest from either a saved forest file or a directory of
 /// .dtd/.xsd schemas (serve-mode !reload; CLI --repo-dir startup).
@@ -78,13 +71,12 @@ struct ServeSessionOptions {
   bool trace_events = false;
 };
 
-/// Streams one query's run as NDJSON events into a sink. Event lines are
-/// composed as strings — unbounded fields (query ids, mapping text) can
-/// never truncate the JSON. Mapping and cluster events are composed in one
-/// member buffer that every event reuses: numbers go in through
-/// std::to_chars, the mapping text through generate::AppendMappingText,
-/// and only a name that needs JSON escaping is rewritten. The sink is
-/// called once per event with that buffer, so it must copy what it keeps.
+/// Streams one query's run as NDJSON events into a sink. Mapping and
+/// cluster events are composed by EventLine in one member buffer that
+/// every event reuses: the mapping text goes in through
+/// generate::AppendMappingText, and only a name that needs JSON escaping
+/// is rewritten. The sink is called once per event with that buffer, so it
+/// must copy what it keeps.
 /// Callbacks fire on the thread executing the query, one at a time, so the
 /// buffer needs no lock.
 class NdjsonEventObserver : public core::MatchObserver {
@@ -110,7 +102,7 @@ class NdjsonEventObserver : public core::MatchObserver {
   }
 
  private:
-  std::string id_;  // pre-escaped
+  std::string id_;
   const schema::SchemaTree* personal_;
   RepositoryPinPtr pin_;
   const EventSink& sink_;
@@ -243,6 +235,12 @@ class ServeSession {
   /// Emits one "generation" event describing a published delta.
   static void EmitGenerationEvent(const live::ApplyReport& report,
                                   const EventSink& sink);
+
+  /// Emits one "saved" event for a written snapshot; `key` names what
+  /// identifies it ("path" on stdin serve, "tenant" over HTTP).
+  static void EmitSavedEvent(std::string_view key, std::string_view value,
+                             const store::SnapshotFileInfo& info,
+                             const EventSink& sink);
 
   /// Emits one typed "error" event: {"type":"error","code":...,
   /// "message":...} (+ "id" when non-empty). `code` is the lowercase

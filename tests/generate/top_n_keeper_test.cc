@@ -125,7 +125,9 @@ TEST(TopNKeeperTest, RanksAndListMatchASortOfEverythingOffered) {
       const size_t want = n == 0 || position < n ? position + 1 : 0;
       const size_t rank = ranked.Offer(mapping);
       ASSERT_EQ(rank, want) << trial << " @" << i;
-      if (rank > 0) EXPECT_TRUE(ranked.AtRank(rank).SameAssignment(mapping));
+      if (rank > 0) {
+        EXPECT_TRUE(ranked.AtRank(rank).SameAssignment(mapping));
+      }
       EXPECT_EQ(unranked.Offer(mapping), 0u);
     }
     std::vector<SchemaMapping> want = Sorted(all);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <regex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -480,9 +481,15 @@ TEST_F(ServeSessionTest, EmitErrorEventShape) {
             "\"message\":\"NotFound: no \\\"such\\\" tree\"}");
 }
 
+std::string Escaped(std::string_view s) {
+  std::string out;
+  AppendJsonEscaped(&out, s);
+  return out;
+}
+
 TEST_F(ServeSessionTest, JsonEscapeControlsAndQuotes) {
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(Escaped("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+  EXPECT_EQ(Escaped(std::string(1, '\x01')), "\\u0001");
 }
 
 // --- formatter byte identity ---------------------------------------------
@@ -663,8 +670,8 @@ TEST(MappingFormatTest, InPlaceFormattersMatchTheSnprintfReference) {
 
   std::string every_byte;
   for (int c = 0; c < 256; ++c) every_byte.push_back(static_cast<char>(c));
-  EXPECT_EQ(JsonEscape(every_byte), ReferenceJsonEscape(every_byte));
-  EXPECT_EQ(JsonEscape(""), "");
+  EXPECT_EQ(Escaped(every_byte), ReferenceJsonEscape(every_byte));
+  EXPECT_EQ(Escaped(""), "");
 }
 
 // The done / cluster / slow_query / generation events as first written

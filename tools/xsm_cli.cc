@@ -873,25 +873,18 @@ int RunIntegrate(const Args& args) {
     }
     integrate::IntegrationDiff diff =
         integrate::DiffIntegrations(*before, *result);
-    std::string line = "{\"type\":\"diff\"";
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  ",\"before\":%zu,\"after\":%zu,\"kept\":%zu,"
-                  "\"added\":%zu,\"removed\":%zu",
-                  diff.before_clusters, diff.after_clusters, diff.kept,
-                  diff.added, diff.removed);
-    line += buf;
-    line += ",\"added_names\":[";
-    for (size_t i = 0; i < diff.added_names.size(); ++i) {
-      if (i > 0) line += ',';
-      line += '"' + service::JsonEscape(diff.added_names[i]) + '"';
-    }
-    line += "],\"removed_names\":[";
-    for (size_t i = 0; i < diff.removed_names.size(); ++i) {
-      if (i > 0) line += ',';
-      line += '"' + service::JsonEscape(diff.removed_names[i]) + '"';
-    }
-    line += "]}";
+    std::string line;
+    service::EventLine event(&line, "diff");
+    event.Int("before", diff.before_clusters)
+        .Int("after", diff.after_clusters)
+        .Int("kept", diff.kept)
+        .Int("added", diff.added)
+        .Int("removed", diff.removed)
+        .Array("added_names");
+    for (const std::string& name : diff.added_names) event.Element(name);
+    event.EndArray().Array("removed_names");
+    for (const std::string& name : diff.removed_names) event.Element(name);
+    event.EndArray().End();
     EmitEventLine(line);
   }
 
