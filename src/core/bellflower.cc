@@ -396,23 +396,14 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
   const size_t m = personal.size();
   const std::vector<schema::NodeId> order = personal.PreOrder();
   const RankIndex ranks(points, stats.total_mapping_elements);
-  // Quality order ranks clusters by their lists, and structural scoring
-  // inside clusters rescores them before generation: both need every list
-  // up front. Otherwise a cluster's lists are built only when generation
-  // reaches it, into buffers reused from cluster to cluster.
-  const bool eager_lists =
-      options.cluster_order == ClusterOrder::kQualityDescending ||
-      (options.structural_matcher != nullptr &&
-       options.structural_within_clusters_only);
-  std::vector<generate::ClusterCandidates> all_candidates(
-      eager_lists ? clustering.clusters.size() : 0);
-  generate::ClusterCandidates lazy_candidates;
-  auto candidates_of = [&](size_t ci) -> const generate::ClusterCandidates& {
-    if (eager_lists) return all_candidates[ci];
-    FillClusterCandidates(*matching, points, ranks, clustering.clusters[ci],
-                          &lazy_candidates);
-    return lazy_candidates;
-  };
+  // A cluster's lists are built only when generation reaches it, into
+  // buffers reused from cluster to cluster.
+  generate::ClusterCandidates cands;
+  // The paper's two-phase technique: the structural matcher group only
+  // sees elements inside (useful) clusters, each cluster's right before
+  // its generator runs.
+  const bool rescore_in_clusters = options.structural_matcher != nullptr &&
+                                   options.structural_within_clusters_only;
 
   // First pass: per-cluster summaries, from the member masks alone.
   stats.cluster_summaries.reserve(num_considered);
@@ -448,29 +439,6 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
         std::all_of(per_node.begin(), per_node.begin() + m,
                     [](size_t count) { return count > 0; });
 
-    if (eager_lists) {
-      generate::ClusterCandidates& cands = all_candidates[ci];
-      FillClusterCandidates(*matching, points, ranks, c, &cands);
-      if (options.structural_matcher != nullptr &&
-          options.structural_within_clusters_only && summary.useful) {
-        // The paper's two-phase technique: the structural matcher group
-        // only sees elements inside (useful) clusters.
-        Timer structural_timer;
-        const double w = options.structural_weight;
-        const schema::SchemaTree& repo_tree = repository_->tree(cands.tree);
-        for (size_t n = 0; n < cands.candidates.size(); ++n) {
-          for (auto& element : cands.candidates[n]) {
-            double structural = options.structural_matcher->Score(
-                personal, static_cast<schema::NodeId>(n), repo_tree,
-                element.node.node);
-            element.score = (1.0 - w) * element.score + w * structural;
-            ++stats.structural_evaluations;
-          }
-        }
-        stats.time_structural_seconds += structural_timer.ElapsedSeconds();
-      }
-    }
-
     if (summary.useful) {
       // Multiplied in ClusterCandidates::SearchSpaceSize's order.
       summary.search_space = 1;
@@ -488,66 +456,20 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
     stats.cluster_summaries.push_back(std::move(summary));
   }
 
-  // Cluster ordering (§7 future work): optimistic-Δ estimate per cluster.
-  if (options.cluster_order == ClusterOrder::kQualityDescending &&
-      !monitor.stopped()) {
-    std::vector<double> quality(clustering.clusters.size(), 0.0);
-    for (size_t ci : useful_order) {
-      const generate::ClusterCandidates& cands = all_candidates[ci];
-      double sim = 0;
-      for (const auto& list : cands.candidates) {
-        double mx = 0;
-        for (const auto& e : list) mx = std::max(mx, e.score);
-        sim += mx;
-      }
-      // Lower bound of the total path excess: per personal edge, the
-      // minimum distance between the two candidate sets (≥ 1).
-      const label::TreeIndex& tidx = index_.tree(cands.tree);
-      int64_t excess = 0;
-      for (schema::NodeId n : order) {
-        if (personal.parent(n) == schema::kInvalidNode) continue;
-        const auto& child_cands =
-            cands.candidates[static_cast<size_t>(n)];
-        const auto& parent_cands =
-            cands.candidates[static_cast<size_t>(personal.parent(n))];
-        int64_t best = label::ForestIndex::kInfiniteDistance;
-        for (const auto& a : parent_cands) {
-          for (const auto& b : child_cands) {
-            if (a.node == b.node) continue;
-            best = std::min<int64_t>(
-                best, tidx.Distance(a.node.node, b.node.node));
-            if (best <= 1) break;
-          }
-          if (best <= 1) break;
-        }
-        if (best < 1) best = 1;
-        excess += best - 1;
-      }
-      quality[ci] = objective.UpperBound(
-          0.0, sim, static_cast<int64_t>(personal.num_edges()) + excess,
-          static_cast<int>(personal.num_edges()));
-    }
-    std::stable_sort(useful_order.begin(), useful_order.end(),
-                     [&](size_t a, size_t b) {
-                       return quality[a] > quality[b];
-                     });
-  }
-
-  // Second pass: generate, tracking time-to-first-result. With adaptive
-  // top-N pruning the effective δ ratchets up to the N-th best Δ kept.
+  // Second pass: generate. With adaptive top-N pruning the effective δ
+  // ratchets up to the N-th best Δ kept.
   const bool adaptive =
       options.adaptive_top_n && options.top_n > 0 &&
       gen_options.algorithm == generate::Algorithm::kBranchAndBound;
   // Per-cluster bound: the B&B root loop prunes every root candidate of a
   // cluster whose bound at the best root score, with every edge at length
   // 1, is below δ. That needs B&B, a root that is not also the last node,
-  // and scores read off `matching` (lazy lists).
+  // and the scores `matching` holds (no rescoring inside clusters).
   const bool bound_clusters =
-      !eager_lists && m >= 2 &&
+      !rescore_in_clusters && m >= 2 &&
       gen_options.algorithm == generate::Algorithm::kBranchAndBound;
   const size_t root_node = static_cast<size_t>(order[0]);
   const int64_t edges = static_cast<int64_t>(m) - 1;
-  bool first_seen = false;
   const size_t total_useful = useful_order.size();
   size_t sequence = 0;
   for (size_t ci : useful_order) {
@@ -594,20 +516,28 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
       }
     }
     if (!skip) {
-      const generate::ClusterCandidates& cands = candidates_of(ci);
+      FillClusterCandidates(*matching, points, ranks, clustering.clusters[ci],
+                            &cands);
+      if (rescore_in_clusters) {
+        Timer structural_timer;
+        const double w = options.structural_weight;
+        const schema::SchemaTree& repo_tree = repository_->tree(cands.tree);
+        for (size_t n = 0; n < cands.candidates.size(); ++n) {
+          for (auto& element : cands.candidates[n]) {
+            double structural = options.structural_matcher->Score(
+                personal, static_cast<schema::NodeId>(n), repo_tree,
+                element.node.node);
+            element.score = (1.0 - w) * element.score + w * structural;
+            ++stats.structural_evaluations;
+          }
+        }
+        stats.time_structural_seconds += structural_timer.ElapsedSeconds();
+      }
       generate::MappingGenerator generator(personal, objective,
                                            cluster_options);
       XSM_RETURN_NOT_OK(generator.Generate(cands, index_.tree(cands.tree),
                                            &found, &stats.generator,
                                            &monitor));
-    }
-    if (!first_seen) {
-      ++stats.clusters_until_first_mapping;
-      if (keeper.offered() > 0) {
-        first_seen = true;
-        stats.partials_until_first_mapping =
-            stats.generator.partial_mappings;
-      }
     }
     if (observer != nullptr) {
       stats.num_mappings = keeper.offered();  // incremental snapshot
@@ -617,9 +547,6 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
     }
     ++sequence;
   }
-  if (!first_seen) {
-    stats.partials_until_first_mapping = stats.generator.partial_mappings;
-  }
 
   // Partial mappings from non-useful clusters (§2.3 extension).
   if (options.include_partial_mappings) {
@@ -627,7 +554,8 @@ Result<MatchResult> Bellflower::MatchWithStateImpl(
                                                         options.partial);
     for (size_t ci : non_useful) {
       if (monitor.ShouldStop()) break;
-      const generate::ClusterCandidates& cands = candidates_of(ci);
+      FillClusterCandidates(*matching, points, ranks, clustering.clusters[ci],
+                            &cands);
       XSM_RETURN_NOT_OK(partial_generator.Generate(
           cands, index_.tree(cands.tree), &result.partial_mappings,
           &stats.partial_generator, &monitor));

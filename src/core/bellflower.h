@@ -31,16 +31,6 @@ enum class ClusteringMode {
   kKMeans = 1,
 };
 
-/// Order in which useful clusters are handed to the mapping generator.
-/// Quality ordering implements the paper's §7 future-work item: "a measure
-/// of cluster's quality can be used to decide which clusters have better
-/// chances to produce good mappings. In this way, the time-to-first good
-/// mapping can be improved."
-enum class ClusterOrder {
-  kNatural = 0,            ///< repository order (paper behaviour)
-  kQualityDescending = 1,  ///< optimistic-Δ estimate, best first
-};
-
 /// All knobs of one matching run (Def. 3's P = (s, R, Δ, δ) plus system
 /// parameters).
 struct MatchOptions {
@@ -69,10 +59,6 @@ struct MatchOptions {
   /// mappings" delivery mode). The returned top N is identical to the
   /// non-adaptive run; only the work shrinks.
   bool adaptive_top_n = true;
-
-  /// Cluster processing order (affects time-to-first-mapping, not the
-  /// final result set).
-  ClusterOrder cluster_order = ClusterOrder::kNatural;
 
   /// Also enumerate partial mappings in non-useful clusters (§2.3
   /// extension). Complete mappings are unaffected.
@@ -130,11 +116,6 @@ struct MatchStats {
   size_t num_mappings = 0;                ///< mappings with Δ ≥ δ
   double time_generation_seconds = 0;
 
-  // Time-to-first-result accounting (for ClusterOrder comparisons): work
-  // done up to and including the cluster that produced the first mapping.
-  uint64_t partials_until_first_mapping = 0;
-  size_t clusters_until_first_mapping = 0;
-
   // Partial-mapping extension.
   size_t num_partial_mappings = 0;
   generate::GeneratorCounters partial_generator;
@@ -165,8 +146,8 @@ struct MatchResult {
 /// The subset of MatchOptions that determines the expensive, reusable
 /// preprocessing (element matching ②③ + clustering ⓒ). Two MatchOptions
 /// with equal ClusterStateOptions can share one ClusterState; everything
-/// else in MatchOptions (δ, top-N, cluster order, partial mappings,
-/// structural matchers) only affects the generation phase.
+/// else in MatchOptions (δ, top-N, partial mappings, structural matchers)
+/// only affects the generation phase.
 struct ClusterStateOptions {
   match::ElementMatchingOptions element;
   ClusteringMode clustering = ClusteringMode::kKMeans;
@@ -299,12 +280,13 @@ class Bellflower {
   /// max(δ, adaptive floor), the cluster is skipped with the root-loop
   /// counts the generator would have made (every root candidate counted
   /// and pruned). Only the other clusters get candidate lists, built into
-  /// buffers reused from cluster to cluster. Quality ordering and
-  /// structural scoring inside clusters build every list up front and skip
-  /// nothing. Mappings go through a TopNKeeper: with top_n = N > 0 a run
-  /// holds at most N mappings, at O(log N) per mapping (plus O(N) index
-  /// moves for a ranked, observed run); every mapping is still counted in
-  /// MatchStats::num_mappings.
+  /// buffers reused from cluster to cluster. Structural scoring inside
+  /// clusters rescores a useful cluster's lists right after they are
+  /// built, before its generator runs, and skips no cluster: the bound
+  /// reads the unrescored scores. Mappings go through a TopNKeeper: with
+  /// top_n = N > 0 a run holds at most N mappings, at O(log N) per mapping
+  /// (plus O(N) index moves for a ranked, observed run); every mapping is
+  /// still counted in MatchStats::num_mappings.
   Result<MatchResult> MatchWithState(const schema::SchemaTree& personal,
                                      const ClusterState& state,
                                      const MatchOptions& options) const;

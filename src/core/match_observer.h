@@ -1,9 +1,8 @@
 // MatchObserver: streaming callbacks of one matching run. Where the
 // blocking API returns one MatchResult at the end, an observer sees every
-// mapping the moment the generator emits it — the delivery half of the
-// paper's §7 time-to-first-good-mapping item (ClusterOrder decides *which*
-// cluster runs first, the observer lets the caller *act* on its output
-// immediately).
+// mapping the moment the generator emits it, so the caller can act on the
+// first good mapping while generation goes on (the paper's §7
+// time-to-first-good-mapping item, from the delivery side).
 //
 // All callbacks run synchronously on the thread executing the match, in
 // generation order, between the corresponding OnClusterStart/OnClusterFinish
@@ -27,8 +26,7 @@ class MatchObserver {
   virtual ~MatchObserver() = default;
 
   /// Generation is starting on a useful cluster: the `sequence`-th of
-  /// `total` useful clusters in generation order (0-based, after any
-  /// ClusterOrder reordering).
+  /// `total` useful clusters in generation order (0-based).
   virtual void OnClusterStart(size_t sequence, size_t total,
                               const ClusterSummary& summary) {
     (void)sequence;
@@ -38,8 +36,8 @@ class MatchObserver {
 
   /// Generation finished on that cluster. `stats_so_far` is a live snapshot
   /// of the run's cumulative statistics (generator counters, num_mappings
-  /// found so far, time-to-first accounting) — the incremental view of what
-  /// the blocking API only reports at the end.
+  /// found so far) — the incremental view of what the blocking API only
+  /// reports at the end.
   virtual void OnClusterFinish(size_t sequence, size_t total,
                                const ClusterSummary& summary,
                                const MatchStats& stats_so_far) {

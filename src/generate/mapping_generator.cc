@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <queue>
 
 namespace xsm::generate {
 
@@ -68,7 +67,7 @@ struct MappingGenerator::SearchContext {
   // optimistic_tail[p] = Σ_{q ≥ p} max candidate score at position q.
   std::vector<double> optimistic_tail;
 
-  // DFS state (used by B&B / exhaustive).
+  // DFS state.
   std::vector<NodeId> chosen;     // image per position
   std::vector<double> sim_sums;   // prefix sums, sim_sums[p] after p+1 picks
   std::vector<int64_t> path_sums;
@@ -134,23 +133,12 @@ Status MappingGenerator::Generate(const ClusterCandidates& cands,
     ctx.optimistic_tail[p] = ctx.optimistic_tail[p + 1] + mx;
   }
 
-  switch (options_.algorithm) {
-    case Algorithm::kBranchAndBound:
-    case Algorithm::kExhaustive:
-      ctx.chosen.assign(m, schema::kInvalidNode);
-      ctx.sim_sums.assign(m, 0.0);
-      ctx.path_sums.assign(m, 0);
-      ctx.lb.assign(m, 1);
-      // Initially every edge is pending with the trivial lower bound 1.
-      Dfs(&ctx, 0, static_cast<int64_t>(m) - 1);
-      break;
-    case Algorithm::kBeam:
-      RunBeam(&ctx);
-      break;
-    case Algorithm::kAStar:
-      RunAStar(&ctx);
-      break;
-  }
+  ctx.chosen.assign(m, schema::kInvalidNode);
+  ctx.sim_sums.assign(m, 0.0);
+  ctx.path_sums.assign(m, 0);
+  ctx.lb.assign(m, 1);
+  // Initially every edge is pending with the trivial lower bound 1.
+  Dfs(&ctx, 0, static_cast<int64_t>(m) - 1);
   return Status::OK();
 }
 
@@ -161,8 +149,6 @@ void MappingGenerator::Dfs(SearchContext* ctx, size_t position,
   // forward-checking minimum afterwards).
   const size_t m = order_.size();
   const bool bounded = options_.algorithm == Algorithm::kBranchAndBound;
-  const bool forward =
-      bounded && options_.bound_mode == BoundMode::kForwardChecking;
 
   for (const match::MappingElement& cand : *ctx->cands_at[position]) {
     if (ctx->ControlSaysStop()) return;
@@ -214,10 +200,11 @@ void MappingGenerator::Dfs(SearchContext* ctx, size_t position,
     }
 
     int64_t new_pending = pending_sum;
-    if (forward) {
-      // Tighten the pending edges whose parent is this candidate: replace
-      // their provisional lower bound of 1 by the minimum distance from
-      // the candidate image to any candidate of the child.
+    if (bounded) {
+      // Forward checking: tighten the pending edges whose parent is this
+      // candidate, replacing their provisional lower bound of 1 by the
+      // minimum distance from the candidate image to any candidate of the
+      // child.
       for (size_t q : children_positions_[position]) {
         int64_t best = std::numeric_limits<int64_t>::max();
         for (const match::MappingElement& child_cand : *ctx->cands_at[q]) {
@@ -232,9 +219,6 @@ void MappingGenerator::Dfs(SearchContext* ctx, size_t position,
         ctx->lb[q] = best;
         new_pending += best - 1;
       }
-    }
-
-    if (bounded) {
       // All edges accounted for: closed ones exactly (path_sum), pending
       // ones by their lower bounds.
       double ub = objective_.UpperBound(
@@ -242,9 +226,7 @@ void MappingGenerator::Dfs(SearchContext* ctx, size_t position,
           path_sum + new_pending, static_cast<int>(m) - 1);
       if (ub < options_.delta) {
         ctx->counters->pruned_by_bound++;
-        if (forward) {
-          for (size_t q : children_positions_[position]) ctx->lb[q] = 1;
-        }
+        for (size_t q : children_positions_[position]) ctx->lb[q] = 1;
         continue;
       }
     }
@@ -252,165 +234,11 @@ void MappingGenerator::Dfs(SearchContext* ctx, size_t position,
     ctx->chosen[position] = cand.node.node;
     ctx->sim_sums[position] = sim_sum;
     ctx->path_sums[position] = path_sum;
-    int64_t next_lb = forward ? ctx->lb[position + 1] : 1;
-    Dfs(ctx, position + 1, new_pending - next_lb);
+    // lb stays 1 everywhere in an unbounded run.
+    Dfs(ctx, position + 1, new_pending - ctx->lb[position + 1]);
     ctx->chosen[position] = schema::kInvalidNode;
-    if (forward) {
+    if (bounded) {
       for (size_t q : children_positions_[position]) ctx->lb[q] = 1;
-    }
-  }
-}
-
-namespace {
-
-// Partial assignment state for the frontier-based searches.
-struct BeamState {
-  std::vector<NodeId> chosen;  // one entry per filled position
-  double sim_sum = 0;
-  int64_t path_sum = 0;
-  double bound = 0;  // optimistic Δ of any completion
-};
-
-}  // namespace
-
-void MappingGenerator::RunBeam(SearchContext* ctx) const {
-  const size_t m = order_.size();
-  std::vector<BeamState> frontier;
-  frontier.push_back({});  // Empty prefix.
-  frontier.back().bound =
-      objective_.UpperBound(0.0, ctx->optimistic_tail[0], 0, 0);
-
-  for (size_t position = 0; position < m && !frontier.empty(); ++position) {
-    std::vector<BeamState> next;
-    for (const BeamState& state : frontier) {
-      if (ctx->stop) break;
-      for (const match::MappingElement& cand : *ctx->cands_at[position]) {
-        if (ctx->ControlSaysStop()) break;
-        if (ctx->BudgetExceeded()) {
-          ctx->counters->truncated = true;
-          break;
-        }
-        if (std::find(state.chosen.begin(), state.chosen.end(),
-                      cand.node.node) != state.chosen.end()) {
-          continue;
-        }
-        BeamState ext = state;
-        ext.chosen.push_back(cand.node.node);
-        ext.sim_sum += cand.score;
-        if (position > 0) {
-          ext.path_sum += ctx->tree_index->Distance(
-              state.chosen[parent_position_[position]], cand.node.node);
-        }
-        ctx->counters->partial_mappings++;
-        ext.bound = objective_.UpperBound(
-            ext.sim_sum, ctx->optimistic_tail[position + 1], ext.path_sum,
-            static_cast<int>(position));
-        if (ext.bound < options_.delta) {
-          ctx->counters->pruned_by_bound++;
-          continue;
-        }
-        next.push_back(std::move(ext));
-      }
-    }
-    // Keep only the beam_width most promising partial mappings.
-    if (next.size() > options_.beam_width) {
-      std::nth_element(next.begin(),
-                       next.begin() + static_cast<long>(options_.beam_width),
-                       next.end(), [](const BeamState& a, const BeamState& b) {
-                         return a.bound > b.bound;
-                       });
-      next.resize(options_.beam_width);
-    }
-    // A level abandoned mid-expansion holds incomplete prefixes only;
-    // nothing from this cluster can be emitted.
-    if (ctx->stop) return;
-    frontier = std::move(next);
-  }
-
-  for (const BeamState& state : frontier) {
-    if (ctx->ControlSaysStop()) return;
-    ctx->counters->complete_mappings++;
-    double delta = objective_.Delta(state.sim_sum, state.path_sum);
-    if (delta < options_.delta) continue;
-    SchemaMapping mapping;
-    mapping.tree = ctx->cands->tree;
-    mapping.images.resize(m);
-    for (size_t p = 0; p < m; ++p) {
-      mapping.images[static_cast<size_t>(order_[p])] = state.chosen[p];
-    }
-    mapping.delta = delta;
-    mapping.delta_sim = objective_.DeltaSim(state.sim_sum);
-    mapping.delta_path = objective_.DeltaPath(state.path_sum);
-    mapping.total_path_length = state.path_sum;
-    ctx->out->push_back(std::move(mapping));
-    ctx->RecordEmitted();
-  }
-}
-
-void MappingGenerator::RunAStar(SearchContext* ctx) const {
-  const size_t m = order_.size();
-  auto cmp = [](const BeamState& a, const BeamState& b) {
-    return a.bound < b.bound;  // max-heap on optimistic bound
-  };
-  std::priority_queue<BeamState, std::vector<BeamState>, decltype(cmp)> open(
-      cmp);
-  BeamState root;
-  root.bound = objective_.UpperBound(0.0, ctx->optimistic_tail[0], 0, 0);
-  if (root.bound < options_.delta) return;
-  open.push(std::move(root));
-
-  while (!open.empty()) {
-    if (ctx->ControlSaysStop()) return;
-    if (ctx->BudgetExceeded()) {
-      ctx->counters->truncated = true;
-      return;
-    }
-    BeamState state = open.top();
-    open.pop();
-    // Admissible bound: once the best bound falls below δ nothing that
-    // remains can qualify.
-    if (state.bound < options_.delta) return;
-    size_t position = state.chosen.size();
-    if (position == m) {
-      ctx->counters->complete_mappings++;
-      double delta = objective_.Delta(state.sim_sum, state.path_sum);
-      if (delta >= options_.delta) {
-        SchemaMapping mapping;
-        mapping.tree = ctx->cands->tree;
-        mapping.images.resize(m);
-        for (size_t p = 0; p < m; ++p) {
-          mapping.images[static_cast<size_t>(order_[p])] = state.chosen[p];
-        }
-        mapping.delta = delta;
-        mapping.delta_sim = objective_.DeltaSim(state.sim_sum);
-        mapping.delta_path = objective_.DeltaPath(state.path_sum);
-        mapping.total_path_length = state.path_sum;
-        ctx->out->push_back(std::move(mapping));
-        ctx->RecordEmitted();
-      }
-      continue;
-    }
-    for (const match::MappingElement& cand : *ctx->cands_at[position]) {
-      if (std::find(state.chosen.begin(), state.chosen.end(),
-                    cand.node.node) != state.chosen.end()) {
-        continue;
-      }
-      BeamState ext = state;
-      ext.chosen.push_back(cand.node.node);
-      ext.sim_sum += cand.score;
-      if (position > 0) {
-        ext.path_sum += ctx->tree_index->Distance(
-            state.chosen[parent_position_[position]], cand.node.node);
-      }
-      ctx->counters->partial_mappings++;
-      ext.bound = objective_.UpperBound(
-          ext.sim_sum, ctx->optimistic_tail[position + 1], ext.path_sum,
-          static_cast<int>(position));
-      if (ext.bound < options_.delta) {
-        ctx->counters->pruned_by_bound++;
-        continue;
-      }
-      open.push(std::move(ext));
     }
   }
 }

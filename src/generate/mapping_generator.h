@@ -5,15 +5,16 @@
 // Algorithms:
 //  * kBranchAndBound — the paper's generator (adaptation of B&B, Kreher &
 //    Stinson): depth-first over personal nodes in pre-order, pruning any
-//    partial mapping whose admissible upper bound falls below δ. Counts the
-//    partial mappings generated — the paper's machine-independent
+//    partial mapping whose admissible upper bound falls below δ. The bound
+//    uses forward checking: an unclosed edge whose parent image is already
+//    fixed is lower-bounded by the minimum tree distance from that image to
+//    any candidate of the child, every other unclosed edge by length 1.
+//    The bound is admissible: it never prunes a qualifying mapping. Counts
+//    the partial mappings generated — the paper's machine-independent
 //    performance indicator (Tab. 1b).
 //  * kExhaustive — same enumeration without the bound: generates every
 //    syntactically valid (partial) mapping. Baseline for Tab. 1b and the
 //    correctness oracle for tests.
-//  * kBeam — width-limited level search as used by iMap; may miss results.
-//  * kAStar — best-first with the same admissible bound as B&B (LSD-style);
-//    returns exactly the B&B result set.
 #ifndef XSM_GENERATE_MAPPING_GENERATOR_H_
 #define XSM_GENERATE_MAPPING_GENERATOR_H_
 
@@ -33,29 +34,12 @@ namespace xsm::generate {
 enum class Algorithm {
   kBranchAndBound = 0,
   kExhaustive = 1,
-  kBeam = 2,
-  kAStar = 3,
-};
-
-/// Strength of the B&B bounding function.
-enum class BoundMode {
-  /// Every unclosed personal edge is assumed to map to a length-1 path.
-  kSimple = 0,
-  /// Forward checking: an unclosed edge whose parent image is already
-  /// fixed is lower-bounded by the minimum tree distance from that image
-  /// to any candidate of the child. Still admissible (never prunes a
-  /// qualifying mapping) and markedly tighter on spread-out candidates.
-  kForwardChecking = 1,
 };
 
 struct GeneratorOptions {
   Algorithm algorithm = Algorithm::kBranchAndBound;
   /// Objective-function threshold δ: only mappings with Δ ≥ δ are produced.
   double delta = 0.75;
-  /// Bounding function used by kBranchAndBound (kAStar/kBeam use kSimple).
-  BoundMode bound_mode = BoundMode::kForwardChecking;
-  /// Beam width for Algorithm::kBeam.
-  size_t beam_width = 64;
   /// Safety valve: stop after this many partial mappings (0 = unlimited).
   /// Exhaustive runs on huge clusters can otherwise run very long.
   uint64_t max_partial_mappings = 0;
@@ -120,8 +104,6 @@ class MappingGenerator {
   struct SearchContext;
 
   void Dfs(SearchContext* ctx, size_t position, int64_t pending_sum) const;
-  void RunBeam(SearchContext* ctx) const;
-  void RunAStar(SearchContext* ctx) const;
 
   const schema::SchemaTree& personal_;
   objective::BellflowerObjective objective_;

@@ -70,6 +70,20 @@ std::vector<std::string> BodyLines(const std::string& body) {
   return lines;
 }
 
+/// One "tenant" line (with trailing newline) describing a tenant's
+/// current repository, as `GET /v1/tenants` lists it and
+/// `PUT /v1/tenants/{t}` reports it created.
+void AppendTenantEvent(const Tenant& tenant, std::string* body) {
+  service::RepositoryPinPtr pin = tenant.service->Pin();
+  service::EventLine(body, "tenant")
+      .Str("name", tenant.name)
+      .Int("generation", pin->generation())
+      .Int("trees", pin->num_trees())
+      .Int("shards", tenant.service->Shards().size())
+      .End();
+  body->push_back('\n');
+}
+
 constexpr std::string_view kNdjson = "application/x-ndjson";
 
 }  // namespace
@@ -329,7 +343,7 @@ void HttpServer::Serve() {
       service::EventLine(&line, "error")
           .Str("code", "save_failed")
           .Str("tenant", failure.tenant)
-          .Str("status", StatusCodeToString(failure.status.code()))
+          .Str("status", StatusCodeToSnakeCase(failure.status.code()))
           .Str("message", failure.status.ToString())
           .End();
       std::fprintf(stderr, "%s\n", line.c_str());
@@ -871,15 +885,7 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
         std::string body;
         for (const std::string& name : registry_->Names()) {
           Tenant* tenant = registry_->Find(name);
-          if (tenant == nullptr) continue;
-          service::RepositoryPinPtr pin = tenant->service->Pin();
-          service::EventLine(&body, "tenant")
-              .Str("name", name)
-              .Int("generation", pin->generation())
-              .Int("trees", pin->num_trees())
-              .Int("shards", tenant->service->Shards().size())
-              .End();
-          body.push_back('\n');
+          if (tenant != nullptr) AppendTenantEvent(*tenant, &body);
         }
         QueueSimple(conn, 200, body, keep_alive);
         return;
@@ -1093,12 +1099,8 @@ void HttpServer::HandleCreateTenant(const std::shared_ptr<Connection>& conn,
     return;
   }
   std::string body;
-  service::EventLine(&body, "tenant")
-      .Str("name", name)
-      .Int("trees", lines.size())
-      .Int("generation", 0)
-      .End();
-  QueueSimple(conn, 201, body + "\n", keep_alive);
+  AppendTenantEvent(**tenant, &body);
+  QueueSimple(conn, 201, body, keep_alive);
 }
 
 void HttpServer::HandleSave(const std::shared_ptr<Connection>& conn,

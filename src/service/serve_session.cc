@@ -1,7 +1,6 @@
 #include "service/serve_session.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -609,24 +608,12 @@ void ServeSession::EmitSavedEvent(std::string_view key,
 
 void ServeSession::EmitErrorEvent(const std::string& id, const Status& status,
                                   const EventSink& sink) {
-  // lower_snake_case code names ("not_found", "io_error") — a stable
-  // machine-readable vocabulary, unlike the human ToString prefix.
-  std::string_view camel = StatusCodeToString(status.code());
-  std::string code;
-  for (size_t i = 0; i < camel.size(); ++i) {
-    unsigned char c = camel[i];
-    bool boundary =
-        i > 0 && std::isupper(c) &&
-        (std::islower(static_cast<unsigned char>(camel[i - 1])) ||
-         (i + 1 < camel.size() &&
-          std::islower(static_cast<unsigned char>(camel[i + 1]))));
-    if (boundary) code += '_';
-    code += static_cast<char>(std::tolower(c));
-  }
   std::string line;
   EventLine event(&line, "error");
   if (!id.empty()) event.Str("id", id);
-  sink(event.Str("code", code).Str("message", status.ToString()).End());
+  sink(event.Str("code", StatusCodeToSnakeCase(status.code()))
+           .Str("message", status.ToString())
+           .End());
 }
 
 void ServeSession::EmitStatsEvent(const EventSink& sink) const {

@@ -763,8 +763,6 @@ Result<core::MatchResult> ShardedMatchService::Generate(
   merged.stats.partial_generator = {};
   merged.stats.structural_evaluations = 0;
   merged.stats.time_structural_seconds = 0;
-  merged.stats.partials_until_first_mapping = 0;
-  merged.stats.clusters_until_first_mapping = 0;
   merged.stats.num_mappings = 0;
   merged.stats.cluster_summaries.clear();
   double useful_pairs = 0;
@@ -793,10 +791,6 @@ Result<core::MatchResult> ShardedMatchService::Generate(
     merged.stats.partial_generator += r.stats.partial_generator;
     merged.stats.structural_evaluations += r.stats.structural_evaluations;
     merged.stats.time_structural_seconds += r.stats.time_structural_seconds;
-    merged.stats.partials_until_first_mapping +=
-        r.stats.partials_until_first_mapping;
-    merged.stats.clusters_until_first_mapping +=
-        r.stats.clusters_until_first_mapping;
     std::move(r.stats.cluster_summaries.begin(),
               r.stats.cluster_summaries.end(),
               std::back_inserter(merged.stats.cluster_summaries));

@@ -1,5 +1,7 @@
 #include "util/status.h"
 
+#include <cctype>
+
 namespace xsm {
 
 std::string_view StatusCodeToString(StatusCode code) {
@@ -32,6 +34,22 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Unavailable";
   }
   return "Unknown";
+}
+
+std::string StatusCodeToSnakeCase(StatusCode code) {
+  std::string_view camel = StatusCodeToString(code);
+  std::string snake;
+  for (size_t i = 0; i < camel.size(); ++i) {
+    unsigned char c = camel[i];
+    bool boundary =
+        i > 0 && std::isupper(c) &&
+        (std::islower(static_cast<unsigned char>(camel[i - 1])) ||
+         (i + 1 < camel.size() &&
+          std::islower(static_cast<unsigned char>(camel[i + 1]))));
+    if (boundary) snake += '_';
+    snake += static_cast<char>(std::tolower(c));
+  }
+  return snake;
 }
 
 std::string Status::ToString() const {

@@ -38,6 +38,11 @@ enum class StatusCode : int {
 /// "InvalidArgument", ...).
 std::string_view StatusCodeToString(StatusCode code);
 
+/// The code's name in lower_snake_case ("ok", "io_error", "not_found"): the
+/// stable machine-readable vocabulary of NDJSON `error` events, unlike the
+/// human ToString prefix.
+std::string StatusCodeToSnakeCase(StatusCode code);
+
 /// Outcome of an operation: either OK or an error code plus message.
 ///
 /// Status is cheap to copy in the OK case (no allocation) and is used by

@@ -7,8 +7,7 @@
 // fresh MappingGenerator on every useful cluster with no skip, every
 // mapping kept, and the adaptive floor and running ranks recomputed from
 // all mappings found so far. Mappings, every counter, the cluster
-// summaries, the time-to-first accounting and the observer's event
-// sequence must agree exactly.
+// summaries and the observer's event sequence must agree exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,8 +42,6 @@ struct Event {
   // kFinish: the stats snapshot.
   size_t num_mappings = 0;
   generate::GeneratorCounters generator;
-  uint64_t partials_until_first = 0;
-  size_t clusters_until_first = 0;
   // kMapping.
   SchemaMapping mapping;
   size_t rank = 0;
@@ -65,8 +62,6 @@ Event FinishEvent(size_t sequence, size_t total, const ClusterSummary& s,
   e.kind = Event::kFinish;
   e.num_mappings = stats.num_mappings;
   e.generator = stats.generator;
-  e.partials_until_first = stats.partials_until_first_mapping;
-  e.clusters_until_first = stats.clusters_until_first_mapping;
   return e;
 }
 
@@ -126,8 +121,6 @@ Outcome Reference(const Bellflower& system, const schema::SchemaTree& personal,
   std::iota(considered.begin(), considered.end(), size_t{0});
   if (subset != nullptr) considered = *subset;
   const bool structural = options.structural_matcher != nullptr;
-  const bool eager =
-      structural || options.cluster_order == ClusterOrder::kQualityDescending;
 
   std::vector<generate::ClusterCandidates> cands(clusters.size());
   std::vector<size_t> useful;
@@ -163,45 +156,11 @@ Outcome Reference(const Bellflower& system, const schema::SchemaTree& personal,
   }
 
   const std::vector<schema::NodeId> order = personal.PreOrder();
-  if (options.cluster_order == ClusterOrder::kQualityDescending) {
-    std::vector<double> quality(clusters.size(), 0.0);
-    for (size_t ci : useful) {
-      double sim = 0;
-      for (const auto& list : cands[ci].candidates) {
-        double mx = 0;
-        for (const auto& e : list) mx = std::max(mx, e.score);
-        sim += mx;
-      }
-      const label::TreeIndex& tidx = system.index().tree(cands[ci].tree);
-      int64_t excess = 0;
-      for (schema::NodeId n : order) {
-        if (personal.parent(n) == schema::kInvalidNode) continue;
-        int64_t best = label::ForestIndex::kInfiniteDistance;
-        for (const auto& a : cands[ci].candidates[static_cast<size_t>(
-                 personal.parent(n))]) {
-          for (const auto& b : cands[ci].candidates[static_cast<size_t>(n)]) {
-            if (a.node == b.node) continue;
-            best = std::min<int64_t>(best,
-                                     tidx.Distance(a.node.node, b.node.node));
-          }
-        }
-        excess += std::max<int64_t>(best, 1) - 1;
-      }
-      quality[ci] = objective.UpperBound(
-          0.0, sim, static_cast<int64_t>(personal.num_edges()) + excess,
-          static_cast<int>(personal.num_edges()));
-    }
-    std::stable_sort(useful.begin(), useful.end(), [&](size_t a, size_t b) {
-      return quality[a] > quality[b];
-    });
-  }
-
   const bool bnb =
       options.generator.algorithm == generate::Algorithm::kBranchAndBound;
   const bool adaptive = options.adaptive_top_n && options.top_n > 0 && bnb;
   std::vector<SchemaMapping> all;     // emission order
   std::vector<SchemaMapping> ranked;  // MappingOrder
-  bool first_seen = false;
   for (size_t seq = 0; seq < useful.size(); ++seq) {
     const size_t ci = useful[seq];
     const ClusterSummary& summary = stats.cluster_summaries[summary_at[ci]];
@@ -221,7 +180,7 @@ Outcome Reference(const Bellflower& system, const schema::SchemaTree& personal,
     visit.partial_before = stats.generator.partial_mappings;
     const auto& root_list = cands[ci].candidates[static_cast<size_t>(order[0])];
     visit.root_count = root_list.size();
-    if (bnb && !eager && m >= 2) {
+    if (bnb && !structural && m >= 2) {
       std::vector<double> best(m, 0.0);
       for (size_t n = 0; n < m; ++n) {
         for (const auto& e : cands[ci].candidates[n]) {
@@ -259,18 +218,8 @@ Outcome Reference(const Bellflower& system, const schema::SchemaTree& personal,
                     .Generate(cands[ci], system.index().tree(cands[ci].tree),
                               &all, &stats.generator, &monitor)
                     .ok());
-    if (!first_seen) {
-      ++stats.clusters_until_first_mapping;
-      if (!all.empty()) {
-        first_seen = true;
-        stats.partials_until_first_mapping = stats.generator.partial_mappings;
-      }
-    }
     stats.num_mappings = all.size();
     out.events.push_back(FinishEvent(seq, useful.size(), summary, stats));
-  }
-  if (!first_seen) {
-    stats.partials_until_first_mapping = stats.generator.partial_mappings;
   }
   stats.num_mappings = all.size();
   std::sort(all.begin(), all.end(), generate::MappingOrder());
@@ -320,12 +269,6 @@ void ExpectSameResult(const Outcome& want, const MatchResult& got,
   }
   ExpectSameCounters(want.stats.generator, got.stats.generator, context);
   EXPECT_EQ(got.stats.num_mappings, want.stats.num_mappings) << context;
-  EXPECT_EQ(got.stats.clusters_until_first_mapping,
-            want.stats.clusters_until_first_mapping)
-      << context;
-  EXPECT_EQ(got.stats.partials_until_first_mapping,
-            want.stats.partials_until_first_mapping)
-      << context;
   ASSERT_EQ(got.stats.cluster_summaries.size(),
             want.stats.cluster_summaries.size())
       << context;
@@ -351,10 +294,6 @@ void ExpectSameEvents(const std::vector<Event>& want,
       case Event::kFinish:
         EXPECT_EQ(got[i].num_mappings, want[i].num_mappings) << at;
         ExpectSameCounters(want[i].generator, got[i].generator, at);
-        EXPECT_EQ(got[i].partials_until_first, want[i].partials_until_first)
-            << at;
-        EXPECT_EQ(got[i].clusters_until_first, want[i].clusters_until_first)
-            << at;
         [[fallthrough]];
       case Event::kStart:
         EXPECT_EQ(got[i].sequence, want[i].sequence) << at;
@@ -529,28 +468,22 @@ TEST_F(ClusterBoundTest, DeltaTopNAndAdaptiveSweepMatchesReference) {
   EXPECT_GT(skippable, 0u);
 }
 
+// Structural scoring inside clusters: each useful cluster's lists are
+// rescored before its generator runs, and no cluster is skipped.
 TEST_F(ClusterBoundTest, EagerListsMatchReference) {
   match::PathContextMatcher structural;
   for (const auto& [r, query] : *queries_) {
     const Bellflower& system = *(*systems_)[r];
-    for (bool quality : {false, true}) {
-      for (bool rescore : {false, true}) {
-        if (!quality && !rescore) continue;
-        for (size_t top : {size_t{0}, size_t{3}}) {
-          if (top == 0 && SearchSpace(query.state) > 20000) continue;
-          MatchOptions options;
-          options.delta = 0.6;
-          options.top_n = top;
-          if (quality) options.cluster_order = ClusterOrder::kQualityDescending;
-          if (rescore) options.structural_matcher = &structural;
-          ExpectMatchesReference(
-              system, query.personal, query.state, options,
-              query.context + (quality ? " quality" : "") +
-                  (rescore ? " structural" : "") +
-                  " top=" + std::to_string(top));
-          if (HasFatalFailure()) return;
-        }
-      }
+    for (size_t top : {size_t{0}, size_t{3}}) {
+      if (top == 0 && SearchSpace(query.state) > 20000) continue;
+      MatchOptions options;
+      options.delta = 0.6;
+      options.top_n = top;
+      options.structural_matcher = &structural;
+      ExpectMatchesReference(system, query.personal, query.state, options,
+                             query.context + " structural top=" +
+                                 std::to_string(top));
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -1,6 +1,6 @@
-// Tests for the future-work extensions wired into the core pipeline:
-// partial mappings (§2.3), cluster-quality ordering (§7), huge-cluster
-// splitting (§4) and the lexical cluster distance (§7).
+// Tests for the extensions wired into the core pipeline: partial mappings
+// (§2.3), huge-cluster splitting (§4), the lexical cluster distance (§7)
+// and adaptive top-N pruning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,47 +77,6 @@ TEST(PartialMappingsTest, RecoveredFromNonUsefulClusters) {
   EXPECT_EQ(base->mappings.size(), r->mappings.size());
 }
 
-TEST(ClusterOrderTest, SameResultsFasterFirstMapping) {
-  // A larger synthetic corpus so ordering has something to reorder.
-  repo::SyntheticRepoOptions ro;
-  ro.target_elements = 3000;
-  ro.seed = 17;
-  auto repo = repo::GenerateSyntheticRepository(ro);
-  ASSERT_TRUE(repo.ok());
-  Bellflower system(&*repo);
-
-  MatchOptions natural;
-  natural.element.threshold = 0.5;
-  natural.delta = 0.75;
-  natural.clustering = ClusteringMode::kKMeans;
-  natural.kmeans.join_distance = 3;
-  MatchOptions ranked = natural;
-  ranked.cluster_order = ClusterOrder::kQualityDescending;
-
-  auto rn = system.Match(*schema::ParseTreeSpec("name(address,email)"),
-                         natural);
-  auto rq = system.Match(*schema::ParseTreeSpec("name(address,email)"),
-                         ranked);
-  ASSERT_TRUE(rn.ok());
-  ASSERT_TRUE(rq.ok());
-
-  // Identical result sets (ordering only changes the traversal).
-  ASSERT_EQ(rn->mappings.size(), rq->mappings.size());
-  std::set<std::pair<schema::TreeId, std::vector<schema::NodeId>>> a;
-  std::set<std::pair<schema::TreeId, std::vector<schema::NodeId>>> b;
-  for (const auto& m : rn->mappings) a.insert({m.tree, m.images});
-  for (const auto& m : rq->mappings) b.insert({m.tree, m.images});
-  EXPECT_EQ(a, b);
-
-  // Quality ordering should find its first mapping with no more clusters
-  // than natural order (usually strictly fewer).
-  if (!rq->mappings.empty()) {
-    EXPECT_LE(rq->stats.clusters_until_first_mapping,
-              rn->stats.clusters_until_first_mapping);
-    EXPECT_GE(rq->stats.clusters_until_first_mapping, 1u);
-  }
-}
-
 TEST(SplitReclusteringTest, EnforcesMaxClusterSize) {
   repo::SyntheticRepoOptions ro;
   ro.target_elements = 3000;
@@ -163,18 +122,6 @@ TEST(LexicalDistanceTest, RunsAndStaysSubsetOfBaseline) {
   ASSERT_TRUE(rl.ok()) << rl.status().ToString();
   EXPECT_TRUE(IsSubsetOf(rl->mappings, rb->mappings));
   EXPECT_GT(rl->stats.num_clusters, 0u);
-}
-
-TEST(TimeToFirstTest, CountersPopulated) {
-  SchemaForest repo = MakeRepo();
-  Bellflower system(&repo);
-  auto r = system.Match(Personal(), BaseOptions());
-  ASSERT_TRUE(r.ok());
-  ASSERT_FALSE(r->mappings.empty());
-  EXPECT_GE(r->stats.clusters_until_first_mapping, 1u);
-  EXPECT_GT(r->stats.partials_until_first_mapping, 0u);
-  EXPECT_LE(r->stats.partials_until_first_mapping,
-            r->stats.generator.partial_mappings);
 }
 
 TEST(AdaptiveTopNTest, SameTopNWithLessWork) {

@@ -93,9 +93,6 @@ TEST(TopNStreamTest, StreamIsTheUnfilteredStreamsEventsWithRankAtMostN) {
     ASSERT_TRUE(personal.ok()) << spec;
     MatchOptions base;
     base.delta = 0.5 + 0.05 * static_cast<double>(rng.Uniform(5));
-    base.cluster_order = rng.WithProbability(0.5)
-                             ? ClusterOrder::kQualityDescending
-                             : ClusterOrder::kNatural;
     SCOPED_TRACE(spec + " delta=" + std::to_string(base.delta));
     auto state = system.BuildClusterState(*personal,
                                           ClusterStateOptions::From(base));

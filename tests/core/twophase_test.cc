@@ -2,6 +2,8 @@
 // structural matcher group applied after clustering, within clusters only.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/bellflower.h"
 #include "match/structural_matcher.h"
 #include "repo/synthetic.h"
@@ -154,13 +156,23 @@ TEST(TwoPhaseTest, WorksWithKMeansClustering) {
   o.clustering = ClusteringMode::kKMeans;
   o.kmeans.join_distance = 3;
   o.structural_matcher = &match::CompositeStructuralMatcher::Default();
-  auto r = system.Match(*schema::ParseTreeSpec("name(address,email)"), o);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(r->stats.structural_evaluations, 0u);
-  EXPECT_GT(r->stats.time_structural_seconds, 0.0);
-  // Work bounded by the number of mapping elements.
-  EXPECT_LE(r->stats.structural_evaluations,
-            r->stats.total_mapping_elements);
+  for (size_t top : {size_t{0}, size_t{5}}) {
+    SCOPED_TRACE("top=" + std::to_string(top));
+    o.top_n = top;
+    auto r = system.Match(*schema::ParseTreeSpec("name(address,email)"), o);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(r->stats.structural_evaluations, 0u);
+    EXPECT_GT(r->stats.time_structural_seconds, 0.0);
+    // Work bounded by the number of mapping elements.
+    EXPECT_LE(r->stats.structural_evaluations,
+              r->stats.total_mapping_elements);
+    // Exactly the mapping elements of the useful clusters are rescored.
+    uint64_t useful_elements = 0;
+    for (const ClusterSummary& summary : r->stats.cluster_summaries) {
+      if (summary.useful) useful_elements += summary.num_mapping_elements;
+    }
+    EXPECT_EQ(r->stats.structural_evaluations, useful_elements);
+  }
 }
 
 }  // namespace

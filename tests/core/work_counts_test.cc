@@ -36,7 +36,6 @@ struct WorkCountCase {
   int join_distance;
   size_t top_n;
   bool include_partial_mappings;
-  bool quality_order;
   bool structural_baseline;
 
   size_t num_mappings;
@@ -103,8 +102,6 @@ class WorkCountsTest : public ::testing::Test {
     options.top_n = c.top_n;
     options.adaptive_top_n = true;
     options.include_partial_mappings = c.include_partial_mappings;
-    options.cluster_order = c.quality_order ? ClusterOrder::kQualityDescending
-                                            : ClusterOrder::kNatural;
     if (c.structural_baseline) {
       static const match::PathContextMatcher kStructural;
       options.structural_matcher = &kStructural;
@@ -143,12 +140,12 @@ void PrintObserved(const WorkCountCase& c, const MatchResult& r) {
 }
 
 const WorkCountCase kCases[] = {
-    // name, personal, clustering, join, top_n, partials, quality, structural
+    // name, personal, clustering, join, top_n, partials, structural
     // then: num_mappings, partial_mappings, useful clusters, search_space,
     // clusters, summaries digest, partial-generator partials, partial
     // mappings, top list
     {"medium_top10", "name(address,email)", ClusteringMode::kKMeans, 3, 10,
-     false, false, false,
+     false, false,
      156, 1898, 260, 16527, 278,
      0x0bc453f1c1b382c7ull, 0, 0,
      {
@@ -164,7 +161,7 @@ const WorkCountCase kCases[] = {
          {160, {22, 23, 10}, 0.94999999999999996},
      }},
     {"tree_top10", "name(address,email)", ClusteringMode::kTreeClusters, 0,
-     10, false, false, false,
+     10, false, false,
      228, 4737, 128, 266258, 163,
      0xc962de42281dd7f3ull, 0, 0,
      {
@@ -180,7 +177,7 @@ const WorkCountCase kCases[] = {
          {124, {3, 12, 13}, 0.94999999999999996},
      }},
     {"small_six_nodes", "person(name,phone,address(date,email))",
-     ClusteringMode::kKMeans, 2, 10, false, false, false,
+     ClusteringMode::kKMeans, 2, 10, false, false,
      917, 11418, 62, 2664313, 116,
      0xb16efb77ebea1c60ull, 0, 0,
      {
@@ -196,7 +193,7 @@ const WorkCountCase kCases[] = {
          {65, {73, 214, 164, 32, 192, 110}, 0.92999999999999994},
      }},
     {"large_with_partials", "name(address,email)", ClusteringMode::kKMeans, 4,
-     10, true, false, false,
+     10, true, false,
      227, 3062, 184, 65606, 195,
      0xb600ad27d6aa634full, 98, 67,
      {
@@ -211,19 +208,8 @@ const WorkCountCase kCases[] = {
          {59, {9, 17, 21}, 0.94999999999999996},
          {124, {3, 12, 13}, 0.94999999999999996},
      }},
-    {"medium_quality_order", "person(name,email,phone)",
-     ClusteringMode::kKMeans, 3, 5, false, true, false,
-     196, 1575, 69, 33006, 97,
-     0x2b197224a48e007full, 0, 0,
-     {
-         {34, {238, 271, 241, 225}, 0.96666666666666667},
-         {60, {51, 335, 276, 92}, 0.96666666666666667},
-         {65, {73, 214, 110, 144}, 0.96666666666666667},
-         {65, {73, 214, 110, 164}, 0.96666666666666667},
-         {143, {29, 96, 31, 18}, 0.96666666666666667},
-     }},
     {"medium_structural_baseline", "name(address,phone)",
-     ClusteringMode::kKMeans, 3, 10, false, false, true,
+     ClusteringMode::kKMeans, 3, 10, false, true,
      1, 809, 153, 9209, 158,
      0x21fe4fc5f01606adull, 0, 0,
      {

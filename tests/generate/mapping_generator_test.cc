@@ -181,8 +181,10 @@ TEST(MappingGeneratorTest, CountersAccumulateAcrossCalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Property suite: on random scenarios, B&B and A* return exactly the
-// exhaustive result set, and B&B never does more work than exhaustive.
+// Property suite: on random scenarios, B&B returns exactly the exhaustive
+// result set and never does more work than exhaustive. (The test name
+// still names the A* generator it once also checked; renaming it would
+// rename every parametrized instance.)
 // ---------------------------------------------------------------------------
 
 SchemaTree RandomTree(size_t n, xsm::Rng* rng) {
@@ -239,37 +241,10 @@ TEST_P(GeneratorEquivalenceTest, BnBAndAStarMatchExhaustive) {
       return std::make_pair(out, counters);
     };
 
-    auto run_with_bound = [&](BoundMode mode) {
-      GeneratorOptions opts;
-      opts.algorithm = Algorithm::kBranchAndBound;
-      opts.bound_mode = mode;
-      opts.delta = delta;
-      MappingGenerator gen(personal, obj, opts);
-      std::vector<SchemaMapping> out;
-      GeneratorCounters counters;
-      EXPECT_TRUE(gen.Generate(cands, index, &out, &counters).ok());
-      return std::make_pair(out, counters);
-    };
-
     auto [exhaustive, ex_counters] = run(Algorithm::kExhaustive);
     auto [bnb, bnb_counters] = run(Algorithm::kBranchAndBound);
-    auto [astar, astar_counters] = run(Algorithm::kAStar);
-    auto [beam, beam_counters] = run(Algorithm::kBeam);
-    auto [bnb_simple, bnb_simple_counters] =
-        run_with_bound(BoundMode::kSimple);
 
     EXPECT_EQ(Canon(bnb), Canon(exhaustive)) << "seed=" << seed;
-    EXPECT_EQ(Canon(astar), Canon(exhaustive)) << "seed=" << seed;
-    // Both bound modes are admissible: identical result sets, and the
-    // forward-checking bound never does more work than the simple one.
-    EXPECT_EQ(Canon(bnb_simple), Canon(exhaustive)) << "seed=" << seed;
-    EXPECT_LE(bnb_counters.partial_mappings,
-              bnb_simple_counters.partial_mappings);
-    // Beam may lose results but never invents them.
-    auto exh_set = Canon(exhaustive);
-    for (const auto& key : Canon(beam)) {
-      EXPECT_TRUE(exh_set.count(key)) << "beam invented a mapping";
-    }
     // Pruning never increases work.
     EXPECT_LE(bnb_counters.partial_mappings, ex_counters.partial_mappings);
     // Every emitted mapping respects the threshold and injectivity.
@@ -295,27 +270,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 5),
                        ::testing::Values(0.5, 0.75, 0.9),
                        ::testing::Values(11u, 29u)));
-
-TEST(MappingGeneratorTest, BeamWithLargeWidthMatchesExhaustive) {
-  Scenario s = MakeSimpleScenario();
-  objective::BellflowerObjective obj(0.5, 3, 3, 2);
-  GeneratorOptions exhaustive_opts;
-  exhaustive_opts.algorithm = Algorithm::kExhaustive;
-  exhaustive_opts.delta = 0.3;
-  GeneratorOptions beam_opts = exhaustive_opts;
-  beam_opts.algorithm = Algorithm::kBeam;
-  beam_opts.beam_width = 1000;
-
-  std::vector<SchemaMapping> exhaustive_out;
-  std::vector<SchemaMapping> beam_out;
-  GeneratorCounters c1;
-  GeneratorCounters c2;
-  MappingGenerator g1(s.personal, obj, exhaustive_opts);
-  MappingGenerator g2(s.personal, obj, beam_opts);
-  ASSERT_TRUE(g1.Generate(s.cands, s.index, &exhaustive_out, &c1).ok());
-  ASSERT_TRUE(g2.Generate(s.cands, s.index, &beam_out, &c2).ok());
-  EXPECT_EQ(Canon(beam_out), Canon(exhaustive_out));
-}
 
 }  // namespace
 }  // namespace xsm::generate

@@ -479,8 +479,8 @@ TEST(NdjsonEventGoldenTest, HttpEvents) {
       "410 {\"type\":\"error\",\"code\":\"gone\",\"message\":"
       "\"/healthz moved under the versioned API; use GET /v1/h"
       "ealthz\",\"migrate_to\":\"/v1/healthz\"}",
-      "201 {\"type\":\"tenant\",\"name\":\"fresh\",\"trees\":2"
-      ",\"generation\":0}",
+      "201 {\"type\":\"tenant\",\"name\":\"fresh\",\"generatio"
+      "n\":0,\"trees\":2,\"shards\":2}",
       "200 {\"type\":\"tenant\",\"name\":\"fresh\",\"generatio"
       "n\":0,\"trees\":2,\"shards\":2}",
       "{\"type\":\"tenant\",\"name\":\"t1\",\"generation\":0,"
@@ -580,8 +580,8 @@ TEST(NdjsonEventGoldenTest, DrainSaveFailureLine) {
   }
   ExpectGolden(lines, {
       "{\"type\":\"error\",\"code\":\"save_failed\",\"tenant\""
-      ":\"t1\",\"status\":\"IOError\",\"message\":\"IOError: i"
-      "njected rename failure (injected) on @DIR@/t1.snap\"}",
+      ":\"t1\",\"status\":\"io_error\",\"message\":\"IOError: "
+      "injected rename failure (injected) on @DIR@/t1.snap\"}",
   });
 }
 

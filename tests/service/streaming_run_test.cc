@@ -36,7 +36,7 @@ class CollectingObserver : public core::MatchObserver {
   const core::CancelToken* cancel_after_first_mapping = nullptr;
 };
 
-class MatchStreamingTest : public ::testing::Test {
+class StreamingRunTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     repo::SyntheticRepoOptions options;
@@ -86,9 +86,9 @@ class MatchStreamingTest : public ::testing::Test {
   static schema::SchemaForest* forest_;
 };
 
-schema::SchemaForest* MatchStreamingTest::forest_ = nullptr;
+schema::SchemaForest* StreamingRunTest::forest_ = nullptr;
 
-TEST_F(MatchStreamingTest, StreamingEqualsBlockingMatch) {
+TEST_F(StreamingRunTest, StreamingEqualsBlockingMatch) {
   auto service = MakeService();
   MatchRequest query = MakeQuery("stream");
 
@@ -105,7 +105,7 @@ TEST_F(MatchStreamingTest, StreamingEqualsBlockingMatch) {
   EXPECT_EQ(observer.mappings.size(), blocking->result.mappings.size());
 }
 
-TEST_F(MatchStreamingTest, HandleCancelBeforeExecutionSkipsAllWork) {
+TEST_F(StreamingRunTest, HandleCancelBeforeExecutionSkipsAllWork) {
   MatchServiceOptions options;
   options.num_threads = 1;
   auto service = MakeService(options);
@@ -143,7 +143,7 @@ TEST_F(MatchStreamingTest, HandleCancelBeforeExecutionSkipsAllWork) {
   EXPECT_EQ(service->stats().cancelled, 1u);
 }
 
-TEST_F(MatchStreamingTest, CancelMidGenerationReturnsPartialResults) {
+TEST_F(StreamingRunTest, CancelMidGenerationReturnsPartialResults) {
   auto service = MakeService();
   MatchRequest query = MakeQuery("midrun");
 
@@ -171,7 +171,7 @@ TEST_F(MatchStreamingTest, CancelMidGenerationReturnsPartialResults) {
   EXPECT_GT(service->stats().cache.hits, hits_before);
 }
 
-TEST_F(MatchStreamingTest, DefaultDeadlineExpiresQueries) {
+TEST_F(StreamingRunTest, DefaultDeadlineExpiresQueries) {
   MatchServiceOptions options;
   options.default_deadline_seconds = 1e-9;  // expires immediately
   auto service = MakeService(options);
@@ -191,7 +191,7 @@ TEST_F(MatchStreamingTest, DefaultDeadlineExpiresQueries) {
   EXPECT_FALSE(generous->result.mappings.empty());
 }
 
-TEST_F(MatchStreamingTest, EarlyStopCountsInServiceStats) {
+TEST_F(StreamingRunTest, EarlyStopCountsInServiceStats) {
   auto service = MakeService();
   core::ExecutionControl control;
   control.stop_after_n_mappings = 1;
@@ -205,7 +205,7 @@ TEST_F(MatchStreamingTest, EarlyStopCountsInServiceStats) {
 // Acceptance criterion: a concurrent cancellation stress run leaves no
 // half-built ClusterIndexCache entries — every subsequent hit reproduces
 // the uncancelled result.
-TEST_F(MatchStreamingTest, CancellationStressNeverPoisonsCache) {
+TEST_F(StreamingRunTest, CancellationStressNeverPoisonsCache) {
   MatchServiceOptions options;
   options.num_threads = 4;
   auto service = MakeService(options);

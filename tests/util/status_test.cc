@@ -42,6 +42,10 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
 TEST(StatusTest, CodeNames) {
   EXPECT_EQ(StatusCodeToString(StatusCode::kOk), "OK");
   EXPECT_EQ(StatusCodeToString(StatusCode::kParseError), "ParseError");
+  EXPECT_EQ(StatusCodeToSnakeCase(StatusCode::kOk), "ok");
+  EXPECT_EQ(StatusCodeToSnakeCase(StatusCode::kIOError), "io_error");
+  EXPECT_EQ(StatusCodeToSnakeCase(StatusCode::kDeadlineExceeded),
+            "deadline_exceeded");
 }
 
 TEST(ResultTest, HoldsValue) {
