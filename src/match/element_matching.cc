@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -285,6 +286,136 @@ Result<ElementMatchingResult> MatchElements(
       bits &= bits - 1;
       result.sets[i].elements.push_back({ref, scores[d * m + i]});
     }
+  }
+  return result;
+}
+
+namespace {
+
+schema::TreeId TreeOf(const schema::NodeRef& ref) { return ref.tree; }
+schema::TreeId TreeOf(const MappingElement& element) {
+  return element.node.tree;
+}
+
+// The value as it sits in successor tree `t` (a mask names no tree).
+schema::NodeRef InTree(schema::NodeRef ref, schema::TreeId t) {
+  ref.tree = t;
+  return ref;
+}
+MappingElement InTree(MappingElement element, schema::TreeId t) {
+  element.node.tree = t;
+  return element;
+}
+uint32_t InTree(uint32_t mask, schema::TreeId) { return mask; }
+
+// Where each tree's run sits in a NodeRef-sorted array: tree t occupies
+// [runs[t], runs[t + 1]). Entries of trees >= num_trees are left out.
+template <typename T>
+std::vector<size_t> TreeRuns(const std::vector<T>& sorted, size_t num_trees) {
+  std::vector<size_t> runs(num_trees + 1);
+  size_t i = 0;
+  for (size_t t = 0; t < num_trees; ++t) {
+    runs[t] = i;
+    while (i < sorted.size() && static_cast<size_t>(TreeOf(sorted[i])) == t) {
+      ++i;
+    }
+  }
+  runs[num_trees] = i;
+  return runs;
+}
+
+// How a successor forest's trees map onto the two matchings being stitched.
+struct CarryPlan {
+  const std::vector<schema::TreeId>& reuse_map;
+  /// Successor tree -> its tree in the forest of rebuilt trees, or -1.
+  std::vector<schema::TreeId> rebuilt_id;
+  size_t prev_trees = 0;
+  size_t rebuilt_trees = 0;
+};
+
+// Each successor tree's run, in tree order: from `prev` for a reused tree,
+// from `fresh` for a rebuilt one, moved into the successor's tree id.
+template <typename T>
+std::vector<T> Stitch(const CarryPlan& plan, const std::vector<T>& prev,
+                      const std::vector<size_t>& prev_runs,
+                      const std::vector<T>& fresh,
+                      const std::vector<size_t>& fresh_runs) {
+  auto run_of = [&](size_t t) {
+    const schema::TreeId p = plan.reuse_map[t];
+    const bool reused = p >= 0;
+    const size_t k = static_cast<size_t>(reused ? p : plan.rebuilt_id[t]);
+    const std::vector<size_t>& runs = reused ? prev_runs : fresh_runs;
+    return std::make_tuple(reused ? &prev : &fresh, runs[k], runs[k + 1]);
+  };
+  size_t total = 0;
+  for (size_t t = 0; t < plan.reuse_map.size(); ++t) {
+    const auto [src, begin, end] = run_of(t);
+    total += end - begin;
+  }
+  std::vector<T> out;
+  out.reserve(total);
+  for (size_t t = 0; t < plan.reuse_map.size(); ++t) {
+    const auto [src, begin, end] = run_of(t);
+    for (size_t i = begin; i < end; ++i) {
+      out.push_back(InTree((*src)[i], static_cast<schema::TreeId>(t)));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<ElementMatchingResult> CarryElementMatching(
+    const ElementMatchingResult& prev,
+    const std::vector<schema::TreeId>& reuse_map,
+    const schema::SchemaForest& forest, const schema::SchemaTree& personal,
+    const ElementMatchingOptions& options) {
+  XSM_RETURN_NOT_OK(ValidateInputs(personal, options));
+  if (reuse_map.size() != forest.num_trees()) {
+    return Status::InvalidArgument(
+        "reuse map must name every tree of the forest");
+  }
+  if (prev.sets.size() != personal.size()) {
+    return Status::InvalidArgument(
+        "predecessor matching is for a different personal schema");
+  }
+
+  // The rebuilt trees, matched together as one forest of their own.
+  CarryPlan plan{reuse_map, std::vector<schema::TreeId>(reuse_map.size(), -1)};
+  schema::SchemaForest rebuilt;
+  for (schema::TreeId t = 0;
+       t < static_cast<schema::TreeId>(forest.num_trees()); ++t) {
+    const schema::TreeId p = reuse_map[static_cast<size_t>(t)];
+    if (p >= 0) {
+      plan.prev_trees = std::max(plan.prev_trees, static_cast<size_t>(p) + 1);
+    } else {
+      plan.rebuilt_id[static_cast<size_t>(t)] =
+          rebuilt.AddTree(forest.tree_ptr(t), forest.source(t));
+    }
+  }
+  plan.rebuilt_trees = rebuilt.num_trees();
+  ElementMatchingOptions rebuilt_options = options;
+  rebuilt_options.dictionary = nullptr;
+  XSM_ASSIGN_OR_RETURN(ElementMatchingResult fresh,
+                       MatchElements(personal, rebuilt, rebuilt_options));
+
+  ElementMatchingResult result;
+  // masks share distinct_nodes' runs.
+  const std::vector<size_t> prev_runs =
+      TreeRuns(prev.distinct_nodes, plan.prev_trees);
+  const std::vector<size_t> fresh_runs =
+      TreeRuns(fresh.distinct_nodes, plan.rebuilt_trees);
+  result.distinct_nodes = Stitch(plan, prev.distinct_nodes, prev_runs,
+                                 fresh.distinct_nodes, fresh_runs);
+  result.masks = Stitch(plan, prev.masks, prev_runs, fresh.masks, fresh_runs);
+  result.sets.resize(personal.size());
+  for (size_t n = 0; n < result.sets.size(); ++n) {
+    const std::vector<MappingElement>& from_prev = prev.sets[n].elements;
+    const std::vector<MappingElement>& from_fresh = fresh.sets[n].elements;
+    result.sets[n].personal_node = static_cast<schema::NodeId>(n);
+    result.sets[n].elements =
+        Stitch(plan, from_prev, TreeRuns(from_prev, plan.prev_trees),
+               from_fresh, TreeRuns(from_fresh, plan.rebuilt_trees));
   }
   return result;
 }

@@ -124,6 +124,25 @@ Result<ElementMatchingResult> MatchElements(
     const schema::SchemaTree& personal, const schema::SchemaForest& repo,
     const ElementMatchingOptions& options);
 
+/// MatchElements on `forest` for a successor of the forest `prev` was
+/// matched on. `reuse_map[t]` names the predecessor tree that tree `t` of
+/// `forest` is (-1: added or replaced), as live::ApplyDeltaToForest
+/// reports it. Every reused tree's slice of each ME_n, `distinct_nodes` and
+/// `masks` is copied under its new tree id; the rebuilt trees are matched
+/// together by one MatchElements call on a forest that holds only them,
+/// with a transient dictionary (`options.dictionary` is ignored, since it
+/// describes the whole of `forest`). A score depends on one personal node
+/// and one repository node only, so the result is bit-identical to
+/// MatchElements(personal, forest, options) provided `prev` was computed
+/// with the same personal schema and state-determining options. Errors:
+/// those of MatchElements, a reuse map that does not name every tree of
+/// `forest`, and a `prev` with a different number of sets.
+Result<ElementMatchingResult> CarryElementMatching(
+    const ElementMatchingResult& prev,
+    const std::vector<schema::TreeId>& reuse_map,
+    const schema::SchemaForest& forest, const schema::SchemaTree& personal,
+    const ElementMatchingOptions& options);
+
 /// The retained seed implementation: a serial all-pairs sweep with
 /// per-personal-node score memoization. This is the ground truth the
 /// dictionary engine must reproduce bit-for-bit (the equivalence suite

@@ -77,6 +77,14 @@ Result<ClusterStatePtr> ClusterIndexCache::GetOrCompute(
   return outcome.state;
 }
 
+ClusterStatePtr ClusterIndexCache::PeekReady(const std::string& key) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = slots_.find(key);
+  if (it == slots_.end() || !it->second.ready) return nullptr;
+  // Ready slots hold a successful, already-set outcome: get() does not wait.
+  return it->second.future.get().state;
+}
+
 ClusterIndexCache::Stats ClusterIndexCache::stats() const {
   std::unique_lock<std::mutex> lock(mu_);
   Stats snapshot = stats_;
@@ -127,6 +135,20 @@ std::shared_ptr<ClusterIndexCache> ClusterCacheSet::Lookup(uint64_t fingerprint,
     }
   }
   return cache;
+}
+
+ClusterStatePtr ClusterCacheSet::PeekReady(uint64_t fingerprint,
+                                           const std::string& key) const {
+  std::shared_ptr<ClusterIndexCache> cache;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Namespace& ns : namespaces_) {
+      if (ns.fingerprint != fingerprint) continue;
+      cache = ns.cache;
+      break;
+    }
+  }
+  return cache != nullptr ? cache->PeekReady(key) : nullptr;
 }
 
 void ClusterCacheSet::Clear() {

@@ -62,6 +62,11 @@ class ClusterIndexCache {
                                        const Factory& factory,
                                        Fetch* fetch = nullptr);
 
+  /// The ready state under `key`, or null when there is none (absent, or
+  /// still being built). A pure look: creates no entry, moves no counter
+  /// and leaves the LRU order alone.
+  ClusterStatePtr PeekReady(const std::string& key) const;
+
   Stats stats() const;
   size_t capacity() const { return capacity_; }
 
@@ -117,6 +122,11 @@ class ClusterCacheSet {
   /// `fingerprint` (created if absent) to the most-recently-published
   /// position and retires the oldest beyond the retention limit.
   void Publish(uint64_t fingerprint) { Lookup(fingerprint, /*publish=*/true); }
+
+  /// ClusterIndexCache::PeekReady in the namespace for `fingerprint`; null
+  /// when no retained namespace has that fingerprint. Creates no namespace.
+  ClusterStatePtr PeekReady(uint64_t fingerprint,
+                            const std::string& key) const;
 
   /// Drops every cached state in every retained namespace.
   void Clear();

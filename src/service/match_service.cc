@@ -3,7 +3,10 @@
 #include <utility>
 
 #include "live/repository_manager.h"
+#include "match/element_matching.h"
+#include "obs/trace.h"
 #include "store/snapshot_store.h"
+#include "util/timer.h"
 
 namespace xsm::service {
 
@@ -53,15 +56,59 @@ void MatchService::AddPlumbing(const RepositoryPin& pin,
   }
 }
 
+ClusterStatePtr MatchService::CarrySource(const RepositorySnapshot& snapshot,
+                                          const std::string& key) {
+  if (!snapshot.has_predecessor()) return nullptr;
+  size_t reused_nodes = 0;
+  size_t rebuilt_nodes = 0;
+  for (schema::TreeId t = 0;
+       t < static_cast<schema::TreeId>(snapshot.num_trees()); ++t) {
+    const size_t nodes = snapshot.forest().tree(t).size();
+    if (snapshot.reuse_map()[static_cast<size_t>(t)] >= 0) {
+      reused_nodes += nodes;
+    } else {
+      rebuilt_nodes += nodes;
+    }
+  }
+  if (reused_nodes == 0 || rebuilt_nodes > reused_nodes) return nullptr;
+  return cache_set(0).PeekReady(snapshot.predecessor_fingerprint(), key);
+}
+
 Result<core::ClusterState> MatchService::BuildClusterState(
     const RepositoryPin& pin, const schema::SchemaTree& personal,
-    const core::ClusterStateOptions& options, obs::TraceContext* trace) {
+    const core::ClusterStateOptions& options, const std::string& key,
+    obs::TraceContext* trace) {
+  const auto& snapshot = static_cast<const RepositorySnapshot&>(pin);
   // Trace-only control: cancellation and deadlines stay stripped (see
   // EffectiveRequestOptions).
   core::ExecutionControl build_control;
   build_control.trace = trace;
-  return static_cast<const RepositorySnapshot&>(pin).matcher()
-      .BuildClusterState(personal, options, &build_control);
+  const ClusterStatePtr prev = CarrySource(snapshot, key);
+  if (prev == nullptr) {
+    return snapshot.matcher().BuildClusterState(personal, options,
+                                                &build_control);
+  }
+  // Scores are pairwise and local, so the carried matching equals a cold
+  // one; clustering reruns on it because its couplings are global.
+  Timer timer;
+  match::ElementMatchingResult matching;
+  {
+    obs::ScopedSpan span(trace, "element_match");
+    match::ElementMatchingOptions element = options.element;
+    element.control = &build_control;
+    XSM_ASSIGN_OR_RETURN(matching, match::CarryElementMatching(
+                                       prev->matching, snapshot.reuse_map(),
+                                       snapshot.forest(), personal, element));
+    if (trace != nullptr) {
+      span.set_note("carried " +
+                    std::to_string(snapshot.build_stats().trees_reused) + "/" +
+                    std::to_string(snapshot.num_trees()) + " trees");
+    }
+  }
+  CountReusedMatching();
+  return snapshot.matcher().ClusterFromMatching(
+      personal, std::move(matching), timer.ElapsedSeconds(), options,
+      &build_control);
 }
 
 Result<core::MatchResult> MatchService::Generate(

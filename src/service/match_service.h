@@ -44,6 +44,17 @@
 // fingerprint (ClusterCacheSet), so a stale cluster state can never serve a
 // different repository content. Checkpoints are store snapshot files
 // (store::SaveSnapshotToFile).
+//
+// Carried matching: a delta changes the fingerprint, so every personal
+// schema misses once afterwards. On such a miss the service peeks at the
+// predecessor's namespace (ClusterCacheSet::PeekReady); when it holds a
+// ready state for the same key, the reused trees' element matching is
+// copied over and only the rebuilt trees are matched
+// (match::CarryElementMatching), then k-means reruns on the result. Scores
+// are pairwise and local, so the state is bit-identical to a cold build.
+// With no tree reused, or more rebuilt nodes than reused ones, the miss
+// builds cold. Either way the cache counts a miss;
+// xsm_element_matching_reused_total counts the carried builds.
 #ifndef XSM_SERVICE_MATCH_SERVICE_H_
 #define XSM_SERVICE_MATCH_SERVICE_H_
 
@@ -123,9 +134,13 @@ class MatchService : public Matcher {
   /// brought its own).
   void AddPlumbing(const RepositoryPin& pin,
                    core::MatchOptions* effective) const override;
+  /// On a successor snapshot whose predecessor's namespace holds a ready
+  /// state for `key`, carries that state's element matching over
+  /// (match::CarryElementMatching) and reruns clustering on it; otherwise
+  /// builds from scratch.
   Result<core::ClusterState> BuildClusterState(
       const RepositoryPin& pin, const schema::SchemaTree& personal,
-      const core::ClusterStateOptions& options,
+      const core::ClusterStateOptions& options, const std::string& key,
       obs::TraceContext* trace) override;
   Result<core::MatchResult> Generate(
       const RepositoryPin& pin, const schema::SchemaTree& personal,
@@ -134,6 +149,12 @@ class MatchService : public Matcher {
       core::MatchObserver* observer) override;
 
  private:
+  /// The predecessor's ready state for `key` when carrying its matching to
+  /// `snapshot` pays: at least one tree was reused, and the rebuilt trees
+  /// hold no more nodes than the reused ones. Null otherwise.
+  ClusterStatePtr CarrySource(const RepositorySnapshot& snapshot,
+                              const std::string& key);
+
   std::atomic<std::shared_ptr<const RepositorySnapshot>> current_;
 };
 

@@ -193,6 +193,10 @@ Matcher::Matcher(const MatchServiceOptions& options, size_t num_cache_sets,
   slow_queries_ = metrics_->RegisterCounter(
       "xsm_slow_queries_total",
       "queries slower than the configured slow-query threshold", labels_);
+  element_matching_reused_ = metrics_->RegisterCounter(
+      "xsm_element_matching_reused_total",
+      "cluster-state builds that reused cached element matching",
+      labels_);
   query_latency_ms_ = metrics_->RegisterHistogram(
       "xsm_query_duration_ms", "wall-clock query latency in milliseconds",
       obs::DefaultLatencyBoundsMs(), labels_);
@@ -394,9 +398,10 @@ Result<ClusterStatePtr> Matcher::CachedClusterState(
   // The cache namespace is the pin's fingerprint: a state built for one
   // repository content can only ever serve that content, whatever
   // generations come and go while this query runs.
+  const std::string key = BuildClusterStateKey(personal, options);
   return cache_set(0).Get(pin.fingerprint())->GetOrCompute(
-      BuildClusterStateKey(personal, options),
-      [&]() { return BuildClusterState(pin, personal, options, trace); },
+      key,
+      [&]() { return BuildClusterState(pin, personal, options, key, trace); },
       fetch);
 }
 

@@ -455,11 +455,13 @@ class Matcher {
                            core::MatchOptions* effective) const = 0;
 
   /// Builds the cluster state for `personal` against `pin`; called on a
-  /// cache miss in set 0. Must run to completion (no control) so the cache
-  /// never holds a partial state; `trace` (may be null) receives its spans.
+  /// cache miss in set 0, with the `key` (BuildClusterStateKey) it missed
+  /// on. Must run to completion (no control) so the cache never holds a
+  /// partial state; `trace` (may be null) receives its spans.
   virtual Result<core::ClusterState> BuildClusterState(
       const RepositoryPin& pin, const schema::SchemaTree& personal,
-      const core::ClusterStateOptions& options, obs::TraceContext* trace) = 0;
+      const core::ClusterStateOptions& options, const std::string& key,
+      obs::TraceContext* trace) = 0;
 
   /// Runs generation for `personal` against `state` under `control`.
   virtual Result<core::MatchResult> Generate(
@@ -480,6 +482,10 @@ class Matcher {
   void StopServing();
 
   ClusterCacheSet& cache_set(size_t i) { return *cache_sets_[i]; }
+  /// Counts one cluster-state build that reused cached element matching
+  /// (a predecessor's, or an untouched shard's) instead of matching every
+  /// tree from scratch.
+  void CountReusedMatching() { element_matching_reused_->Increment(); }
   /// Labels every series of this backend carries (the tenant).
   const obs::LabelSet& metric_labels() const { return labels_; }
 
@@ -529,6 +535,7 @@ class Matcher {
   obs::Counter* early_stopped_ = nullptr;
   obs::Counter* deltas_applied_ = nullptr;
   obs::Counter* slow_queries_ = nullptr;
+  obs::Counter* element_matching_reused_ = nullptr;
   obs::Histogram* query_latency_ms_ = nullptr;
   // Durability events, counted once per tenant event.
   obs::Counter* wal_appends_ = nullptr;

@@ -176,7 +176,11 @@ RepositorySnapshot::RepositorySnapshot(schema::SchemaForest forest,
 RepositorySnapshot::RepositorySnapshot(
     schema::SchemaForest forest, const RepositorySnapshot& previous,
     const std::vector<schema::TreeId>& reuse_map)
-    : forest_(std::move(forest)), generation_(previous.generation_ + 1) {
+    : forest_(std::move(forest)),
+      generation_(previous.generation_ + 1),
+      has_predecessor_(true),
+      predecessor_fingerprint_(previous.fingerprint_),
+      reuse_map_(reuse_map) {
   label::ForestIndex::IncrementalStats index_stats;
   label::ForestIndex index = label::ForestIndex::BuildIncremental(
       forest_, previous.index(), reuse_map, &index_stats);

@@ -10,7 +10,9 @@
 // their SchemaTree payload, TreeIndex labeling and NameDictionary per-name
 // state with the predecessor; only touched trees are rebuilt. A successor
 // is member-for-member equal to a snapshot built from scratch on the same
-// forest (the live equivalence suite enforces this).
+// forest (the live equivalence suite enforces this), except that it also
+// records its predecessor's fingerprint and the reuse map, so the service
+// can carry the predecessor's element matching over.
 #ifndef XSM_SERVICE_REPOSITORY_SNAPSHOT_H_
 #define XSM_SERVICE_REPOSITORY_SNAPSHOT_H_
 
@@ -121,6 +123,16 @@ class RepositorySnapshot : public RepositoryPin {
   /// What this snapshot's construction reused versus rebuilt.
   const BuildStats& build_stats() const { return build_stats_; }
 
+  /// Whether CreateSuccessor built this snapshot; only then are
+  /// predecessor_fingerprint() and reuse_map() set. Create and FromParts
+  /// snapshots start a chain (or resume one from a file) and have neither.
+  bool has_predecessor() const { return has_predecessor_; }
+  /// Content fingerprint of the snapshot this one was built from.
+  uint64_t predecessor_fingerprint() const { return predecessor_fingerprint_; }
+  /// reuse_map()[t]: the predecessor's tree that tree `t` shares its
+  /// payload with, or -1 for a tree the delta added or replaced.
+  const std::vector<schema::TreeId>& reuse_map() const { return reuse_map_; }
+
  private:
   explicit RepositorySnapshot(schema::SchemaForest forest);
 
@@ -144,6 +156,9 @@ class RepositorySnapshot : public RepositoryPin {
   uint64_t fingerprint_ = 0;
   std::vector<uint64_t> tree_fingerprints_;
   BuildStats build_stats_;
+  bool has_predecessor_ = false;
+  uint64_t predecessor_fingerprint_ = 0;
+  std::vector<schema::TreeId> reuse_map_;
 };
 
 }  // namespace xsm::service

@@ -559,10 +559,9 @@ std::vector<service::ShardDescriptor> ShardedMatchService::Shards() const {
 
 Result<core::ClusterState> ShardedMatchService::BuildClusterState(
     const service::RepositoryPin& global, const schema::SchemaTree& personal,
-    const core::ClusterStateOptions& state_options, obs::TraceContext* trace) {
+    const core::ClusterStateOptions& state_options, const std::string& key,
+    obs::TraceContext* trace) {
   const auto& pin = static_cast<const ShardedPin&>(global);
-  const std::string key =
-      service::BuildClusterStateKey(personal, state_options);
   // Scatter element matching per shard. Each shard matches against its own
   // forest with its own dictionary; per-shard results are cached in the
   // shard's fingerprint-namespaced cache (matching-only ClusterStates), so
@@ -570,14 +569,19 @@ Result<core::ClusterState> ShardedMatchService::BuildClusterState(
   obs::ScopedSpan fan_span(trace, "shard_fanout");
   std::vector<size_t> shard_ids;
   std::vector<std::future<Result<service::ClusterStatePtr>>> futures;
+  // Per shard, whether its matching came ready from its cache (each task
+  // writes only its own slot).
+  std::vector<char> shard_hit(pin.num_shards(), 0);
   for (size_t s = 0; s < pin.num_shards(); ++s) {
     if (pin.shard(s)->num_trees() == 0) continue;
     shard_ids.push_back(s);
     futures.push_back(fanout_pool_->Submit(
-        [this, &pin, &personal, &state_options, &key,
+        [this, &pin, &personal, &state_options, &key, &shard_hit,
          s]() -> Result<service::ClusterStatePtr> {
           const auto& snap = pin.shard(s);
-          return cache_set(1 + s).Get(snap->fingerprint())->GetOrCompute(
+          service::ClusterIndexCache::Fetch fetch =
+              service::ClusterIndexCache::Fetch::kMiss;
+          auto part = cache_set(1 + s).Get(snap->fingerprint())->GetOrCompute(
               key, [&]() -> Result<core::ClusterState> {
                 match::ElementMatchingOptions mo = state_options.element;
                 mo.dictionary = &snap->name_dictionary();
@@ -592,7 +596,10 @@ Result<core::ClusterState> ShardedMatchService::BuildClusterState(
                 partial.matching = std::move(matched);
                 partial.time_matching_seconds = timer.ElapsedSeconds();
                 return partial;
-              });
+              },
+              &fetch);
+          shard_hit[s] = fetch == service::ClusterIndexCache::Fetch::kHit;
+          return part;
         }));
   }
   std::vector<service::ClusterStatePtr> parts;
@@ -609,6 +616,11 @@ Result<core::ClusterState> ShardedMatchService::BuildClusterState(
   XSM_RETURN_NOT_OK(first_error);
   if (trace != nullptr) {
     fan_span.set_note(std::to_string(parts.size()) + " shards");
+  }
+  // A shard a delta did not touch kept its fingerprint, so its matching
+  // carried over at shard granularity.
+  if (std::find(shard_hit.begin(), shard_hit.end(), 1) != shard_hit.end()) {
+    CountReusedMatching();
   }
 
   // Gather: concatenate in shard order with each shard's tree ids offset by

@@ -74,6 +74,11 @@ TEST(HttpObservabilityTest, MetricsEndpointServesExposition) {
             std::string::npos);
   EXPECT_NE(text.find("xsm_cluster_cache_misses_total{tenant=\"t1\"}"),
             std::string::npos);
+  // No delta yet, so no build could carry a predecessor's matching.
+  EXPECT_NE(text.find("# TYPE xsm_element_matching_reused_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("xsm_element_matching_reused_total{tenant=\"t1\"} 0"),
+            std::string::npos);
   EXPECT_NE(text.find("# TYPE xsm_query_duration_ms histogram"),
             std::string::npos);
   EXPECT_NE(text.find("xsm_query_duration_ms_bucket{tenant=\"t1\",le=\"+Inf\"} 1"),
@@ -159,6 +164,26 @@ TEST(HttpObservabilityTest, TraceEventsOverHttpWhenEnabled) {
   EXPECT_NE(match->body.find("\"name\":\"cluster_cache\""),
             std::string::npos);
   EXPECT_NE(match->body.find("\"name\":\"queue_wait\""), std::string::npos);
+
+  // After a one-tree delta the same query misses the cache, and its
+  // element_match span says the matching was carried, not recomputed.
+  auto ingest = FetchOnce(kHost, port, "POST", "/v1/tenants/t1/ingest",
+                          "!replace 0 invoice(total,customer(name))\n");
+  ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
+  EXPECT_EQ(ingest->status_code, 200) << ingest->body;
+  auto carried = FetchOnce(kHost, port, "POST", "/v1/tenants/t1/match",
+                           kQueryLine);
+  ASSERT_TRUE(carried.ok()) << carried.status().ToString();
+  EXPECT_EQ(carried->status_code, 200);
+  EXPECT_NE(carried->body.find("\"note\":\"miss\""), std::string::npos)
+      << carried->body;
+  EXPECT_NE(carried->body.find("\"note\":\"carried "), std::string::npos)
+      << carried->body;
+  auto metrics = FetchOnce(kHost, port, "GET", "/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->body.find(
+                "xsm_element_matching_reused_total{tenant=\"t1\"} 1"),
+            std::string::npos);
 
   running.server->RequestShutdown();
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,6 +142,85 @@ TEST(ClusterIndexCacheTest, ClearDropsEntriesButKeepsHandedOutStates) {
                      return MakeState(7.0);
                    }).ok());
   EXPECT_EQ(calls, 1);  // rebuilt after Clear
+}
+
+TEST(ClusterIndexCacheTest, PeekReadyCountsNothingAndKeepsLruOrder) {
+  ClusterIndexCache cache(2);
+  ASSERT_TRUE(cache.GetOrCompute("a", []() { return MakeState(8.0); }).ok());
+  ASSERT_TRUE(cache.GetOrCompute("b", []() { return MakeState(9.0); }).ok());
+  const ClusterIndexCache::Stats before = cache.stats();
+
+  // "a" is least recently used; peeking it must not promote it.
+  ClusterStatePtr peeked = cache.PeekReady("a");
+  ASSERT_NE(peeked, nullptr);
+  EXPECT_EQ(peeked->time_matching_seconds, 8.0);
+  EXPECT_EQ(cache.PeekReady("absent"), nullptr);
+  const ClusterIndexCache::Stats after = cache.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.shared, before.shared);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(cache.PeekReady("absent"), nullptr);  // still no entry made
+
+  // A third key evicts the least recently used entry: still "a".
+  ASSERT_TRUE(cache.GetOrCompute("c", []() { return MakeState(10.0); }).ok());
+  EXPECT_EQ(cache.PeekReady("a"), nullptr);
+  EXPECT_NE(cache.PeekReady("b"), nullptr);
+  EXPECT_EQ(peeked->time_matching_seconds, 8.0);  // the handle stays alive
+}
+
+TEST(ClusterIndexCacheTest, PeekReadyIgnoresAnEntryStillBeingBuilt) {
+  ClusterIndexCache cache(4);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread builder([&]() {
+    ASSERT_TRUE(cache.GetOrCompute("k", [&]() {
+                       started.set_value();
+                       released.wait();
+                       return MakeState(11.0);
+                     }).ok());
+  });
+  started.get_future().wait();
+  EXPECT_EQ(cache.PeekReady("k"), nullptr);
+  EXPECT_EQ(cache.stats().shared, 0u);
+  release.set_value();
+  builder.join();
+  ClusterStatePtr ready = cache.PeekReady("k");
+  ASSERT_NE(ready, nullptr);
+  EXPECT_EQ(ready->time_matching_seconds, 11.0);
+}
+
+TEST(ClusterCacheSetTest, PeekReadyFindsRetainedNamespacesOnly) {
+  ClusterCacheSet set(4);
+  set.Publish(1);
+  ASSERT_TRUE(
+      set.Get(1)->GetOrCompute("k", []() { return MakeState(12.0); }).ok());
+  set.Publish(2);  // namespace 1 is retained beside the current one
+
+  ClusterStatePtr retained = set.PeekReady(1, "k");
+  ASSERT_NE(retained, nullptr);
+  EXPECT_EQ(retained->time_matching_seconds, 12.0);
+  EXPECT_EQ(set.PeekReady(1, "other"), nullptr);
+  EXPECT_EQ(set.PeekReady(2, "k"), nullptr);
+  EXPECT_EQ(set.PeekReady(99, "k"), nullptr);  // unknown namespace
+  EXPECT_EQ(set.namespaces(), 2u);             // the peeks created none
+  const ClusterIndexCache::Stats stats = set.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  set.Publish(3);  // retires namespace 1
+  EXPECT_EQ(set.PeekReady(1, "k"), nullptr);
+  EXPECT_EQ(set.namespaces(), 2u);
+}
+
+TEST(ClusterCacheSetTest, PeekReadyWithZeroCapacityFindsNothing) {
+  ClusterCacheSet set(0);
+  set.Publish(1);
+  ASSERT_TRUE(
+      set.Get(1)->GetOrCompute("k", []() { return MakeState(13.0); }).ok());
+  set.Publish(2);
+  EXPECT_EQ(set.PeekReady(1, "k"), nullptr);
 }
 
 }  // namespace
