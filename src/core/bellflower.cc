@@ -193,6 +193,18 @@ Result<MatchResult> Bellflower::Match(const schema::SchemaTree& personal,
 Result<ClusterState> Bellflower::BuildClusterState(
     const schema::SchemaTree& personal, const ClusterStateOptions& options,
     const ExecutionControl* control) const {
+  return BuildClusterState(
+      personal, options, control,
+      [&](const match::ElementMatchingOptions& element) {
+        return match::MatchElements(personal, *repository_, element);
+      },
+      /*note=*/{});
+}
+
+Result<ClusterState> Bellflower::BuildClusterState(
+    const schema::SchemaTree& personal, const ClusterStateOptions& options,
+    const ExecutionControl* control, const ElementMatchFn& match_elements,
+    std::string note) const {
   if (personal.empty()) {
     return Status::InvalidArgument("personal schema is empty");
   }
@@ -208,9 +220,8 @@ Result<ClusterState> Bellflower::BuildClusterState(
       element.control != nullptr ? element.control->trace : nullptr;
   {
     obs::ScopedSpan span(trace, "element_match");
-    XSM_ASSIGN_OR_RETURN(
-        state.matching,
-        match::MatchElements(personal, *repository_, element));
+    XSM_ASSIGN_OR_RETURN(state.matching, match_elements(element));
+    if (!note.empty()) span.set_note(std::move(note));
   }
   return ClusterFromMatching(personal, std::move(state.matching),
                              timer.ElapsedSeconds(), options, control);

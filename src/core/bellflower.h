@@ -8,6 +8,8 @@
 #define XSM_CORE_BELLFLOWER_H_
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -248,6 +250,22 @@ class Bellflower {
   Result<ClusterState> BuildClusterState(
       const schema::SchemaTree& personal, const ClusterStateOptions& options,
       const ExecutionControl* control = nullptr) const;
+
+  /// Stage ②③ as BuildClusterState runs it: takes the effective element
+  /// options (the build's control folded in) and returns the element
+  /// matching of the personal schema against this repository.
+  using ElementMatchFn = std::function<Result<match::ElementMatchingResult>(
+      const match::ElementMatchingOptions&)>;
+
+  /// BuildClusterState with stage ②③ done by `match_elements` instead of
+  /// match::MatchElements over the whole repository (after a delta,
+  /// service::MatchService passes a bound match::CarryElementMatching).
+  /// Validation, the element_match span, timing and clustering are the
+  /// same; `note` (may be empty) annotates the span.
+  Result<ClusterState> BuildClusterState(
+      const schema::SchemaTree& personal, const ClusterStateOptions& options,
+      const ExecutionControl* control, const ElementMatchFn& match_elements,
+      std::string note) const;
 
   /// Clustering-only half of BuildClusterState: takes a completed
   /// element-matching result (whose NodeRefs must be in *this* repository's

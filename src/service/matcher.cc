@@ -195,7 +195,7 @@ Matcher::Matcher(const MatchServiceOptions& options, size_t num_cache_sets,
       "queries slower than the configured slow-query threshold", labels_);
   element_matching_reused_ = metrics_->RegisterCounter(
       "xsm_element_matching_reused_total",
-      "cluster-state builds that reused cached element matching",
+      "cluster-state builds that carried a predecessor's element matching",
       labels_);
   query_latency_ms_ = metrics_->RegisterHistogram(
       "xsm_query_duration_ms", "wall-clock query latency in milliseconds",

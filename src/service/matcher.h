@@ -482,9 +482,8 @@ class Matcher {
   void StopServing();
 
   ClusterCacheSet& cache_set(size_t i) { return *cache_sets_[i]; }
-  /// Counts one cluster-state build that reused cached element matching
-  /// (a predecessor's, or an untouched shard's) instead of matching every
-  /// tree from scratch.
+  /// Counts one cluster-state build that carried a predecessor's element
+  /// matching over instead of matching every tree from scratch.
   void CountReusedMatching() { element_matching_reused_->Increment(); }
   /// Labels every series of this backend carries (the tenant).
   const obs::LabelSet& metric_labels() const { return labels_; }

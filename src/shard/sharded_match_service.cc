@@ -569,19 +569,14 @@ Result<core::ClusterState> ShardedMatchService::BuildClusterState(
   obs::ScopedSpan fan_span(trace, "shard_fanout");
   std::vector<size_t> shard_ids;
   std::vector<std::future<Result<service::ClusterStatePtr>>> futures;
-  // Per shard, whether its matching came ready from its cache (each task
-  // writes only its own slot).
-  std::vector<char> shard_hit(pin.num_shards(), 0);
   for (size_t s = 0; s < pin.num_shards(); ++s) {
     if (pin.shard(s)->num_trees() == 0) continue;
     shard_ids.push_back(s);
     futures.push_back(fanout_pool_->Submit(
-        [this, &pin, &personal, &state_options, &key, &shard_hit,
+        [this, &pin, &personal, &state_options, &key,
          s]() -> Result<service::ClusterStatePtr> {
           const auto& snap = pin.shard(s);
-          service::ClusterIndexCache::Fetch fetch =
-              service::ClusterIndexCache::Fetch::kMiss;
-          auto part = cache_set(1 + s).Get(snap->fingerprint())->GetOrCompute(
+          return cache_set(1 + s).Get(snap->fingerprint())->GetOrCompute(
               key, [&]() -> Result<core::ClusterState> {
                 match::ElementMatchingOptions mo = state_options.element;
                 mo.dictionary = &snap->name_dictionary();
@@ -596,10 +591,7 @@ Result<core::ClusterState> ShardedMatchService::BuildClusterState(
                 partial.matching = std::move(matched);
                 partial.time_matching_seconds = timer.ElapsedSeconds();
                 return partial;
-              },
-              &fetch);
-          shard_hit[s] = fetch == service::ClusterIndexCache::Fetch::kHit;
-          return part;
+              });
         }));
   }
   std::vector<service::ClusterStatePtr> parts;
@@ -616,11 +608,6 @@ Result<core::ClusterState> ShardedMatchService::BuildClusterState(
   XSM_RETURN_NOT_OK(first_error);
   if (trace != nullptr) {
     fan_span.set_note(std::to_string(parts.size()) + " shards");
-  }
-  // A shard a delta did not touch kept its fingerprint, so its matching
-  // carried over at shard granularity.
-  if (std::find(shard_hit.begin(), shard_hit.end(), 1) != shard_hit.end()) {
-    CountReusedMatching();
   }
 
   // Gather: concatenate in shard order with each shard's tree ids offset by

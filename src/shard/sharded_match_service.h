@@ -144,8 +144,7 @@ class ShardedMatchService : public service::Matcher {
                    core::MatchOptions* effective) const override;
   /// Scatters element matching per shard (each shard's results cached in
   /// its own fingerprint-namespaced cache set), merges into global tree-id
-  /// space, and clusters once globally. A shard a delta did not touch keeps
-  /// its fingerprint, so its cached matching carries over whole.
+  /// space, and clusters once globally.
   Result<core::ClusterState> BuildClusterState(
       const service::RepositoryPin& pin, const schema::SchemaTree& personal,
       const core::ClusterStateOptions& options, const std::string& key,

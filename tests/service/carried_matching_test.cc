@@ -339,8 +339,10 @@ uint64_t Reused(MatchService& service) {
 }
 
 TEST(CarriedMatchingServiceTest, PostDeltaMissesEqualAFreshBoot) {
+  // Large enough that every scripted delta rebuilds at most one eighth of
+  // the nodes, so each post-delta miss carries.
   DeltaChain chain(11);
-  auto service = MatchService::Create(MakeCorpus(700, 11));
+  auto service = MatchService::Create(MakeCorpus(3000, 11));
   ASSERT_TRUE(service.ok());
   MatchService& svc = **service;
   ExpectAnswersEqualFreshBoot(&svc, "generation 0");
@@ -372,6 +374,8 @@ TEST(CarriedMatchingServiceTest, PostDeltaMissesEqualAFreshBoot) {
 }
 
 TEST(CarriedMatchingServiceTest, HeavyRebuildsAndNoCacheTakeTheColdPath) {
+  // Past one eighth of the nodes rebuilt, a cold build is the faster one;
+  // the answers stay those of a fresh boot either way.
   for (Step step : {Step::kReplaceAll, Step::kReplaceAllButOne}) {
     DeltaChain chain(23);
     auto service = MatchService::Create(MakeCorpus(400, 23));

@@ -501,36 +501,6 @@ TEST(ShardedServiceTest, BackendsShareMetricFamiliesAndCounters) {
   EXPECT_EQ(stats[0].generation, stats[1].generation);
 }
 
-TEST(ShardedServiceTest, BothBackendsCountReusedMatchingAfterADelta) {
-  schema::SchemaForest forest = MakeCorpus(600, 31);
-  for (int backend = 0; backend < 2; ++backend) {
-    std::unique_ptr<service::Matcher> matcher;
-    if (backend == 0) {
-      auto snapshot = service::RepositorySnapshot::Create(forest);
-      ASSERT_TRUE(snapshot.ok());
-      matcher = std::make_unique<MatchService>(std::move(*snapshot));
-    } else {
-      matcher = MakeSharded(forest, 2);
-    }
-    auto reused = [&matcher]() {
-      return matcher->metrics().CounterValue(
-          "xsm_element_matching_reused_total");
-    };
-    ASSERT_TRUE(matcher->Run(MakeQuery("q0", "person(name,email)")).ok());
-    EXPECT_EQ(reused(), 0u) << backend;
-
-    // The new tree lands on one shard; the other keeps its fingerprint and
-    // its cached matching, as the unsharded predecessor keeps its state.
-    live::DeltaBuilder builder;
-    builder.AddTree(MakeTree("invoice(total,customer)"));
-    auto delta = builder.Build();
-    ASSERT_TRUE(delta.ok());
-    ASSERT_TRUE(matcher->ApplyDelta(*delta).ok());
-    ASSERT_TRUE(matcher->Run(MakeQuery("q1", "person(name,email)")).ok());
-    EXPECT_EQ(reused(), 1u) << backend;
-  }
-}
-
 // --- serving through ServeSession ------------------------------------------
 
 TEST(ShardedServiceTest, ServeSessionStreamsIdenticalMappingEvents) {
