@@ -43,26 +43,6 @@ void BM_FuzzySimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_FuzzySimilarity);
 
-void BM_JaroWinkler(benchmark::State& state) {
-  const auto& pairs = NamePairs();
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& [a, b] = pairs[i++ % pairs.size()];
-    benchmark::DoNotOptimize(sim::JaroWinklerSimilarity(a, b));
-  }
-}
-BENCHMARK(BM_JaroWinkler);
-
-void BM_NgramDice(benchmark::State& state) {
-  const auto& pairs = NamePairs();
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& [a, b] = pairs[i++ % pairs.size()];
-    benchmark::DoNotOptimize(sim::NgramDiceSimilarity(a, b));
-  }
-}
-BENCHMARK(BM_NgramDice);
-
 // --- labeled tree distance ------------------------------------------------
 
 schema::SchemaTree RandomTree(size_t n, uint64_t seed) {

@@ -34,8 +34,8 @@ struct Slice {
 };
 
 /// Rebuilds a slice as a standalone personal schema: a flat tree whose first
-/// node is the root and the rest its children. Name-only element matching
-/// scores each personal node from its local properties alone, so the fake
+/// node is the root and the rest its children. Element matching scores each
+/// personal node by its name alone, so the fake
 /// structure changes no score — it only satisfies the tree-shaped query API
 /// while keeping every slice under kMaxPersonalNodes.
 schema::SchemaTree MakeSliceTree(const schema::SchemaTree& source,

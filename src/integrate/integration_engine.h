@@ -4,8 +4,8 @@
 //
 // Pipeline:
 //   1. All-pairs matching. Every repository tree is chunked into personal-
-//      schema slices of at most match::kMaxPersonalNodes nodes (name-only
-//      element matching scores each personal node independently of tree
+//      schema slices of at most match::kMaxPersonalNodes nodes (element
+//      matching scores each personal node by its name, independently of tree
 //      structure, so slicing changes nothing — and lifts the 32-node
 //      personal-schema limit for arbitrarily large sources). Each slice is
 //      one MatchRequest whose cluster state is built through

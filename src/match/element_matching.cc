@@ -71,8 +71,6 @@ Result<ElementMatchingResult> MatchElementsReference(
     const schema::SchemaTree& personal, const schema::SchemaForest& repo,
     const ElementMatchingOptions& options) {
   XSM_RETURN_NOT_OK(ValidateInputs(personal, options));
-  const ElementMatcher& matcher =
-      options.matcher ? *options.matcher : FuzzyNameMatcher::Default();
 
   const size_t m = personal.size();
   ElementMatchingResult result;
@@ -82,10 +80,9 @@ Result<ElementMatchingResult> MatchElementsReference(
   }
 
   // Memoization: repository corpora repeat names heavily (a few thousand
-  // distinct names across ~10^5 nodes), so name-only matchers score each
-  // distinct (personal node, repo name) pair once.
-  const bool memoize = matcher.name_only();
-  std::vector<std::unordered_map<std::string, double>> cache(memoize ? m : 0);
+  // distinct names across ~10^5 nodes), so each distinct (personal node,
+  // repo name) pair is scored once.
+  std::vector<std::unordered_map<std::string, double>> cache(m);
 
   repo.ForEachNode([&](schema::NodeRef ref) {
     const schema::NodeProperties& props = repo.props(ref);
@@ -95,19 +92,12 @@ Result<ElementMatchingResult> MatchElementsReference(
     }
     uint32_t mask = 0;
     for (size_t i = 0; i < m; ++i) {
-      double score;
-      if (memoize) {
-        auto [it, inserted] = cache[i].try_emplace(props.name, 0.0);
-        if (inserted) {
-          it->second =
-              matcher.Score(personal.props(static_cast<schema::NodeId>(i)),
-                            props);
-        }
-        score = it->second;
-      } else {
-        score = matcher.Score(personal.props(static_cast<schema::NodeId>(i)),
-                              props);
+      auto [it, inserted] = cache[i].try_emplace(props.name, 0.0);
+      if (inserted) {
+        it->second = sim::FuzzyStringSimilarityIgnoreCase(
+            personal.props(static_cast<schema::NodeId>(i)).name, props.name);
       }
+      const double score = it->second;
       if (score >= options.threshold && score > 0.0) {
         result.sets[i].elements.push_back({ref, score});
         mask |= uint32_t{1} << i;
@@ -127,11 +117,6 @@ Result<ElementMatchingResult> MatchElements(
     const schema::SchemaTree& personal, const schema::SchemaForest& repo,
     const ElementMatchingOptions& options) {
   XSM_RETURN_NOT_OK(ValidateInputs(personal, options));
-  const ElementMatcher& matcher =
-      options.matcher ? *options.matcher : FuzzyNameMatcher::Default();
-  if (!matcher.name_only()) {
-    return MatchElementsReference(personal, repo, options);
-  }
 
   const NameDictionary* dict = options.dictionary;
   NameDictionary transient;
@@ -155,13 +140,10 @@ Result<ElementMatchingResult> MatchElements(
   // Personal-side name forms, folded and fingerprinted once per query.
   std::vector<std::string> personal_lower(m);
   std::vector<sim::NameSignature> personal_sigs(m);
-  std::vector<NameView> personal_views(m);
   for (size_t i = 0; i < m; ++i) {
-    const std::string& name =
-        personal.props(static_cast<schema::NodeId>(i)).name;
-    personal_lower[i] = ToLower(name);
+    personal_lower[i] =
+        ToLower(personal.props(static_cast<schema::NodeId>(i)).name);
     personal_sigs[i] = sim::NameSignature::Of(personal_lower[i]);
-    personal_views[i] = {name, personal_lower[i], &personal_sigs[i]};
   }
 
   // --- Stage 1: score the m × D (personal node, distinct name) matrix. ----
@@ -195,11 +177,11 @@ Result<ElementMatchingResult> MatchElements(
       // A name carried only by attributes can never reach the output when
       // attributes are excluded; skip its scores entirely.
       if (!options.match_attributes && entry.element_nodes.empty()) continue;
-      const NameView repo_view{entry.name, entry.lower, &entry.signature};
       uint32_t mask = 0;
       for (size_t i = 0; i < m; ++i) {
-        const double score = matcher.ScoreName(
-            personal_views[i], repo_view, options.threshold, &scratch);
+        const double score = sim::FuzzyStringSimilarityWithThreshold(
+            personal_lower[i], entry.lower, options.threshold, &scratch,
+            &personal_sigs[i], &entry.signature);
         if (score >= options.threshold && score > 0.0) {
           scores[d * m + i] = score;
           mask |= uint32_t{1} << i;

@@ -1,16 +1,18 @@
 // The element matching stage (Fig. 2 ①→③): compares every personal-schema
 // node with every repository node and produces the mapping-element sets
-// ME_n. Pairs scoring at or above the matcher threshold become mapping
-// elements.
+// ME_n. Bellflower's one element matcher scores a pair by the normalized
+// Damerau–Levenshtein similarity of the case-folded node names (the
+// paper's CompareStringFuzzy, sim::FuzzyStringSimilarityIgnoreCase); pairs
+// scoring at or above the threshold become mapping elements.
 //
-// For name-only matchers the stage runs as a two-stage engine: stage 1
-// scores the m × D matrix of (personal node, distinct repository name)
-// pairs through the matcher's threshold-aware ScoreName against a
-// NameDictionary — optionally sharded across a ThreadPool — and stage 2
-// broadcasts the qualifying scores to nodes through the dictionary's
-// posting lists. The engine is bit-identical to the retained reference
-// sweep (MatchElementsReference) for any fixed inputs; dictionary, pool,
-// shard count and cancellation only change how fast the answer arrives.
+// The stage runs as a two-stage engine: stage 1 scores the m × D matrix of
+// (personal node, distinct repository name) pairs with the threshold-aware
+// sim::FuzzyStringSimilarityWithThreshold against a NameDictionary —
+// optionally sharded across a ThreadPool — and stage 2 broadcasts the
+// qualifying scores to nodes through the dictionary's posting lists. The
+// engine is bit-identical to the retained reference sweep
+// (MatchElementsReference) for any fixed inputs; dictionary, pool, shard
+// count and cancellation only change how fast the answer arrives.
 #ifndef XSM_MATCH_ELEMENT_MATCHING_H_
 #define XSM_MATCH_ELEMENT_MATCHING_H_
 
@@ -18,7 +20,6 @@
 #include <vector>
 
 #include "core/execution_control.h"
-#include "match/element_matcher.h"
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
 #include "util/status.h"
@@ -53,12 +54,10 @@ struct MappingElementSet {
 inline constexpr size_t kMaxPersonalNodes = 32;
 
 struct ElementMatchingOptions {
-  /// Minimum combined similarity for a pair to become a mapping element.
-  /// The paper keeps "non-zero" pairs; with a fuzzy matcher almost every
-  /// pair is non-zero, so real systems cut at a threshold.
+  /// Minimum name similarity for a pair to become a mapping element. The
+  /// paper keeps "non-zero" pairs; with a fuzzy matcher almost every pair
+  /// is non-zero, so real systems cut at a threshold.
   double threshold = 0.5;
-  /// Matcher to use; defaults to Bellflower's FuzzyNameMatcher.
-  const ElementMatcher* matcher = nullptr;
   /// Whether attribute nodes are candidates (the paper's repository counts
   /// "element (attribute) nodes").
   bool match_attributes = true;
@@ -69,8 +68,7 @@ struct ElementMatchingOptions {
 
   /// Precomputed name dictionary, which must have been built over the same
   /// forest instance being matched (service::RepositorySnapshot keeps one).
-  /// nullptr: a transient dictionary is built for the call when the matcher
-  /// is name-only.
+  /// nullptr: a transient dictionary is built for the call.
   const NameDictionary* dictionary = nullptr;
   /// Scores dictionary shards on this pool; nullptr runs them serially on
   /// the calling thread. Use a pool whose workers never wait on element
@@ -113,10 +111,8 @@ struct ElementMatchingResult {
   }
 };
 
-/// Runs the stage. Name-only matchers take the dictionary engine; others
-/// fall back to the reference sweep (their scores may depend on more than
-/// names, so per-name deduplication does not apply). Errors: empty personal
-/// schema, more than kMaxPersonalNodes nodes, threshold outside [0,1], or a
+/// Runs the stage on the dictionary engine. Errors: empty personal schema,
+/// more than kMaxPersonalNodes nodes, threshold outside [0,1], or a
 /// dictionary built over a different forest are rejected with
 /// InvalidArgument; a run stopped by `options.control` returns kCancelled /
 /// kDeadlineExceeded.
@@ -143,12 +139,12 @@ Result<ElementMatchingResult> CarryElementMatching(
     const schema::SchemaForest& forest, const schema::SchemaTree& personal,
     const ElementMatchingOptions& options);
 
-/// The retained seed implementation: a serial all-pairs sweep with
-/// per-personal-node score memoization. This is the ground truth the
-/// dictionary engine must reproduce bit-for-bit (the equivalence suite
-/// enforces it across thresholds, matchers and thread counts) and the
-/// execution path for matchers that are not name-only. Ignores the
-/// execution-plumbing fields of `options`.
+/// The retained seed implementation: a serial all-pairs sweep that scores
+/// each distinct (personal node, repository name) pair once with the
+/// unpruned sim::FuzzyStringSimilarityIgnoreCase. This is the ground truth
+/// the dictionary engine must reproduce bit-for-bit (the equivalence suite
+/// enforces it across thresholds, shard counts and thread counts). Ignores
+/// the execution-plumbing fields of `options`.
 Result<ElementMatchingResult> MatchElementsReference(
     const schema::SchemaTree& personal, const schema::SchemaForest& repo,
     const ElementMatchingOptions& options);

@@ -5,9 +5,9 @@
 // against *distinct names* and broadcasts the qualifying scores back to
 // nodes through per-name posting lists. The dictionary is that precomputed
 // index: one entry per distinct spelling, carrying the cached ASCII
-// case-fold (so case-insensitive matchers never re-lowercase a repository
-// name) and the nodes holding the name, sorted by NodeRef and split by node
-// kind (so attribute filtering never re-reads node properties).
+// case-fold (so the scoring loop never re-lowercases a repository name)
+// and the nodes holding the name, sorted by NodeRef and split by node kind
+// (so attribute filtering never re-reads node properties).
 //
 // Immutable after Build, never mutated by the engine: one dictionary is
 // built per service::RepositorySnapshot and shared by every query against

@@ -479,6 +479,7 @@ std::string_view ReasonPhrase(int code) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 408: return "Request Timeout";
     case 409: return "Conflict";
     case 410: return "Gone";
     case 413: return "Content Too Large";

@@ -101,6 +101,11 @@ struct HttpServer::Connection {
   HttpParser parser;      // loop-only
   bool processing = false;  // loop-only: a worker owns the current request
   bool close_after_flush = false;  // loop-only
+  /// Loop-only: when the loop last read a byte or resumed the connection
+  /// after a request; a half-sent request idle past kRequestReadTimeout
+  /// from here is rejected.
+  std::chrono::steady_clock::time_point read_at =
+      std::chrono::steady_clock::now();
 
   std::mutex mu;
   std::string outbuf;
@@ -201,6 +206,9 @@ HttpServer::HttpServer(TenantRegistry* registry, HttpServerOptions options)
       "xsm_http_output_stall_timeouts_total",
       "Output stalls that timed out without drain progress: query "
       "cancelled, connection closed");
+  read_timeouts_ = metrics.RegisterCounter(
+      "xsm_http_read_timeouts_total",
+      "Half-sent requests closed after the read timeout without a byte");
   drain_save_failures_ = metrics.RegisterCounter(
       "xsm_http_drain_save_failures_total",
       "Tenants the graceful drain failed to persist");
@@ -317,6 +325,7 @@ HttpServerStats HttpServer::stats() const {
   stats.disconnect_cancels = disconnect_cancels_->value();
   stats.output_stalls = output_stalls_->value();
   stats.output_stall_timeouts = output_stall_timeouts_->value();
+  stats.read_timeouts = read_timeouts_->value();
   stats.inflight = inflight_.load(std::memory_order_relaxed);
   stats.drain_save_failures = drain_save_failures_->value();
   return stats;
@@ -432,6 +441,7 @@ void HttpServer::Loop() {
       if (it == connections_.end()) continue;
       std::shared_ptr<Connection>& conn = it->second;
       conn->processing = false;
+      conn->read_at = std::chrono::steady_clock::now();
       bool close_requested;
       bool gone;
       {
@@ -453,6 +463,8 @@ void HttpServer::Loop() {
         DispatchRequest(conn);
       }
     }
+
+    ExpireHalfSentRequests();
 
     // Close connections that were told to close and have flushed.
     std::vector<uint64_t> flushed;
@@ -531,6 +543,7 @@ bool HttpServer::ReadInto(Connection& conn) {
   while (true) {
     ssize_t n = read(conn.fd, buf, sizeof(buf));
     if (n > 0) {
+      conn.read_at = std::chrono::steady_clock::now();
       conn.parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
       if (conn.parser.failed()) {
         parse_failures_->Increment();
@@ -562,14 +575,7 @@ bool HttpServer::ReadInto(Connection& conn) {
       conn.parser.Finish();
       parse_failures_->Increment();
       const Status& status = conn.parser.status();
-      std::string response =
-          SimpleResponse(HttpCodeForStatus(status), kNdjson,
-                         ErrorBodyLine(status), /*keep_alive=*/false);
-      {
-        std::lock_guard<std::mutex> lock(conn.mu);
-        conn.outbuf.append(response);
-      }
-      conn.close_after_flush = true;
+      RejectPartialRequest(conn, HttpCodeForStatus(status), status);
       return true;
     }
     // EOF or hard error: the client is gone. Cancel any in-flight
@@ -586,6 +592,34 @@ bool HttpServer::ReadInto(Connection& conn) {
     // A processing connection must outlive its worker's completion
     // notice; CloseConnection happens when the completion drains.
     return conn.processing ? true : false;
+  }
+}
+
+void HttpServer::RejectPartialRequest(Connection& conn, int code,
+                                      const Status& status) {
+  std::string response = SimpleResponse(code, kNdjson, ErrorBodyLine(status),
+                                        /*keep_alive=*/false);
+  {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    conn.outbuf.append(response);
+  }
+  conn.close_after_flush = true;
+}
+
+void HttpServer::ExpireHalfSentRequests() {
+  const auto now = std::chrono::steady_clock::now();
+  for (auto& [id, conn] : connections_) {
+    if (conn->processing || conn->close_after_flush ||
+        !conn->parser.midstream() ||
+        now - conn->read_at < kRequestReadTimeout) {
+      continue;
+    }
+    read_timeouts_->Increment();
+    RejectPartialRequest(
+        *conn, 408,
+        Status::DeadlineExceeded(
+            "request incomplete after " +
+            std::to_string(kRequestReadTimeout.count()) + " s without a byte"));
   }
 }
 
@@ -850,6 +884,7 @@ void HttpServer::RouteRequest(const std::shared_ptr<Connection>& conn,
           .Int("disconnect_cancels", stats.disconnect_cancels)
           .Int("output_stalls", stats.output_stalls)
           .Int("output_stall_timeouts", stats.output_stall_timeouts)
+          .Int("read_timeouts", stats.read_timeouts)
           .Int("drain_save_failures", stats.drain_save_failures)
           .Int("inflight", stats.inflight)
           .Int("tenants", registry_->size())

@@ -18,7 +18,11 @@
 // cancel ends the wait; the rest of that response is then dropped. So does
 // kOutputStallTimeout without drain progress, which also cancels the query
 // and closes the connection: a client that neither reads nor disconnects
-// cannot hold a worker and an admission slot for longer.
+// cannot hold a worker and an admission slot for longer. On the way in,
+// a client that starts a request and then sends nothing more for
+// kRequestReadTimeout gets a typed 408 and is closed, so half-sent requests
+// cannot pin connection slots either; idle keep-alive connections holding
+// no partial request are left open.
 //
 // Admission control reuses the engine's deadline machinery rather than
 // inventing a queue: up to `soft_inflight` concurrent match/batch
@@ -102,6 +106,8 @@ struct HttpServerStats {
   /// Stalled waits that hit kOutputStallTimeout: query cancelled and
   /// connection closed.
   uint64_t output_stall_timeouts = 0;
+  /// Half-sent requests closed after kRequestReadTimeout without a byte.
+  uint64_t read_timeouts = 0;
   uint64_t drain_save_failures = 0;   ///< tenants the drain failed to save
   size_t inflight = 0;                ///< match/batch executing right now
 };
@@ -174,6 +180,11 @@ class HttpServer {
   /// the response, cancels the query and has the connection closed.
   static constexpr std::chrono::seconds kOutputStallTimeout{10};
 
+  /// How long a connection may hold a partly received request without a
+  /// new byte arriving before the loop answers it with a typed 408 and
+  /// closes it after the flush. Checked on the loop's poll tick.
+  static constexpr std::chrono::seconds kRequestReadTimeout{10};
+
   uint16_t port() const { return port_; }
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
   HttpServerStats stats() const;
@@ -188,6 +199,12 @@ class HttpServer {
   bool ReadInto(Connection& conn);
   /// Flushes queued output bytes; false on write error.
   bool WriteFrom(Connection& conn);
+  /// Answers a request the client will never complete with `code` and a
+  /// typed error line, then closes the connection once that is flushed.
+  void RejectPartialRequest(Connection& conn, int code, const Status& status);
+  /// Rejects every half-sent request that has read no byte for
+  /// kRequestReadTimeout.
+  void ExpireHalfSentRequests();
   /// Dispatches the parser's completed request to the worker pool.
   void DispatchRequest(std::shared_ptr<Connection> conn);
   /// Runs on a worker: routes and answers one request.
@@ -281,6 +298,7 @@ class HttpServer {
   obs::Counter* disconnect_cancels_ = nullptr;
   obs::Counter* output_stalls_ = nullptr;
   obs::Counter* output_stall_timeouts_ = nullptr;
+  obs::Counter* read_timeouts_ = nullptr;
   obs::Counter* drain_save_failures_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Histogram* request_latency_ms_ = nullptr;

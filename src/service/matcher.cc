@@ -49,13 +49,12 @@ void AppendTreeFingerprint(const schema::SchemaTree& tree, std::string* out) {
 
 void AppendStateOptionsFingerprint(const core::ClusterStateOptions& options,
                                    std::string* out) {
-  // Element matching stage. A custom matcher is identified by address: two
-  // queries share a cache entry only when they pass the same instance. The
-  // execution-plumbing fields (dictionary, pool, shards, control) are
-  // deliberately absent: they never change the result.
-  AppendFormat(out, "|el:%.17g:%d:%p", options.element.threshold,
-               options.element.match_attributes ? 1 : 0,
-               static_cast<const void*>(options.element.matcher));
+  // Element matching stage: the threshold and match_attributes are its only
+  // result-determining fields. The execution-plumbing fields (dictionary,
+  // pool, shards, control) are deliberately absent: they never change the
+  // result.
+  AppendFormat(out, "|el:%.17g:%d", options.element.threshold,
+               options.element.match_attributes ? 1 : 0);
 
   if (options.clustering == core::ClusteringMode::kTreeClusters) {
     out->append("|tree");  // the baseline ignores every k-means knob

@@ -102,14 +102,6 @@ class MatchRequestBuilder {
     request_.options.clustering = mode;
     return *this;
   }
-  MatchRequestBuilder& join_reclustering(bool enabled) {
-    request_.options.kmeans.join_reclustering = enabled;
-    return *this;
-  }
-  MatchRequestBuilder& include_partial_mappings(bool enabled) {
-    request_.options.include_partial_mappings = enabled;
-    return *this;
-  }
 
   /// Access to the request under construction (for knobs without setters).
   MatchRequest& request() { return request_; }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/string_util.h"
@@ -232,166 +230,6 @@ double FuzzyStringSimilarityWithThreshold(std::string_view a,
   const int d = BoundedDamerauLevenshteinDistance(a, b, max_d, scratch);
   if (d > max_d) return 0.0;  // true similarity is < threshold
   return 1.0 - static_cast<double>(d) / norm;
-}
-
-double JaroSimilarity(std::string_view a, std::string_view b) {
-  const size_t la = a.size();
-  const size_t lb = b.size();
-  if (la == 0 && lb == 0) return 1.0;
-  if (la == 0 || lb == 0) return 0.0;
-
-  const size_t window =
-      std::max<size_t>(1, std::max(la, lb) / 2) - 1;
-  std::vector<bool> a_matched(la, false);
-  std::vector<bool> b_matched(lb, false);
-
-  size_t matches = 0;
-  for (size_t i = 0; i < la; ++i) {
-    size_t lo = i > window ? i - window : 0;
-    size_t hi = std::min(lb, i + window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (b_matched[j] || a[i] != b[j]) continue;
-      a_matched[i] = true;
-      b_matched[j] = true;
-      ++matches;
-      break;
-    }
-  }
-  if (matches == 0) return 0.0;
-
-  // Count transpositions among matched characters.
-  size_t t = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < la; ++i) {
-    if (!a_matched[i]) continue;
-    while (!b_matched[j]) ++j;
-    if (a[i] != b[j]) ++t;
-    ++j;
-  }
-  double m = static_cast<double>(matches);
-  return (m / static_cast<double>(la) + m / static_cast<double>(lb) +
-          (m - static_cast<double>(t) / 2.0) / m) /
-         3.0;
-}
-
-double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
-  double jaro = JaroSimilarity(a, b);
-  size_t prefix = 0;
-  size_t limit = std::min({a.size(), b.size(), size_t{4}});
-  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
-}
-
-namespace {
-
-// The j-th character of `s` padded with one '^' in front and one '$' behind.
-inline char PaddedChar(std::string_view s, size_t j) {
-  if (j == 0) return '^';
-  if (j <= s.size()) return s[j - 1];
-  return '$';
-}
-
-// Packs the n-grams of the padded form of `s` into integer codes (one byte
-// per character) and sorts them; multiset gram counting then becomes a
-// linear merge over two small vectors instead of a hash map of substring
-// copies.
-template <typename Code>
-void PackSortedGrams(std::string_view s, int n, std::vector<Code>* out) {
-  const size_t padded = s.size() + 2;
-  const size_t count = padded - static_cast<size_t>(n) + 1;
-  out->clear();
-  out->reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    Code code = 0;
-    for (int k = 0; k < n; ++k) {
-      code = static_cast<Code>(code << 8) |
-             static_cast<unsigned char>(PaddedChar(s, i + static_cast<size_t>(k)));
-    }
-    out->push_back(code);
-  }
-  std::sort(out->begin(), out->end());
-}
-
-// Size of the multiset intersection of two sorted code vectors.
-template <typename Code>
-size_t SortedSharedCount(const std::vector<Code>& a,
-                         const std::vector<Code>& b) {
-  size_t shared = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++shared;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return shared;
-}
-
-template <typename Code>
-double NgramDicePacked(std::string_view a, std::string_view b, int n) {
-  std::vector<Code> grams_a;
-  std::vector<Code> grams_b;
-  PackSortedGrams(a, n, &grams_a);
-  PackSortedGrams(b, n, &grams_b);
-  size_t shared = SortedSharedCount(grams_a, grams_b);
-  return 2.0 * static_cast<double>(shared) /
-         static_cast<double>(grams_a.size() + grams_b.size());
-}
-
-}  // namespace
-
-double NgramDiceSimilarityPrelowered(std::string_view a, std::string_view b,
-                                     int n) {
-  if (n < 1) n = 1;
-  if (a == b) return 1.0;
-  // One boundary marker pads each side so short names still produce grams.
-  if (a.size() + 2 < static_cast<size_t>(n) ||
-      b.size() + 2 < static_cast<size_t>(n)) {
-    return 0.0;
-  }
-  if (n <= 4) return NgramDicePacked<uint32_t>(a, b, n);
-  if (n <= 8) return NgramDicePacked<uint64_t>(a, b, n);
-
-  // Grams wider than 8 bytes don't pack into a machine word; count them the
-  // slow way (unused by the built-in matchers).
-  std::string pa;
-  pa.reserve(a.size() + 2);
-  pa.push_back('^');
-  pa.append(a);
-  pa.push_back('$');
-  std::string pb;
-  pb.reserve(b.size() + 2);
-  pb.push_back('^');
-  pb.append(b);
-  pb.push_back('$');
-  std::unordered_map<std::string, int> grams;
-  size_t count_a = pa.size() - static_cast<size_t>(n) + 1;
-  for (size_t i = 0; i < count_a; ++i) {
-    ++grams[pa.substr(i, static_cast<size_t>(n))];
-  }
-  size_t count_b = pb.size() - static_cast<size_t>(n) + 1;
-  size_t shared = 0;
-  for (size_t i = 0; i < count_b; ++i) {
-    auto it = grams.find(pb.substr(i, static_cast<size_t>(n)));
-    if (it != grams.end() && it->second > 0) {
-      --it->second;
-      ++shared;
-    }
-  }
-  return 2.0 * static_cast<double>(shared) /
-         static_cast<double>(count_a + count_b);
-}
-
-double NgramDiceSimilarity(std::string_view a, std::string_view b, int n) {
-  std::string la = ToLower(a);
-  std::string lb = ToLower(b);
-  return NgramDiceSimilarityPrelowered(la, lb, n);
 }
 
 }  // namespace xsm::sim

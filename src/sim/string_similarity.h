@@ -5,8 +5,7 @@
 // character substitution, insertion, exclusion, and transposition". Those
 // are exactly the Damerau–Levenshtein edit operations, so the reproduction
 // uses normalized Damerau–Levenshtein (optimal string alignment variant) as
-// the drop-in substitute. Additional kernels (Jaro–Winkler, n-gram Dice,
-// token Jaccard) support the multi-matcher architecture of Fig. 2.
+// the drop-in substitute.
 //
 // The matching engine scores every (personal node, distinct repository
 // name) pair, so the hot kernels come in threshold-aware, scratch-reusing
@@ -106,24 +105,6 @@ double FuzzyStringSimilarityWithThreshold(std::string_view a,
                                           EditDistanceScratch* scratch,
                                           const NameSignature* sig_a,
                                           const NameSignature* sig_b);
-
-/// Jaro similarity in [0,1].
-double JaroSimilarity(std::string_view a, std::string_view b);
-
-/// Jaro–Winkler similarity with standard prefix scaling (p=0.1, max prefix
-/// 4).
-double JaroWinklerSimilarity(std::string_view a, std::string_view b);
-
-/// Dice coefficient over character n-grams (default trigrams) of the
-/// lowercased inputs, with one-character boundary padding.
-double NgramDiceSimilarity(std::string_view a, std::string_view b, int n = 3);
-
-/// NgramDiceSimilarity for inputs that are already lowercase (e.g. the name
-/// dictionary's cached forms): skips the per-call ToLower copies. Grams of
-/// up to 8 characters are packed into integer codes held in small sorted
-/// vectors, so no per-gram heap allocation happens either.
-double NgramDiceSimilarityPrelowered(std::string_view a, std::string_view b,
-                                     int n = 3);
 
 }  // namespace xsm::sim
 

@@ -40,7 +40,6 @@
 #include "live/delta_codec.h"            // IWYU pragma: export
 #include "live/repository_delta.h"       // IWYU pragma: export
 #include "live/repository_manager.h"     // IWYU pragma: export
-#include "match/element_matcher.h"       // IWYU pragma: export
 #include "match/element_matching.h"      // IWYU pragma: export
 #include "match/name_dictionary.h"       // IWYU pragma: export
 #include "net/http.h"                    // IWYU pragma: export
@@ -61,7 +60,6 @@
 #include "service/serve_session.h"        // IWYU pragma: export
 #include "shard/sharded_match_service.h"   // IWYU pragma: export
 #include "sim/string_similarity.h"       // IWYU pragma: export
-#include "sim/synonym_dictionary.h"      // IWYU pragma: export
 #include "store/snapshot_store.h"        // IWYU pragma: export
 #include "util/histogram.h"              // IWYU pragma: export
 #include "util/io.h"                     // IWYU pragma: export

@@ -93,7 +93,7 @@ PlantedCorpus BuildPlantedCorpus(uint64_t seed, size_t num_trees,
     for (auto& [name, group] : names) {
       schema::NodeProperties props;
       props.name = name;
-      // Random parent: structural variety the name-only matcher ignores.
+      // Random parent: structural variety the name matcher ignores.
       const schema::NodeId parent =
           static_cast<schema::NodeId>(rng.Uniform(tree.size()));
       const schema::NodeId id = tree.AddNode(parent, std::move(props));

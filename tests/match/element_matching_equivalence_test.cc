@@ -2,10 +2,9 @@
 // engine: MatchElements (dictionary engine, optionally sharded over a
 // thread pool) must reproduce MatchElementsReference (the retained seed
 // sweep) bit-for-bit — sets, scores, masks, distinct_nodes — across
-// thresholds, matcher types, shard counts and thread counts.
+// thresholds, cold and warm dictionaries, shard counts and thread counts.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,55 +62,29 @@ void ExpectIdentical(const ElementMatchingResult& expected,
   ASSERT_EQ(expected.masks, actual.masks) << context;
 }
 
-struct NamedMatcher {
-  std::string name;
-  std::shared_ptr<const ElementMatcher> matcher;
-};
-
-std::vector<NamedMatcher> NameOnlyMatchers() {
-  std::vector<NamedMatcher> matchers;
-  matchers.push_back({"fuzzy-ci", std::make_shared<FuzzyNameMatcher>(true)});
-  matchers.push_back({"fuzzy-cs", std::make_shared<FuzzyNameMatcher>(false)});
-  matchers.push_back(
-      {"jaro-winkler", std::make_shared<JaroWinklerNameMatcher>()});
-  matchers.push_back({"ngram3", std::make_shared<NgramNameMatcher>(3)});
-  matchers.push_back({"ngram2", std::make_shared<NgramNameMatcher>(2)});
-  matchers.push_back({"token", std::make_shared<TokenNameMatcher>()});
-  matchers.push_back({"synonym", std::make_shared<SynonymNameMatcher>()});
-  auto composite = std::make_shared<CompositeMatcher>();
-  composite->Add(std::make_shared<FuzzyNameMatcher>(), 0.6);
-  composite->Add(std::make_shared<JaroWinklerNameMatcher>(), 0.4);
-  matchers.push_back({"composite", composite});
-  return matchers;
-}
-
 TEST(ElementMatchingEquivalenceTest, AllMatchersThresholdsSerial) {
   SchemaForest repo = MakeCorpus(800, 7);
   NameDictionary dict = NameDictionary::Build(repo);
   const double thresholds[] = {0.0, 0.35, 0.5, 0.75, 0.95};
   for (const SchemaTree& personal : PersonalSchemas()) {
-    for (const NamedMatcher& nm : NameOnlyMatchers()) {
-      for (double threshold : thresholds) {
-        ElementMatchingOptions options;
-        options.threshold = threshold;
-        options.matcher = nm.matcher.get();
-        auto reference = MatchElementsReference(personal, repo, options);
-        ASSERT_TRUE(reference.ok());
+    for (double threshold : thresholds) {
+      ElementMatchingOptions options;
+      options.threshold = threshold;
+      auto reference = MatchElementsReference(personal, repo, options);
+      ASSERT_TRUE(reference.ok());
 
-        // Transient dictionary (built inside the call).
-        auto cold = MatchElements(personal, repo, options);
-        ASSERT_TRUE(cold.ok());
-        std::string context =
-            nm.name + " @" + std::to_string(threshold) + " personal=" +
-            personal.name(0);
-        ExpectIdentical(*reference, *cold, context + " [cold]");
+      // Transient dictionary (built inside the call).
+      auto cold = MatchElements(personal, repo, options);
+      ASSERT_TRUE(cold.ok());
+      std::string context = "@" + std::to_string(threshold) +
+                            " personal=" + personal.name(0);
+      ExpectIdentical(*reference, *cold, context + " [cold]");
 
-        // Warm (precomputed, snapshot-style) dictionary.
-        options.dictionary = &dict;
-        auto warm = MatchElements(personal, repo, options);
-        ASSERT_TRUE(warm.ok());
-        ExpectIdentical(*reference, *warm, context + " [warm]");
-      }
+      // Warm (precomputed, snapshot-style) dictionary.
+      options.dictionary = &dict;
+      auto warm = MatchElements(personal, repo, options);
+      ASSERT_TRUE(warm.ok());
+      ExpectIdentical(*reference, *warm, context + " [warm]");
     }
   }
 }
@@ -119,37 +92,28 @@ TEST(ElementMatchingEquivalenceTest, AllMatchersThresholdsSerial) {
 TEST(ElementMatchingEquivalenceTest, ParallelShardsAcrossThreadCounts) {
   SchemaForest repo = MakeCorpus(1500, 11);
   NameDictionary dict = NameDictionary::Build(repo);
-  FuzzyNameMatcher fuzzy;
-  JaroWinklerNameMatcher jw;
-  const ElementMatcher* matchers[] = {&fuzzy, &jw};
   const double thresholds[] = {0.3, 0.5, 0.8};
   for (size_t threads : {2u, 4u}) {
     ThreadPool pool(threads);
     for (const SchemaTree& personal : PersonalSchemas()) {
-      for (const ElementMatcher* matcher : matchers) {
-        for (double threshold : thresholds) {
-          for (size_t shards : {0u, 1u, 7u, 64u}) {
-            ElementMatchingOptions options;
-            options.threshold = threshold;
-            options.matcher = matcher;
-            options.dictionary = &dict;
-            options.pool = &pool;
-            options.num_shards = shards;
-            auto parallel = MatchElements(personal, repo, options);
-            ASSERT_TRUE(parallel.ok());
-
-            ElementMatchingOptions serial_options;
-            serial_options.threshold = threshold;
-            serial_options.matcher = matcher;
-            auto reference =
-                MatchElementsReference(personal, repo, serial_options);
-            ASSERT_TRUE(reference.ok());
-            ExpectIdentical(*reference, *parallel,
-                            std::string(matcher->name()) + " threads=" +
-                                std::to_string(threads) + " shards=" +
-                                std::to_string(shards) + " @" +
-                                std::to_string(threshold));
-          }
+      for (double threshold : thresholds) {
+        ElementMatchingOptions serial_options;
+        serial_options.threshold = threshold;
+        auto reference =
+            MatchElementsReference(personal, repo, serial_options);
+        ASSERT_TRUE(reference.ok());
+        for (size_t shards : {0u, 1u, 7u, 64u}) {
+          ElementMatchingOptions options;
+          options.threshold = threshold;
+          options.dictionary = &dict;
+          options.pool = &pool;
+          options.num_shards = shards;
+          auto parallel = MatchElements(personal, repo, options);
+          ASSERT_TRUE(parallel.ok());
+          ExpectIdentical(*reference, *parallel,
+                          "threads=" + std::to_string(threads) + " shards=" +
+                              std::to_string(shards) + " @" +
+                              std::to_string(threshold));
         }
       }
     }
@@ -176,24 +140,6 @@ TEST(ElementMatchingEquivalenceTest, AttributeFilteringEquivalence) {
     ExpectIdentical(*reference, *engine,
                     match_attributes ? "attrs=on" : "attrs=off");
   }
-}
-
-TEST(ElementMatchingEquivalenceTest, NonNameOnlyMatcherFallsBackExactly) {
-  SchemaForest repo = MakeCorpus(600, 3);
-  CompositeMatcher composite;
-  composite.Add(std::make_shared<FuzzyNameMatcher>(), 0.7);
-  composite.Add(std::make_shared<DatatypeMatcher>(), 0.3);
-  ASSERT_FALSE(composite.name_only());
-
-  ElementMatchingOptions options;
-  options.threshold = 0.4;
-  options.matcher = &composite;
-  SchemaTree personal = *schema::ParseTreeSpec("person(name,email)");
-  auto reference = MatchElementsReference(personal, repo, options);
-  auto engine = MatchElements(personal, repo, options);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_TRUE(engine.ok());
-  ExpectIdentical(*reference, *engine, "datatype-composite");
 }
 
 TEST(ElementMatchingEquivalenceTest, RejectsForeignDictionary) {

@@ -179,35 +179,5 @@ TEST(ElementMatchingTest, EmptyRepository) {
   EXPECT_EQ(r->SmallestSetNode(), schema::kInvalidNode);
 }
 
-TEST(ElementMatchingTest, MemoizedAndUnmemoizedAgree) {
-  SchemaForest repo = MakeRepo();
-  SchemaTree personal = Personal();
-  // DatatypeMatcher is not name-only, so it disables memoization; a
-  // composite of fuzzy+datatype must equal manual expectation regardless.
-  FuzzyNameMatcher fuzzy;
-  ElementMatchingOptions memo_opts{.threshold = 0.5, .matcher = &fuzzy};
-  auto memoized = MatchElements(personal, repo, memo_opts);
-  ASSERT_TRUE(memoized.ok());
-
-  CompositeMatcher composite;  // name-only = false → no memoization
-  composite.Add(std::make_shared<FuzzyNameMatcher>(), 1.0);
-  auto datatype_only = std::make_shared<DatatypeMatcher>();
-  composite.Add(datatype_only, 0.0);  // zero weight: same scores as fuzzy
-  ElementMatchingOptions plain_opts{.threshold = 0.5, .matcher = &composite};
-  auto plain = MatchElements(personal, repo, plain_opts);
-  ASSERT_TRUE(plain.ok());
-
-  ASSERT_EQ(memoized->sets.size(), plain->sets.size());
-  for (size_t i = 0; i < memoized->sets.size(); ++i) {
-    ASSERT_EQ(memoized->sets[i].size(), plain->sets[i].size());
-    for (size_t j = 0; j < memoized->sets[i].elements.size(); ++j) {
-      EXPECT_EQ(memoized->sets[i].elements[j].node,
-                plain->sets[i].elements[j].node);
-      EXPECT_DOUBLE_EQ(memoized->sets[i].elements[j].score,
-                       plain->sets[i].elements[j].score);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace xsm::match

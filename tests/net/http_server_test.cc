@@ -6,6 +6,7 @@
 #include "net/http_server.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -766,6 +767,55 @@ TEST_F(HttpServerTest, ClientThatNeverReadsIsCutOffAfterTheStallTimeout) {
   limits.max_body_bytes = 64u << 20;
   auto response = client.ReadResponse(limits, /*timeout_seconds=*/30);
   EXPECT_FALSE(response.ok());
+
+  running.server->RequestShutdown();
+}
+
+TEST_F(HttpServerTest, HalfSentRequestIsClosedAfterTheReadTimeout) {
+  auto running = StartServer(MakeRegistry());
+  const uint16_t port = running.server->port();
+
+  // An idle keep-alive connection holds no partial request.
+  HttpClient idle;
+  ASSERT_TRUE(idle.Connect(kHost, port).ok());
+  auto before = idle.Fetch("GET", "/v1/healthz");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  HttpClient half;
+  ASSERT_TRUE(half.Connect(kHost, port).ok());
+  ASSERT_TRUE(half.SendRaw("POST /v1/tenants/t1/match HTTP/1.1\r\n"
+                           "Content-Length: 100\r\n\r\nonly this")
+                  .ok());
+  const auto sent = std::chrono::steady_clock::now();
+  // A second handle on the socket outlives the client's close, so the
+  // server's close can be observed after the response is read.
+  const int observer = dup(half.fd());
+  ASSERT_GE(observer, 0);
+  auto response = half.ReadResponse(HttpLimits(), /*timeout_seconds=*/30);
+  const auto waited = std::chrono::steady_clock::now() - sent;
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status_code, 408);
+  EXPECT_FALSE(response->keep_alive);
+  EXPECT_NE(response->body.find("\"code\":\"deadline_exceeded\""),
+            std::string::npos)
+      << response->body;
+  EXPECT_GE(waited, HttpServer::kRequestReadTimeout - std::chrono::seconds(1));
+  pollfd eof{observer, POLLIN, 0};
+  ASSERT_EQ(poll(&eof, 1, /*timeout_ms=*/5000), 1) << "connection not closed";
+  char byte;
+  EXPECT_EQ(read(observer, &byte, 1), 0);
+  close(observer);
+
+  EXPECT_EQ(running.server->stats().read_timeouts, 1u);
+  auto stats = FetchOnce(kHost, port, "GET", "/v1/stats");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->body.find("\"read_timeouts\":1,"), std::string::npos)
+      << stats->body;
+
+  // The idle connection outlived the timeout and still serves.
+  auto after = idle.Fetch("GET", "/v1/healthz");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->status_code, 200);
 
   running.server->RequestShutdown();
 }

@@ -174,8 +174,7 @@ struct MatchingConfig {
   match::ElementMatchingOptions options;
 };
 
-std::vector<MatchingConfig> MatchingConfigs(
-    const match::ElementMatcher* composite) {
+std::vector<MatchingConfig> MatchingConfigs() {
   std::vector<MatchingConfig> configs;
   for (double threshold : {0.35, 0.5, 0.8}) {
     match::ElementMatchingOptions options;
@@ -185,18 +184,11 @@ std::vector<MatchingConfig> MatchingConfigs(
   match::ElementMatchingOptions elements_only;
   elements_only.match_attributes = false;
   configs.push_back({"match_attributes=false", elements_only});
-  match::ElementMatchingOptions structural;
-  structural.matcher = composite;
-  configs.push_back({"composite(name+datatype)", structural});
   return configs;
 }
 
 TEST(CarryElementMatchingTest, EqualsColdMatchingAlongRandomDeltaChains) {
-  auto composite = std::make_shared<match::CompositeMatcher>();
-  composite->Add(std::make_shared<match::FuzzyNameMatcher>(), 0.7);
-  composite->Add(std::make_shared<match::DatatypeMatcher>(), 0.3);
-  ASSERT_FALSE(composite->name_only());
-  const std::vector<MatchingConfig> configs = MatchingConfigs(composite.get());
+  const std::vector<MatchingConfig> configs = MatchingConfigs();
   std::vector<SchemaTree> personals;
   for (const char* spec : {"name(address,email)",
                            "order(item(price),customer(name))", "title"}) {

@@ -469,11 +469,12 @@ TEST(NdjsonEventGoldenTest, HttpEvents) {
       ":1,\"connections_rejected\":0,\"requests\":1,\"requests"
       "_shed\":0,\"sheds\":{\"capacity\":0},\"parse_failures\""
       ":0,\"disconnect_cancels\":0,\"output_stalls\":0,\"outpu"
-      "t_stall_timeouts\":0,\"drain_save_failures\":0,\"inflig"
-      "ht\":0,\"tenants\":1,\"draining\":false,\"wal\":{\"reco"
-      "veries\":0,\"records_replayed\":0,\"records_skipped\":0"
-      ",\"torn_tail_truncations\":0},\"latency_ms\":{\"count\""
-      ":0,\"p50\":0.000,\"p95\":0.000,\"p99\":0.000}}",
+      "t_stall_timeouts\":0,\"read_timeouts\":0,\"drain_save_f"
+      "ailures\":0,\"inflight\":0,\"tenants\":1,\"draining\":f"
+      "alse,\"wal\":{\"recoveries\":0,\"records_replayed\":0,"
+      "\"records_skipped\":0,\"torn_tail_truncations\":0},\"la"
+      "tency_ms\":{\"count\":0,\"p50\":0.000,\"p95\":0.000,\"p"
+      "99\":0.000}}",
       "200 {\"type\":\"health\",\"status\":\"ok\",\"tenants\":"
       "1}",
       "410 {\"type\":\"error\",\"code\":\"gone\",\"message\":"
