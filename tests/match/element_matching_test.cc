@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
+#include "sim/string_similarity.h"
 
 namespace xsm::match {
 namespace {
@@ -168,6 +171,34 @@ TEST(ElementMatchingTest, RejectsBadInputs) {
 
   EXPECT_FALSE(MatchElements(Personal(), repo, {.threshold = -0.1}).ok());
   EXPECT_FALSE(MatchElements(Personal(), repo, {.threshold = 1.5}).ok());
+}
+
+// The stage's fuzzy name matcher, seen through MatchElements: the score a
+// one-node personal schema gets against a one-node repository (0 when the
+// pair is not a mapping element).
+double NameScore(std::string_view personal_name, std::string_view repo_name) {
+  SchemaForest repo;
+  repo.AddTree(*schema::ParseTreeSpec(std::string(repo_name)));
+  auto r = MatchElements(*schema::ParseTreeSpec(std::string(personal_name)),
+                         repo, {.threshold = 0.0});
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok() || r->sets[0].elements.empty()) return 0.0;
+  return r->sets[0].elements[0].score;
+}
+
+TEST(FuzzyNameMatcherTest, ScoresNames) {
+  EXPECT_DOUBLE_EQ(NameScore("name", "name"), 1.0);
+  EXPECT_DOUBLE_EQ(NameScore("Name", "name"), 1.0);  // case-fold
+  EXPECT_GT(NameScore("address", "addr"), 0.5);
+  EXPECT_LT(NameScore("email", "shelf"), 0.5);
+}
+
+TEST(FuzzyNameMatcherTest, CaseSensitiveVariant) {
+  // The engine folds case; the case-sensitive kernel does not.
+  EXPECT_LT(sim::FuzzyStringSimilarity("NAME", "name"), 1.0);
+  EXPECT_DOUBLE_EQ(NameScore("NAME", "name"), 1.0);
+  EXPECT_DOUBLE_EQ(NameScore("NAME", "name"),
+                   sim::FuzzyStringSimilarityIgnoreCase("NAME", "name"));
 }
 
 TEST(ElementMatchingTest, EmptyRepository) {
