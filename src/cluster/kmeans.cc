@@ -5,8 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "sim/string_similarity.h"
-#include "util/random.h"
 #include "util/timer.h"
 
 namespace xsm::cluster {
@@ -105,74 +103,24 @@ Result<ClusteringResult> KMeansClusterer::Cluster(
   if (points.empty()) return result;
 
   // --- Initialization (Alg. 1 line 1). -----------------------------------
+  // Every element of MEmin, the scarcest personal node's mapping-element
+  // set, becomes a centroid.
+  int best_bit = -1;
+  size_t best_size = std::numeric_limits<size_t>::max();
+  for (size_t b = 0; b < me_set_sizes.size(); ++b) {
+    if (me_set_sizes[b] == 0) continue;
+    if (me_set_sizes[b] < best_size) {
+      best_size = me_set_sizes[b];
+      best_bit = static_cast<int>(b);
+    }
+  }
+  if (best_bit < 0) {
+    return Status::InvalidArgument("no personal node has any mapping element");
+  }
   std::vector<NodeRef> centroids;
-  size_t minset_count = 0;
-  {
-    // Size of the MEmin seeding: number of points carrying the scarcest
-    // personal node's bit.
-    int best_bit = -1;
-    size_t best_size = std::numeric_limits<size_t>::max();
-    for (size_t b = 0; b < me_set_sizes.size(); ++b) {
-      if (me_set_sizes[b] == 0) continue;
-      if (me_set_sizes[b] < best_size) {
-        best_size = me_set_sizes[b];
-        best_bit = static_cast<int>(b);
-      }
-    }
-    if (best_bit < 0) {
-      return Status::InvalidArgument(
-          "no personal node has any mapping element");
-    }
-    for (const ClusterPoint& p : points) {
-      if (p.personal_mask & (uint32_t{1} << best_bit)) ++minset_count;
-    }
-
-    size_t k = options.num_centroids > 0 ? options.num_centroids
-                                         : std::max<size_t>(1, minset_count);
-    k = std::min(k, points.size());
-    Rng rng(options.seed);
-
-    switch (options.init) {
-      case CentroidInit::kMinSet:
-        for (const ClusterPoint& p : points) {
-          if (p.personal_mask & (uint32_t{1} << best_bit)) {
-            centroids.push_back(p.node);
-          }
-        }
-        break;
-      case CentroidInit::kRandom: {
-        std::vector<size_t> idx(points.size());
-        std::iota(idx.begin(), idx.end(), 0);
-        rng.Shuffle(&idx);
-        for (size_t i = 0; i < k; ++i) {
-          centroids.push_back(points[idx[i]].node);
-        }
-        break;
-      }
-      case CentroidInit::kFarthestFirst: {
-        // Greedy max-min: cross-tree distance is infinite, so coverage
-        // spreads over trees before filling within trees.
-        std::vector<int> min_dist(points.size(),
-                                  label::ForestIndex::kInfiniteDistance);
-        size_t first = rng.Uniform(points.size());
-        centroids.push_back(points[first].node);
-        while (centroids.size() < k) {
-          const NodeRef& last = centroids.back();
-          size_t best_idx = 0;
-          int best_d = -1;
-          for (size_t i = 0; i < points.size(); ++i) {
-            int d = index_->Distance(points[i].node, last);
-            min_dist[i] = std::min(min_dist[i], d);
-            if (min_dist[i] > best_d) {
-              best_d = min_dist[i];
-              best_idx = i;
-            }
-          }
-          if (best_d == 0) break;  // every point coincides with a centroid
-          centroids.push_back(points[best_idx].node);
-        }
-        break;
-      }
+  for (const ClusterPoint& p : points) {
+    if (p.personal_mask & (uint32_t{1} << best_bit)) {
+      centroids.push_back(p.node);
     }
   }
   result.stats.initial_centroids = centroids.size();
@@ -197,28 +145,19 @@ Result<ClusteringResult> KMeansClusterer::Cluster(
           static_cast<int32_t>(c));
     }
 
-    // Assignment (lines 3–8): nearest same-tree centroid; deterministic
-    // tie-break toward the lower centroid index. The distance is the tree
-    // path length, optionally blended with a lexical term (§7 future-work
-    // "other distance measures").
+    // Assignment (lines 3–8): nearest same-tree centroid by tree path
+    // length; deterministic tie-break toward the lower centroid index.
     std::vector<int32_t> assignment(points.size(), -1);
-    const bool lexical = options.distance == ClusterDistance::kPathAndName;
     for (size_t i = 0; i < points.size(); ++i) {
       const ClusterPoint& p = points[i];
       const auto& local =
           centroids_in_tree[static_cast<size_t>(p.node.tree)];
-      double best_d = std::numeric_limits<double>::max();
+      int best_d = std::numeric_limits<int>::max();
       int32_t best_c = -1;
       const label::TreeIndex& tidx = index_->tree(p.node.tree);
-      const schema::SchemaTree& tree = forest_->tree(p.node.tree);
       for (int32_t c : local) {
-        const NodeRef& centroid = centroids[static_cast<size_t>(c)];
-        double d = tidx.Distance(p.node.node, centroid.node);
-        if (lexical) {
-          d += options.name_weight *
-               (1.0 - sim::FuzzyStringSimilarityIgnoreCase(
-                          tree.name(p.node.node), tree.name(centroid.node)));
-        }
+        int d = tidx.Distance(p.node.node,
+                              centroids[static_cast<size_t>(c)].node);
         if (d < best_d) {
           best_d = d;
           best_c = c;
@@ -295,66 +234,6 @@ Result<ClusteringResult> KMeansClusterer::Cluster(
         return c.members.size() < options.min_cluster_size;
       });
       result.stats.clusters_removed += before - formed.size();
-    }
-    if (options.max_cluster_size > 0) {
-      // Split reclustering (extension): break oversized clusters around
-      // their centroid and the member farthest from it.
-      ClusterVector split_out;
-      for (size_t c = 0; c < formed.size(); ++c) {
-        if (formed[c].members.size() <= options.max_cluster_size) {
-          split_out.push_back(std::move(formed[c]));
-          continue;
-        }
-        const label::TreeIndex& tidx = index_->tree(formed[c].tree);
-        // Queue-based: a cluster may need several splits.
-        std::vector<std::vector<int32_t>> queue{std::move(formed[c].members)};
-        while (!queue.empty()) {
-          std::vector<int32_t> members = std::move(queue.back());
-          queue.pop_back();
-          if (members.size() <= options.max_cluster_size) {
-            split_out.emplace_back();
-            split_out.back().tree = formed[c].tree;
-            split_out.back().members = std::move(members);
-            split_out.back().centroid =
-                ComputeMedoid(split_out.back().members, points, tidx);
-            continue;
-          }
-          NodeRef seed_a = ComputeMedoid(members, points, tidx);
-          // Farthest member from the medoid becomes the second seed.
-          NodeRef seed_b = seed_a;
-          int far = -1;
-          for (int32_t m : members) {
-            int d = tidx.Distance(
-                seed_a.node, points[static_cast<size_t>(m)].node.node);
-            if (d > far) {
-              far = d;
-              seed_b = points[static_cast<size_t>(m)].node;
-            }
-          }
-          std::vector<int32_t> half_a;
-          std::vector<int32_t> half_b;
-          for (int32_t m : members) {
-            schema::NodeId n = points[static_cast<size_t>(m)].node.node;
-            int da = tidx.Distance(seed_a.node, n);
-            int db = tidx.Distance(seed_b.node, n);
-            (da <= db ? half_a : half_b).push_back(m);
-          }
-          if (half_a.empty() || half_b.empty()) {
-            // Degenerate (all members coincide): keep as one cluster.
-            split_out.emplace_back();
-            split_out.back().tree = formed[c].tree;
-            split_out.back().members = half_a.empty() ? std::move(half_b)
-                                                      : std::move(half_a);
-            split_out.back().centroid = ComputeMedoid(
-                split_out.back().members, points, tidx);
-            continue;
-          }
-          ++result.stats.clusters_split;
-          queue.push_back(std::move(half_a));
-          queue.push_back(std::move(half_b));
-        }
-      }
-      formed = std::move(split_out);
     }
 
     // Switch accounting: a point's cluster is identified by its centroid.

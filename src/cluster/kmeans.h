@@ -53,30 +53,10 @@ struct Cluster {
   }
 };
 
-/// Centroid initialization strategies. kMinSet is the paper's heuristic;
-/// the others exist for the ablation benches.
-enum class CentroidInit {
-  kMinSet = 0,         ///< all elements of MEmin become centroids
-  kRandom = 1,         ///< uniformly random points
-  kFarthestFirst = 2,  ///< greedy max-min spread (per tree)
-};
-
-/// Distance measures for the assignment step. The paper uses pure path
-/// length and names "design of other distance measures" as future work
-/// (§7); kPathAndName adds a lexical term so that elements gravitate
-/// toward centroids of similar vocabulary.
-enum class ClusterDistance {
-  kPathLength = 0,  ///< tree distance (paper)
-  /// path + name_weight · (1 − fuzzy name similarity to the centroid).
-  kPathAndName = 1,
-};
-
+/// Options of Algorithm 1. Seeding (MEmin) and the distance (tree path
+/// length) are fixed by the paper; these are its reclustering and
+/// convergence knobs.
 struct KMeansOptions {
-  CentroidInit init = CentroidInit::kMinSet;
-  /// Number of centroids for kRandom / kFarthestFirst; 0 means "as many as
-  /// kMinSet would produce".
-  size_t num_centroids = 0;
-
   /// Join reclustering: merge clusters whose centroids are at distance
   /// ≤ join_distance. Disabled when join_reclustering is false.
   bool join_reclustering = true;
@@ -88,23 +68,9 @@ struct KMeansOptions {
   bool remove_reclustering = true;
   size_t min_cluster_size = 4;
 
-  /// Split reclustering (extension; the paper leaves "huge clusters" to
-  /// future handling, §4): clusters larger than max_cluster_size are split
-  /// in two around the current centroid and the member farthest from it.
-  /// 0 disables splitting.
-  size_t max_cluster_size = 0;
-
-  /// Assignment distance measure.
-  ClusterDistance distance = ClusterDistance::kPathLength;
-  /// Weight of the lexical term for ClusterDistance::kPathAndName.
-  double name_weight = 2.0;
-
   /// Relaxed total-stability criterion (fraction of points/clusters).
   double convergence_fraction = 0.05;
   int max_iterations = 25;
-
-  /// Seed for the randomized initializations.
-  uint64_t seed = 42;
 
   Status Validate() const;
 };
@@ -114,7 +80,6 @@ struct KMeansStats {
   size_t initial_centroids = 0;
   size_t clusters_joined = 0;
   size_t clusters_removed = 0;
-  size_t clusters_split = 0;
   /// Points whose cluster (identified by centroid) changed, per iteration.
   std::vector<size_t> switches_per_iteration;
   double time_seconds = 0;
@@ -137,7 +102,7 @@ class KMeansClusterer {
       : forest_(forest), index_(index) {}
 
   /// Clusters `points`. `me_set_sizes[b]` = |ME_b| for personal node b
-  /// (used by the kMinSet initialization to find the scarcest hint).
+  /// (used to find MEmin, the scarcest personal node's set).
   Result<ClusteringResult> Cluster(const std::vector<ClusterPoint>& points,
                                    const std::vector<size_t>& me_set_sizes,
                                    const KMeansOptions& options) const;

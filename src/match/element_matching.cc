@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <future>
-#include <limits>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -23,19 +22,6 @@ size_t ElementMatchingResult::total_mapping_elements() const {
   size_t total = 0;
   for (const MappingElementSet& s : sets) total += s.size();
   return total;
-}
-
-schema::NodeId ElementMatchingResult::SmallestSetNode() const {
-  schema::NodeId best = schema::kInvalidNode;
-  size_t best_size = std::numeric_limits<size_t>::max();
-  for (const MappingElementSet& s : sets) {
-    if (s.size() == 0) continue;
-    if (s.size() < best_size) {
-      best_size = s.size();
-      best = s.personal_node;
-    }
-  }
-  return best;
 }
 
 namespace {

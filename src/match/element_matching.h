@@ -99,10 +99,6 @@ struct ElementMatchingResult {
   /// Σ_n |ME_n| — the paper's "mapping elements" count (4520 in §5).
   size_t total_mapping_elements() const;
 
-  /// Personal node with the smallest non-empty ME set (the paper's MEmin,
-  /// used to seed k-means centroids). kInvalidNode if every set is empty.
-  schema::NodeId SmallestSetNode() const;
-
   /// Bit mask with one bit per personal node (bits [0, |Ns|)).
   uint32_t FullMask() const {
     return sets.size() >= 32

@@ -1,14 +1,12 @@
 #include "service/matcher.h"
 
 #include <chrono>
-#include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
 #include <utility>
 
 #include "live/delta_codec.h"
 #include "obs/trace.h"
-#include "util/random.h"
 #include "util/timer.h"
 
 namespace xsm::service {
@@ -61,21 +59,11 @@ void AppendStateOptionsFingerprint(const core::ClusterStateOptions& options,
     return;
   }
   const cluster::KMeansOptions& km = options.kmeans;
-  AppendFormat(out, "|km:%d:%zu", static_cast<int>(km.init),
-               km.num_centroids);
-  AppendFormat(out, ":%d:%d", km.join_reclustering ? km.join_distance : -1,
+  AppendFormat(out, "|km:%d:%d", km.join_reclustering ? km.join_distance : -1,
                km.remove_reclustering
                    ? static_cast<int>(km.min_cluster_size)
                    : -1);
-  AppendFormat(out, ":%zu:%d:%.17g", km.max_cluster_size,
-               static_cast<int>(km.distance), km.name_weight);
   AppendFormat(out, ":%.17g:%d", km.convergence_fraction, km.max_iterations);
-  // The seed only feeds the randomized initializations; normalizing it to 0
-  // for kMinSet lets per-query derived seeds share one cache entry in the
-  // common deterministic case.
-  uint64_t effective_seed =
-      km.init == cluster::CentroidInit::kMinSet ? 0 : km.seed;
-  AppendFormat(out, ":%" PRIu64, effective_seed);
 }
 
 }  // namespace
@@ -109,14 +97,8 @@ Result<MatchRequest> MatchRequestBuilder::Build() const {
 }
 
 core::MatchOptions EffectiveRequestOptions(
-    const MatchRequest& request, const EffectiveOptionsPolicy& policy) {
+    const MatchRequest& request, const EffectiveOptionsPolicy& /*policy*/) {
   core::MatchOptions effective = request.options;
-  const bool randomized =
-      effective.clustering == core::ClusteringMode::kKMeans &&
-      effective.kmeans.init != cluster::CentroidInit::kMinSet;
-  if (policy.derive_seeds && randomized) {
-    effective.kmeans.seed = SeedForQuery(policy.base_seed, request.id);
-  }
   // A request-supplied element.control is dropped, not honored: cached
   // cluster-state builds must always run to completion — a cancelled build
   // would fail every concurrent request sharing it in-flight (the cache key
@@ -330,8 +312,8 @@ void Matcher::AdoptJournal(const std::string& wal_path,
 
 core::MatchOptions Matcher::EffectiveOptionsOn(const MatchRequest& request,
                                                const RepositoryPin& pin) const {
-  // The pure, backend-independent part (seed derivation + control strip)
-  // lives in EffectiveRequestOptions so every surface reporting effective
+  // The pure, backend-independent part (the control strip) lives in
+  // EffectiveRequestOptions so every surface reporting effective
   // options computes them the same way. Execution plumbing never changes
   // results, so the cluster-state key ignores it and cached states stay
   // shareable across configurations.

@@ -53,10 +53,9 @@ namespace xsm::service {
 
 /// One unit of service work: a personal schema plus the matching knobs.
 struct MatchRequest {
-  /// Stable identity of the request. Labels results and — for randomized
-  /// clustering initializations — seeds the per-query RNG, so re-running a
-  /// request with the same id reproduces its result exactly regardless of
-  /// concurrency (see EffectiveOptionsPolicy::derive_seeds).
+  /// Identity of the request. Labels its results and events; it never
+  /// changes a result, so requests that differ only in id share a cached
+  /// cluster state.
   std::string id;
   schema::SchemaTree personal;
   core::MatchOptions options;
@@ -157,24 +156,17 @@ struct MatchServiceOptions {
 };
 
 /// The pure part of the "effective options" computation: what any backend
-/// runs for `request` given only the seeding policy — per-request k-means
-/// seed derivation for randomized initializations, and the removal of any
-/// caller-supplied element.control (cached cluster-state builds must always
-/// run to completion). Backends layer execution plumbing (the snapshot's
-/// name dictionary, the matching pool) on top of this; that plumbing never
+/// runs for `request` — its options with any caller-supplied
+/// element.control removed (cached cluster-state builds must always run to
+/// completion). Backends layer execution plumbing (the snapshot's name
+/// dictionary, the matching pool) on top of this; that plumbing never
 /// changes results, so `!stats`, HTTP and the CLI all report exactly the
-/// options this function returns. Every backend runs the default policy.
-struct EffectiveOptionsPolicy {
-  /// Base seed mixed with request ids by SeedForQuery.
-  uint64_t base_seed = 42;
-  /// When a request's clustering consumes randomness (CentroidInit::kRandom
-  /// / kFarthestFirst), replace its k-means seed with
-  /// SeedForQuery(base_seed, request.id) so results are a pure function of
-  /// the request, not of thread interleaving. The default kMinSet
-  /// initialization is deterministic and ignores the seed, so those
-  /// requests share cache entries across ids.
-  bool derive_seeds = true;
-};
+/// options this function returns.
+///
+/// EffectiveOptionsPolicy is empty: clustering is deterministic, so there
+/// is no per-request seed to derive. The struct and the parameter are kept
+/// only because the end-to-end benchmark names them; they go once it stops.
+struct EffectiveOptionsPolicy {};
 core::MatchOptions EffectiveRequestOptions(const MatchRequest& request,
                                            const EffectiveOptionsPolicy& policy);
 

@@ -15,7 +15,7 @@
 //   - Clustering runs ONCE, globally, over the merged element-matching
 //     result (core::Bellflower::ClusterFromMatching against a federated
 //     global-view forest + index), because k-means has irreducible global
-//     couplings (MEmin seeding, the convergence predicate, the RNG). The
+//     couplings (MEmin seeding, the convergence predicate). The
 //     global view shares every tree payload and TreeIndex with the shards,
 //     so materializing it costs O(num_trees) pointer copies per publish.
 //   - Mapping generation scatters per owning shard through MatchWithState's

@@ -14,8 +14,14 @@ namespace {
 // Larger than any reachable cell value, small enough that +1 never wraps.
 constexpr int kInfDistance = 1 << 29;
 
-int EditDistanceImpl(std::string_view a, std::string_view b,
-                     bool transpositions, EditDistanceScratch* scratch) {
+}  // namespace
+
+int DamerauLevenshteinDistance(std::string_view a, std::string_view b) {
+  return DamerauLevenshteinDistance(a, b, nullptr);
+}
+
+int DamerauLevenshteinDistance(std::string_view a, std::string_view b,
+                               EditDistanceScratch* scratch) {
   const size_t la = a.size();
   const size_t lb = b.size();
   if (la == 0) return static_cast<int>(lb);
@@ -43,8 +49,7 @@ int EditDistanceImpl(std::string_view a, std::string_view b,
                            cur[j - 1] + 1,     // insertion
                            prev[j - 1] + cost  // substitution / match
       });
-      if (transpositions && i > 1 && j > 1 && a[i - 1] == b[j - 2] &&
-          a[i - 2] == b[j - 1]) {
+      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
         best = std::min(best, prev2[j - 2] + 1);  // transposition
       }
       cur[j] = best;
@@ -53,21 +58,6 @@ int EditDistanceImpl(std::string_view a, std::string_view b,
     std::swap(prev, cur);
   }
   return prev[lb];
-}
-
-}  // namespace
-
-int DamerauLevenshteinDistance(std::string_view a, std::string_view b) {
-  return EditDistanceImpl(a, b, /*transpositions=*/true, nullptr);
-}
-
-int DamerauLevenshteinDistance(std::string_view a, std::string_view b,
-                               EditDistanceScratch* scratch) {
-  return EditDistanceImpl(a, b, /*transpositions=*/true, scratch);
-}
-
-int LevenshteinDistance(std::string_view a, std::string_view b) {
-  return EditDistanceImpl(a, b, /*transpositions=*/false, nullptr);
 }
 
 int BoundedDamerauLevenshteinDistance(std::string_view a, std::string_view b,

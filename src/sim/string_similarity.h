@@ -59,9 +59,6 @@ int DamerauLevenshteinDistance(std::string_view a, std::string_view b);
 int DamerauLevenshteinDistance(std::string_view a, std::string_view b,
                                EditDistanceScratch* scratch);
 
-/// Plain Levenshtein distance (no transpositions), for comparison/ablation.
-int LevenshteinDistance(std::string_view a, std::string_view b);
-
 /// Bounded Damerau–Levenshtein: returns the exact distance when it is
 /// <= max_dist, and max_dist + 1 otherwise. Runs the DP banded to the
 /// diagonal strip |i - j| <= max_dist and abandons early once two

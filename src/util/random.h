@@ -1,8 +1,8 @@
 // Deterministic pseudo-random number generation.
 //
-// Experiments in the paper depend on reproducible repositories and
-// clusterings, so every randomized component takes an explicit Rng seeded by
-// the caller; nothing reads global entropy.
+// Experiments in the paper depend on reproducible repositories, so every
+// randomized component takes an explicit Rng seeded by the caller; nothing
+// reads global entropy.
 #ifndef XSM_UTIL_RANDOM_H_
 #define XSM_UTIL_RANDOM_H_
 
@@ -26,14 +26,14 @@ inline uint64_t Fnv1a(std::string_view bytes) {
   return h;
 }
 
-/// Derives a deterministic seed for one query from a service-level base
-/// seed and the query's id. Concurrent service queries must not share
-/// mutable RNG state — each query constructs its own Rng from this seed, so
-/// results are a pure function of (base_seed, query_id) regardless of
-/// thread interleaving or execution order. FNV-1a over the id, finalized
-/// with a SplitMix64 step so that nearby ids map to unrelated seeds.
-inline uint64_t SeedForQuery(uint64_t base_seed, std::string_view query_id) {
-  uint64_t x = Fnv1a(query_id) ^ (base_seed + 0x9E3779B97F4A7C15ull);
+/// Derives a deterministic seed for one query from a root seed and the
+/// query's id. Concurrent queries must not share mutable RNG state — each
+/// constructs its own Rng from this seed, so its draws are a pure function
+/// of (root_seed, query_id) regardless of thread interleaving or execution
+/// order. FNV-1a over the id, finalized with a SplitMix64 step so that
+/// nearby ids map to unrelated seeds.
+inline uint64_t SeedForQuery(uint64_t root_seed, std::string_view query_id) {
+  uint64_t x = Fnv1a(query_id) ^ (root_seed + 0x9E3779B97F4A7C15ull);
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);

@@ -166,36 +166,9 @@ TEST(KMeansTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST(KMeansTest, RandomInitRespectsRequestedCentroidCount) {
-  Fixture f;
-  KMeansClusterer clusterer(&f.forest, &f.index);
-  KMeansOptions o = NoRecluster();
-  o.init = CentroidInit::kRandom;
-  o.num_centroids = 5;
-  auto r = clusterer.Cluster(f.points, f.me_sizes, o);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.initial_centroids, 5u);
-}
-
-TEST(KMeansTest, FarthestFirstCoversBothTrees) {
-  Fixture f;
-  KMeansClusterer clusterer(&f.forest, &f.index);
-  KMeansOptions o = NoRecluster();
-  o.init = CentroidInit::kFarthestFirst;
-  o.num_centroids = 3;
-  auto r = clusterer.Cluster(f.points, f.me_sizes, o);
-  ASSERT_TRUE(r.ok());
-  // Infinite cross-tree distance forces at least one centroid per tree, so
-  // no point is left unassigned.
-  EXPECT_EQ(r->stats.unassigned_points, 0u);
-  std::set<schema::TreeId> trees;
-  for (const Cluster& c : r->clusters) trees.insert(c.tree);
-  EXPECT_EQ(trees.size(), 2u);
-}
-
 TEST(KMeansTest, PointsInTreesWithoutCentroidsAreUnassigned) {
   Fixture f;
-  // Remove the scarce bit from tree 1: kMinSet seeds no centroid there.
+  // Remove the scarce bit from tree 1: MEmin seeds no centroid there.
   for (auto& p : f.points) {
     if (p.node.tree == 1) p.personal_mask = 0b10;
   }

@@ -1,13 +1,8 @@
 // Tests for the extensions wired into the core pipeline: partial mappings
-// (§2.3), huge-cluster splitting (§4), the lexical cluster distance (§7)
-// and adaptive top-N pruning.
+// (§2.3) and adaptive top-N pruning.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-
 #include "core/bellflower.h"
-#include "core/preservation.h"
 #include "repo/synthetic.h"
 #include "schema/schema_forest.h"
 #include "schema/schema_tree.h"
@@ -75,53 +70,6 @@ TEST(PartialMappingsTest, RecoveredFromNonUsefulClusters) {
   auto base = system.Match(Personal(), BaseOptions());
   ASSERT_TRUE(base.ok());
   EXPECT_EQ(base->mappings.size(), r->mappings.size());
-}
-
-TEST(SplitReclusteringTest, EnforcesMaxClusterSize) {
-  repo::SyntheticRepoOptions ro;
-  ro.target_elements = 3000;
-  ro.seed = 23;
-  auto repo = repo::GenerateSyntheticRepository(ro);
-  ASSERT_TRUE(repo.ok());
-  Bellflower system(&*repo);
-  MatchOptions o;
-  o.element.threshold = 0.5;
-  o.delta = 0.75;
-  o.clustering = ClusteringMode::kKMeans;
-  o.kmeans.join_distance = 4;  // large clusters
-  o.kmeans.max_cluster_size = 10;
-  auto r = system.Match(*schema::ParseTreeSpec("name(address,email)"), o);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  for (const auto& summary : r->stats.cluster_summaries) {
-    EXPECT_LE(summary.num_points, 10u);
-  }
-  EXPECT_GT(r->stats.kmeans.clusters_split, 0u);
-}
-
-TEST(LexicalDistanceTest, RunsAndStaysSubsetOfBaseline) {
-  repo::SyntheticRepoOptions ro;
-  ro.target_elements = 3000;
-  ro.seed = 29;
-  auto repo = repo::GenerateSyntheticRepository(ro);
-  ASSERT_TRUE(repo.ok());
-  Bellflower system(&*repo);
-  SchemaTree personal = *schema::ParseTreeSpec("name(address,email)");
-
-  MatchOptions baseline;
-  baseline.element.threshold = 0.5;
-  baseline.delta = 0.75;
-  baseline.clustering = ClusteringMode::kTreeClusters;
-  auto rb = system.Match(personal, baseline);
-  ASSERT_TRUE(rb.ok());
-
-  MatchOptions lexical = baseline;
-  lexical.clustering = ClusteringMode::kKMeans;
-  lexical.kmeans.distance = cluster::ClusterDistance::kPathAndName;
-  lexical.kmeans.name_weight = 2.0;
-  auto rl = system.Match(personal, lexical);
-  ASSERT_TRUE(rl.ok()) << rl.status().ToString();
-  EXPECT_TRUE(IsSubsetOf(rl->mappings, rb->mappings));
-  EXPECT_GT(rl->stats.num_clusters, 0u);
 }
 
 TEST(AdaptiveTopNTest, SameTopNWithLessWork) {

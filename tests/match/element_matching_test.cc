@@ -129,20 +129,6 @@ TEST(ElementMatchingTest, ThresholdMonotonicity) {
   }
 }
 
-TEST(ElementMatchingTest, SmallestSetNode) {
-  SchemaForest repo = MakeRepo();
-  auto r = MatchElements(Personal(), repo, {.threshold = 0.5});
-  ASSERT_TRUE(r.ok());
-  schema::NodeId smallest = r->SmallestSetNode();
-  ASSERT_NE(smallest, schema::kInvalidNode);
-  size_t min_size = r->sets[static_cast<size_t>(smallest)].size();
-  for (const auto& s : r->sets) {
-    if (s.size() > 0) {
-      EXPECT_LE(min_size, s.size());
-    }
-  }
-}
-
 TEST(ElementMatchingTest, AttributeFiltering) {
   SchemaForest repo;
   repo.AddTree(*schema::ParseTreeSpec("book(@title,title)"));
@@ -207,7 +193,6 @@ TEST(ElementMatchingTest, EmptyRepository) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->total_mapping_elements(), 0u);
   EXPECT_TRUE(r->distinct_nodes.empty());
-  EXPECT_EQ(r->SmallestSetNode(), schema::kInvalidNode);
 }
 
 }  // namespace

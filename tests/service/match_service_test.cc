@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -184,7 +186,6 @@ TEST_F(MatchServiceTest, TreeClusterBaselineIgnoresKMeansKnobs) {
   MatchRequest b = a;
   b.id = "tree-b";
   b.options.kmeans.join_distance = 2;
-  b.options.kmeans.seed = 999;
   EXPECT_EQ(service->ClusterStateKey(a), service->ClusterStateKey(b));
 }
 
@@ -222,34 +223,70 @@ TEST_F(MatchServiceTest, IdenticalQueriesInBatchComputeStateOnce) {
   EXPECT_EQ(cache.hits + cache.shared, 15u);
 }
 
-TEST_F(MatchServiceTest, DerivedSeedsAreDeterministicPerQueryId) {
-  MatchServiceOptions options;
-  options.num_threads = 4;
-  auto service = MakeService(options);
+TEST_F(MatchServiceTest, ClusterStateKeyCoversEveryStateField) {
+  auto service = MakeService();
+  const MatchRequest query = MakeQuery("key-base", kSpecs[6]);
+  ASSERT_EQ(query.options.clustering, core::ClusteringMode::kKMeans);
+  const std::string base_key = service->ClusterStateKey(query);
 
-  MatchRequest query = MakeQuery("rand-1", kSpecs[6]);
-  query.options.kmeans.init = cluster::CentroidInit::kRandom;
-  query.options.kmeans.num_centroids = 40;
+  // Every field that shapes the cluster state, each changed on its own.
+  using Edit = std::function<void(core::MatchOptions*)>;
+  const std::vector<std::pair<const char*, Edit>> element_edits = {
+      {"element.threshold",
+       [](core::MatchOptions* o) { o->element.threshold += 0.1; }},
+      {"element.match_attributes",
+       [](core::MatchOptions* o) {
+         o->element.match_attributes = !o->element.match_attributes;
+       }},
+  };
+  const std::vector<std::pair<const char*, Edit>> kmeans_edits = {
+      {"kmeans.join_reclustering",
+       [](core::MatchOptions* o) {
+         o->kmeans.join_reclustering = !o->kmeans.join_reclustering;
+       }},
+      {"kmeans.join_distance",
+       [](core::MatchOptions* o) { o->kmeans.join_distance += 1; }},
+      {"kmeans.remove_reclustering",
+       [](core::MatchOptions* o) {
+         o->kmeans.remove_reclustering = !o->kmeans.remove_reclustering;
+       }},
+      {"kmeans.min_cluster_size",
+       [](core::MatchOptions* o) { o->kmeans.min_cluster_size += 1; }},
+      {"kmeans.convergence_fraction",
+       [](core::MatchOptions* o) { o->kmeans.convergence_fraction *= 2; }},
+      {"kmeans.max_iterations",
+       [](core::MatchOptions* o) { o->kmeans.max_iterations += 1; }},
+  };
 
-  // Re-running the same id reproduces the result exactly (cache cleared in
-  // between, so clustering really reruns with the derived seed).
-  auto first = service->Run(query);
-  ASSERT_TRUE(first.ok());
-  service->ClearCache();
-  auto again = service->Run(query);
-  ASSERT_TRUE(again.ok());
-  ExpectSameResults(again->result, first->result);
+  std::set<std::string> keys = {base_key};
+  for (const auto* edits : {&element_edits, &kmeans_edits}) {
+    for (const auto& [field, edit] : *edits) {
+      MatchRequest variant = query;
+      edit(&variant.options);
+      const std::string key = service->ClusterStateKey(variant);
+      EXPECT_NE(key, base_key) << field;
+      EXPECT_TRUE(keys.insert(key).second) << field << " collides";
+    }
+  }
 
-  // A different query id derives a different seed.
-  MatchRequest other = query;
-  other.id = "rand-2";
-  EXPECT_NE(service->EffectiveOptions(other).kmeans.seed,
-            service->EffectiveOptions(query).kmeans.seed);
-  EXPECT_NE(service->ClusterStateKey(other), service->ClusterStateKey(query));
+  // The tree-clusters baseline ignores every k-means field.
+  MatchRequest tree = query;
+  tree.options.clustering = core::ClusteringMode::kTreeClusters;
+  const std::string tree_key = service->ClusterStateKey(tree);
+  EXPECT_NE(tree_key, base_key);
+  for (const auto& [field, edit] : kmeans_edits) {
+    MatchRequest variant = tree;
+    edit(&variant.options);
+    EXPECT_EQ(service->ClusterStateKey(variant), tree_key) << field;
+  }
 
-  // With derivation off, the caller's seed is used untouched.
-  EXPECT_EQ(EffectiveRequestOptions(query, {42, false}).kmeans.seed,
-            query.options.kmeans.seed);
+  // The request id labels results and never changes the key.
+  for (const MatchRequest& request : {query, tree}) {
+    MatchRequest renamed = request;
+    renamed.id = "key-renamed";
+    EXPECT_EQ(service->ClusterStateKey(renamed),
+              service->ClusterStateKey(request));
+  }
 }
 
 TEST_F(MatchServiceTest, DisabledCacheStillCorrect) {

@@ -132,7 +132,6 @@ TEST(ShardedServiceTest, SingleShardIsByteIdenticalToMatchService) {
   core::MatchOptions b = reference.EffectiveOptions(query);
   EXPECT_EQ(a.delta, b.delta);
   EXPECT_EQ(a.top_n, b.top_n);
-  EXPECT_EQ(a.kmeans.seed, b.kmeans.seed);
   EXPECT_EQ(a.element.threshold, b.element.threshold);
 }
 

@@ -10,34 +10,18 @@ namespace xsm::sim {
 namespace {
 
 TEST(EditDistanceTest, KnownValues) {
-  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3);
-  EXPECT_EQ(LevenshteinDistance("", ""), 0);
-  EXPECT_EQ(LevenshteinDistance("abc", ""), 3);
-  EXPECT_EQ(LevenshteinDistance("", "abc"), 3);
-  EXPECT_EQ(LevenshteinDistance("abc", "abc"), 0);
-  EXPECT_EQ(LevenshteinDistance("flaw", "lawn"), 2);
+  EXPECT_EQ(DamerauLevenshteinDistance("kitten", "sitting"), 3);
+  EXPECT_EQ(DamerauLevenshteinDistance("", ""), 0);
+  EXPECT_EQ(DamerauLevenshteinDistance("abc", ""), 3);
+  EXPECT_EQ(DamerauLevenshteinDistance("", "abc"), 3);
+  EXPECT_EQ(DamerauLevenshteinDistance("abc", "abc"), 0);
+  EXPECT_EQ(DamerauLevenshteinDistance("flaw", "lawn"), 2);
 }
 
 TEST(EditDistanceTest, TranspositionCostsOneInDamerau) {
-  EXPECT_EQ(LevenshteinDistance("ab", "ba"), 2);
   EXPECT_EQ(DamerauLevenshteinDistance("ab", "ba"), 1);
   EXPECT_EQ(DamerauLevenshteinDistance("author", "auhtor"), 1);
   EXPECT_EQ(DamerauLevenshteinDistance("ca", "abc"), 3);  // OSA variant
-}
-
-TEST(EditDistanceTest, DamerauNeverExceedsLevenshtein) {
-  Rng rng(99);
-  const std::string alphabet = "abcde";
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string a;
-    std::string b;
-    size_t la = rng.Uniform(10);
-    size_t lb = rng.Uniform(10);
-    for (size_t i = 0; i < la; ++i) a += alphabet[rng.Uniform(5)];
-    for (size_t i = 0; i < lb; ++i) b += alphabet[rng.Uniform(5)];
-    EXPECT_LE(DamerauLevenshteinDistance(a, b), LevenshteinDistance(a, b))
-        << a << " vs " << b;
-  }
 }
 
 TEST(FuzzySimilarityTest, IdentityAndEmpty) {
@@ -199,7 +183,6 @@ TEST(NameSignatureTest, BagDistanceLowerBoundsEditDistance) {
     for (size_t i = 0; i < lb; ++i) b += alphabet[rng.Uniform(6)];
     const int bag = NameSignature::Of(a).BagDistance(NameSignature::Of(b));
     EXPECT_LE(bag, DamerauLevenshteinDistance(a, b)) << a << "|" << b;
-    EXPECT_LE(bag, LevenshteinDistance(a, b)) << a << "|" << b;
   }
   // Symmetric, zero on identity, counts digits and punctuation in shared
   // buckets (both map to one bucket each).
@@ -221,22 +204,6 @@ TEST(EditDistanceTest, ScratchReuseAcrossDifferentLengths) {
   EXPECT_EQ(BoundedDamerauLevenshteinDistance("short", "shirt", 2, &scratch),
             1);
   EXPECT_EQ(DamerauLevenshteinDistance("a", "b", &scratch), 1);
-}
-
-TEST(EditDistanceTest, TriangleInequalityOnSamples) {
-  Rng rng(5);
-  const std::string alphabet = "abcd";
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string s[3];
-    for (auto& str : s) {
-      size_t len = rng.Uniform(8);
-      for (size_t i = 0; i < len; ++i) str += alphabet[rng.Uniform(4)];
-    }
-    int ab = LevenshteinDistance(s[0], s[1]);
-    int bc = LevenshteinDistance(s[1], s[2]);
-    int ac = LevenshteinDistance(s[0], s[2]);
-    EXPECT_LE(ac, ab + bc);
-  }
 }
 
 }  // namespace
